@@ -8,6 +8,7 @@ from .graphs import (
     InvalidRequestError,
     InvalidTreeError,
     PathGraph,
+    PriodpaError,
     Request,
     Solution,
     TreeGraph,
@@ -19,12 +20,14 @@ from .graphs import (
     intersects,
     load_instance,
     dump_instance,
+    ratio,
     request_length,
     unique_path,
     validate_solution,
 )
 from .engine import (
     AdviceExhaustedError,
+    AdversaryOutcome,
     AdviceTape,
     AdviceWriter,
     Decision,
@@ -47,7 +50,6 @@ from .oracle import (
 )
 from .paths import greedy_path_algorithm, greedy_paths, right_end_order
 from .lwdpa import (
-    AdversaryOutcome,
     PabParams,
     adversary_play_lwdpa,
     build_pab,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 
 from .graphs import InvalidParameterError
-from .engine import Decision, GreedyAlgorithm, PriorityAlgorithm
+from .engine import Decision, GreedyAlgorithm, PriorityAlgorithm, PriorityOrder
 from .paths import right_end_order
 from .lwdpa import lwdpa_order
 from .trees import cat_order
@@ -83,10 +83,7 @@ class AdaptiveFlip(GreedyAlgorithm):
 
 
 def _with_readapt(order, readapt):
-    from .engine import PriorityOrder
-
-    clone = PriorityOrder(order.key, name=order.name, readapt=readapt)
-    return clone
+    return PriorityOrder(order.key, name=order.name, readapt=readapt)
 
 
 def battery(problem):
@@ -116,6 +113,4 @@ def battery(problem):
 
 
 def _random_order(seed):
-    from .engine import PriorityOrder
-
     return PriorityOrder(lambda r, s=seed: _hash_key(s, r), name=f"sha-{seed}")

@@ -20,14 +20,7 @@ import random
 import sys
 import time
 
-from .graphs import (
-    InvalidParameterError,
-    InvalidRequestError,
-    InvalidTreeError,
-    graph_from_json,
-    instance_hash,
-    load_instance,
-)
+from .graphs import PriodpaError, graph_from_json, instance_hash, load_instance
 from .engine import AdviceTape, run
 from .oracle import InstanceTooLargeError, brute_force_opt
 from .graphs import gain as gain_of
@@ -50,10 +43,10 @@ from .trees import (
 from .reduction import run_guess, run_tguess, fig9_tree
 from .grid import exhaustive_verify_3x3, grid_adversary, grid_battery
 from .battery import battery
-from .report import RatioReport, render
+from .report import RatioReport, format_ratio, render
 
 
-class UsageError(Exception):
+class UsageError(PriodpaError):
     pass
 
 
@@ -75,11 +68,15 @@ def _canonical_algorithm(name, graph):
 
 
 def _battery_algorithm(name, problem):
-    for alg in battery(problem):
+    return _by_name(battery(problem), name, f"algorithm {name!r} for {problem}")
+
+
+def _by_name(algorithms, name, unknown):
+    for alg in algorithms:
         if alg.name == name:
             return alg
-    known = ", ".join(a.name for a in battery(problem))
-    raise UsageError(f"unknown algorithm {name!r} for {problem}; known: {known}")
+    known = ", ".join(a.name for a in algorithms)
+    raise UsageError(f"unknown {unknown}; known: {known}")
 
 
 def _emit(text, out):
@@ -90,9 +87,9 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
-def _report_row(args, graph, inst, alg_name, alg_gain, opt_gain, bits, ms):
+def _report_row(args, inst, alg_name, alg_gain, opt_gain, bits, ms):
     return RatioReport(
-        graph=graph.descriptor(),
+        graph=inst.graph.descriptor(),
         algorithm=alg_name,
         instance_hash=instance_hash(inst),
         gain_alg=alg_gain,
@@ -102,21 +99,25 @@ def _report_row(args, graph, inst, alg_name, alg_gain, opt_gain, bits, ms):
     )
 
 
-def cmd_run(args):
-    inst = load_instance(args.instance)
-    alg = _canonical_algorithm(args.alg, inst.graph)
+def _run_and_report(args, alg, inst, tape=None):
+    """Run, time and score one algorithm, with the oracle's optimum when
+    the instance is small enough, and emit its report row."""
     t0 = time.monotonic()
-    result = run(alg, inst)
+    result = run(alg, inst, tape)
     ms = int((time.monotonic() - t0) * 1000)
     alg_gain = gain_of(result.solution, alg.mode)
     try:
         opt = brute_force_opt(inst, mode=alg.mode).optimum
     except InstanceTooLargeError:
         opt = None
-    row = _report_row(args, inst.graph, inst, alg.name, alg_gain, opt,
-                      result.bits_consumed, ms)
+    row = _report_row(args, inst, alg.name, alg_gain, opt, result.bits_consumed, ms)
     _emit(render([row], args.format), args.out)
     return 0
+
+
+def cmd_run(args):
+    inst = load_instance(args.instance)
+    return _run_and_report(args, _canonical_algorithm(args.alg, inst.graph), inst)
 
 
 def cmd_adversary(args):
@@ -131,18 +132,13 @@ def cmd_adversary(args):
         alg = _battery_algorithm(args.alg, "cat")
         outcome = tree_adversary(alg, tree)
     elif args.family == "grid":
-        for alg in grid_battery():
-            if alg.name == args.alg:
-                break
-        else:
-            known = ", ".join(a.name for a in grid_battery())
-            raise UsageError(f"unknown grid algorithm {args.alg!r}; known: {known}")
+        alg = _by_name(grid_battery(), args.alg, f"grid algorithm {args.alg!r}")
         outcome = grid_adversary(alg)
     else:
         raise UsageError(f"unknown adversary family {args.family!r}")
     ms = int((time.monotonic() - t0) * 1000)
-    row = _report_row(args, outcome.instance.graph, outcome.instance, args.alg,
-                      outcome.alg_gain, outcome.opt_gain, 0, ms)
+    row = _report_row(args, outcome.instance, args.alg, outcome.alg_gain,
+                      outcome.opt_gain, 0, ms)
     _emit(render([row], args.format), args.out)
     return 0
 
@@ -163,19 +159,7 @@ def cmd_advice(args):
         raise UsageError("--decode needs --tape FILE")
     with open(args.tape) as fh:
         tape = AdviceTape.from_json(json.load(fh))
-    alg = decoder()
-    t0 = time.monotonic()
-    result = run(alg, inst, tape)
-    ms = int((time.monotonic() - t0) * 1000)
-    alg_gain = gain_of(result.solution, alg.mode)
-    try:
-        opt = brute_force_opt(inst, mode=alg.mode).optimum
-    except InstanceTooLargeError:
-        opt = None
-    row = _report_row(args, inst.graph, inst, alg.name, alg_gain, opt,
-                      result.bits_consumed, ms)
-    _emit(render([row], args.format), args.out)
-    return 0
+    return _run_and_report(args, decoder(), inst, tape)
 
 
 def cmd_reduce(args):
@@ -206,12 +190,12 @@ def cmd_reduce(args):
             f"{rec.block},{rec.m.x}-{rec.m.y},{rec.guess},{rec.hidden},"
             f"{int(rec.correct)},{rec.alg_gain},{rec.opt_gain}"
         )
-    ratio = "inf" if outcome.alg_gain == 0 else repr(outcome.opt_gain / outcome.alg_gain)
     lines.append(
         f"total,,,,{sum(r.correct for r in outcome.records)},{outcome.alg_gain},"
         f"{outcome.opt_gain}"
     )
-    lines.append(f"# ratio {ratio} wrong {outcome.wrong} of {len(outcome.records)}")
+    lines.append(f"# ratio {format_ratio(outcome.ratio)} "
+                 f"wrong {outcome.wrong} of {len(outcome.records)}")
     _emit("\n".join(lines) + "\n", args.out)
     return 1 if violated else 0
 
@@ -258,7 +242,7 @@ def _load_tree(path):
         raise UsageError("a tree file is required")
     with open(path) as fh:
         obj = json.load(fh)
-    if "graph" in obj:
+    if isinstance(obj, dict) and "graph" in obj:
         obj = obj["graph"]
     g = graph_from_json(obj)
     if g.kind != "tree":
@@ -330,20 +314,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InvalidParameterError, InvalidRequestError, InvalidTreeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InstanceTooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
+        return 2
+    except (PriodpaError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -14,19 +14,30 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from string import hexdigits
 
-from .graphs import InvalidParameterError, Solution, edge_mask, norm_edge
+from .graphs import (
+    Instance,
+    InvalidParameterError,
+    PriodpaError,
+    Solution,
+    edge_mask,
+    gain,
+    norm_edge,
+    ratio,
+    validate_solution,
+)
 
 
-class InvalidOrderError(RuntimeError):
+class InvalidOrderError(PriodpaError, RuntimeError):
     """The order is not a strict total order on the requests at hand."""
 
 
-class IllegalAcceptanceError(RuntimeError):
+class IllegalAcceptanceError(PriodpaError, RuntimeError):
     """An algorithm accepted a request whose path is already blocked."""
 
 
-class AdviceExhaustedError(RuntimeError):
+class AdviceExhaustedError(PriodpaError, RuntimeError):
     """A decoder read past the end of its advice tape."""
 
 
@@ -150,8 +161,11 @@ class AdviceTape:
 
     @classmethod
     def from_json(cls, obj):
-        n = obj["bits"]
-        raw = "".join(f"{int(c, 16):04b}" for c in obj["hex"])
+        n = obj.get("bits") if isinstance(obj, dict) else None
+        hexed = obj.get("hex") if isinstance(obj, dict) else None
+        if type(n) is not int or n < 0 or not isinstance(hexed, str) or set(hexed) - set(hexdigits):
+            raise InvalidParameterError('an advice tape is {"bits": <count>, "hex": "<hex>"}')
+        raw = "".join(f"{int(c, 16):04b}" for c in hexed)
         if len(raw) < n:
             raise InvalidParameterError("hex payload shorter than declared bit count")
         return cls(raw[:n])
@@ -266,6 +280,18 @@ class Session:
     def max_of(self, candidates):
         return self.order.max_of(candidates)
 
+    def drain(self, requests):
+        """Feed whichever of ``requests`` tops the current order until none
+        are left; return them in the order they were fed."""
+        remaining = list(requests)
+        fed = []
+        while remaining:
+            r = self.max_of(remaining)
+            self.feed(r)
+            remaining.remove(r)
+            fed.append(r)
+        return fed
+
     def feed(self, request):
         state = self.state
         decision = self.algorithm.decide(request, state, self.tape)
@@ -297,9 +323,25 @@ class Session:
 def run(algorithm, instance, tape=None):
     """Present the whole instance in priority order and collect the run."""
     session = Session(algorithm, instance.graph, tape)
-    remaining = list(instance.requests)
-    while remaining:
-        r = session.max_of(remaining)
-        session.feed(r)
-        remaining.remove(r)
+    session.drain(instance.requests)
     return session.result()
+
+
+@dataclass
+class AdversaryOutcome:
+    instance: Instance
+    ratio: object  # Fraction, or math.inf
+    case: str
+    alg_gain: int
+    opt_gain: int
+    opt_witness: Solution
+
+
+def adversary_outcome(session, instance, case, witness, mode="count"):
+    """Score a finished adversary game: the algorithm's gain from the
+    session against the optimum of ``witness``, which must be a valid
+    solution of the ``instance`` the adversary served."""
+    assert validate_solution(instance, witness), "adversary witness must be valid"
+    alg = gain(session.result().solution, mode)
+    opt = gain(witness, mode)
+    return AdversaryOutcome(instance, ratio(opt, alg), case, alg, opt, witness)

@@ -20,17 +20,23 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from fractions import Fraction
+from math import inf
 
 
-class InvalidRequestError(ValueError):
+class PriodpaError(Exception):
+    """Base of every error this package raises on purpose."""
+
+
+class InvalidRequestError(PriodpaError, ValueError):
     """Endpoints are not distinct host vertices, or hosts are mixed."""
 
 
-class InvalidTreeError(ValueError):
+class InvalidTreeError(PriodpaError, ValueError):
     """The edge list does not describe a tree on 0..n-1."""
 
 
-class InvalidParameterError(ValueError):
+class InvalidParameterError(PriodpaError, ValueError):
     """A numeric construction parameter is out of range."""
 
 
@@ -45,7 +51,9 @@ class PathGraph:
     kind = "path"
 
     def __init__(self, length):
-        if not isinstance(length, int) or length < 1:
+        # ``type(...) is int`` here and below also rejects bool: JSON true
+        # must not pass as a length or vertex of 1
+        if type(length) is not int or length < 1:
             raise InvalidParameterError("path length must be a positive integer")
         self.length = length
 
@@ -54,7 +62,7 @@ class PathGraph:
         return self.length + 1
 
     def has_vertex(self, v):
-        return isinstance(v, int) and 0 <= v <= self.length
+        return type(v) is int and 0 <= v <= self.length
 
     def descriptor(self):
         return f"path:{self.length}"
@@ -79,13 +87,13 @@ class TreeGraph:
     kind = "tree"
 
     def __init__(self, edges):
-        edges = [tuple(sorted(e)) for e in edges]
+        if any(type(u) is not int or type(v) is not int for u, v in edges):
+            raise InvalidTreeError("tree vertices must be integers")
+        edges = [(u, v) if u < v else (v, u) for u, v in edges]
         n = len(edges) + 1
         seen = set()
         adj = {v: [] for v in range(n)}
         for u, v in edges:
-            if not (isinstance(u, int) and isinstance(v, int)):
-                raise InvalidTreeError("tree vertices must be integers")
             if u == v or not (0 <= u < n and 0 <= v < n):
                 raise InvalidTreeError(f"bad edge ({u}, {v}) for {n} vertices")
             if (u, v) in seen:
@@ -123,7 +131,7 @@ class TreeGraph:
         return tuple(v for v in range(self.n) if self.degree[v] == 1)
 
     def has_vertex(self, v):
-        return isinstance(v, int) and 0 <= v < self.n
+        return type(v) is int and 0 <= v < self.n
 
     def lca(self, x, y):
         dx, dy = self.depth[x], self.depth[y]
@@ -172,7 +180,7 @@ class GridGraph:
     kind = "grid"
 
     def __init__(self, rows, cols):
-        if not (isinstance(rows, int) and isinstance(cols, int)) or rows < 2 or cols < 2:
+        if not (type(rows) is int and type(cols) is int) or rows < 2 or cols < 2:
             raise InvalidParameterError("grid needs at least 2 rows and 2 columns")
         self.rows = rows
         self.cols = cols
@@ -184,8 +192,8 @@ class GridGraph:
         return (
             isinstance(v, tuple)
             and len(v) == 2
-            and isinstance(v[0], int)
-            and isinstance(v[1], int)
+            and type(v[0]) is int
+            and type(v[1]) is int
             and 0 <= v[0] < self.rows
             and 0 <= v[1] < self.cols
         )
@@ -257,10 +265,6 @@ class Request:
 
     def __repr__(self):
         return f"Request({self.x!r}, {self.y!r})"
-
-
-def request(graph, x, y):
-    return Request(graph, x, y)
 
 
 def unique_path(graph, req):
@@ -377,6 +381,11 @@ def gain(solution, mode="count"):
     return sum(request_length(g, r) for r in solution.accepted)
 
 
+def ratio(opt, alg):
+    """Exact competitive ratio opt/alg; infinite when the algorithm gained nothing."""
+    return inf if alg == 0 else Fraction(opt, alg)
+
+
 def _walk_ok(graph, req, alloc):
     # alloc must be a simple path from req.x to req.y over host edges
     if not alloc:
@@ -438,14 +447,29 @@ def graph_to_json(graph):
     return {"kind": "grid", "rows": graph.rows, "cols": graph.cols}
 
 
+def _fields(obj, what, *names):
+    """The named fields of a JSON object, or InvalidParameterError."""
+    if not isinstance(obj, dict) or any(n not in obj for n in names):
+        raise InvalidParameterError(f"{what} must be a JSON object with fields {', '.join(names)}")
+    return [obj[n] for n in names]
+
+
+def _pairs(obj, what, error):
+    """A JSON list of two-element lists, as tuples."""
+    if not isinstance(obj, list) or any(not isinstance(p, list) or len(p) != 2 for p in obj):
+        raise error(f"{what} must be a list of two-element lists")
+    return [tuple(p) for p in obj]
+
+
 def graph_from_json(obj):
-    kind = obj.get("kind")
+    (kind,) = _fields(obj, "a graph", "kind")
     if kind == "path":
-        return PathGraph(obj["length"])
+        return PathGraph(*_fields(obj, "a path", "length"))
     if kind == "tree":
-        return TreeGraph([tuple(e) for e in obj["edges"]])
+        (edges,) = _fields(obj, "a tree", "edges")
+        return TreeGraph(_pairs(edges, "tree edges", InvalidTreeError))
     if kind == "grid":
-        return GridGraph(obj["rows"], obj["cols"])
+        return GridGraph(*_fields(obj, "a grid", "rows", "cols"))
     raise InvalidParameterError(f"unknown graph kind {kind!r}")
 
 
@@ -454,7 +478,8 @@ def _endpoint_to_json(graph, v):
 
 
 def _endpoint_from_json(graph, v):
-    return tuple(v) if graph.kind == "grid" else v
+    # non-list grid endpoints stay as they are and fail Request's vertex check
+    return tuple(v) if graph.kind == "grid" and isinstance(v, list) else v
 
 
 def instance_to_json(instance):
@@ -468,10 +493,11 @@ def instance_to_json(instance):
 
 
 def instance_from_json(obj):
-    g = graph_from_json(obj["graph"])
+    graph, requests = _fields(obj, "an instance", "graph", "requests")
+    g = graph_from_json(graph)
     reqs = [
         Request(g, _endpoint_from_json(g, a), _endpoint_from_json(g, b))
-        for a, b in obj["requests"]
+        for a, b in _pairs(requests, "requests", InvalidRequestError)
     ]
     return Instance(g, reqs)
 

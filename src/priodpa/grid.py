@@ -20,10 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
 
 from .graphs import GridGraph, Instance, Request, Solution, norm_edge
-from .engine import Decision, PriorityAlgorithm, PriorityOrder, Session
+from .engine import Decision, PriorityAlgorithm, PriorityOrder, Session, adversary_outcome
 from .oracle import grid_simple_paths, max_allocatable
 
 CENTER = (1, 1)
@@ -103,8 +102,6 @@ def _followups(graph, req, path_vertices):
 def grid_adversary(algorithm):
     """Play the 3x3 construction; ratio >= 2 (corner case) or >= 3/2
     (center case), infinity if the first request is rejected."""
-    from .lwdpa import AdversaryOutcome
-
     g = grid_3x3()
     pairs = distance3_pairs(g)
     session = Session(algorithm, g)
@@ -112,24 +109,16 @@ def grid_adversary(algorithm):
     first = session.feed(r)
     if not first.accept:
         alloc = {r: grid_simple_paths(g, r.x, r.y)[0]}
-        sol = Solution(g, (r,), alloc)
-        return AdversaryOutcome(Instance(g, (r,)), inf, "rejected-first", 0, 1, sol)
+        return adversary_outcome(session, Instance(g, (r,)), "rejected-first",
+                                 Solution(g, (r,), alloc))
 
     corner = r.x if r.x in CORNERS else r.y
     vs = _walk_vertices(first.allocation, corner)
     case, followups = _followups(g, r, vs)
-    remaining = list(followups)
-    while remaining:
-        f = session.max_of(remaining)
-        session.feed(f)
-        remaining.remove(f)
-
+    session.drain(followups)
     instance = Instance(g, (r,) + followups)
-    opt, accepted, alloc = max_allocatable(g, instance.requests)
-    witness = Solution(g, accepted, alloc)
-    alg = len(session.result().solution.accepted)
-    ratio = inf if alg == 0 else Fraction(opt, alg)
-    return AdversaryOutcome(instance, ratio, case, alg, opt, witness)
+    _, accepted, alloc = max_allocatable(g, instance.requests)
+    return adversary_outcome(session, instance, case, Solution(g, accepted, alloc))
 
 
 # --------------------------------------------------------------------------

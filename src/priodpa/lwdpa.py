@@ -14,8 +14,6 @@ Three pieces live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import inf
 
 from .graphs import (
     Instance,
@@ -23,9 +21,7 @@ from .graphs import (
     Request,
     PathGraph,
     Solution,
-    gain,
     request_length,
-    validate_solution,
 )
 from .engine import (
     AdviceWriter,
@@ -34,6 +30,7 @@ from .engine import (
     PriorityAlgorithm,
     PriorityOrder,
     Session,
+    adversary_outcome,
     run,
 )
 from .oracle import brute_force_opt, greediest_opt
@@ -98,25 +95,6 @@ def build_pab(params):
     return g, longs, units
 
 
-@dataclass
-class AdversaryOutcome:
-    instance: Instance
-    ratio: object  # Fraction, or math.inf
-    case: str
-    alg_gain: int
-    opt_gain: int
-    opt_witness: Solution
-
-
-def _finish(session, graph, served, case, opt_solution, mode):
-    instance = Instance(graph, served)
-    assert validate_solution(instance, opt_solution), "adversary witness must be valid"
-    alg = gain(session.result().solution, mode)
-    opt = gain(opt_solution, mode)
-    ratio = inf if alg == 0 else Fraction(opt, alg)
-    return AdversaryOutcome(instance, ratio, case, alg, opt, opt_solution)
-
-
 def adversary_play_lwdpa(algorithm, params):
     """Play P_{a,b} against a priority algorithm (length objective).
 
@@ -130,8 +108,8 @@ def adversary_play_lwdpa(algorithm, params):
     r_star = session.max_of(universe)
     first = session.feed(r_star)
     if not first.accept:
-        sol = Solution(g, (r_star,))
-        return _finish(session, g, (r_star,), "rejected-first", sol, "length")
+        return adversary_outcome(session, Instance(g, (r_star,)), "rejected-first",
+                                 Solution(g, (r_star,)), "length")
 
     b = params.b
     if request_length(g, r_star) == 1 and r_star not in longs:
@@ -140,8 +118,8 @@ def adversary_play_lwdpa(algorithm, params):
                  if longs[i - 1].x <= r_star.x and r_star.y <= longs[i - 1].y)
         follow = longs[i - 1]
         session.feed(follow)
-        sol = Solution(g, (follow,))
-        return _finish(session, g, (r_star, follow), "unit", sol, "length")
+        return adversary_outcome(session, Instance(g, (r_star, follow)), "unit",
+                                 Solution(g, (follow,)), "length")
 
     i = longs.index(r_star) + 1
     if i in (1, 2 * b - 1):
@@ -161,13 +139,9 @@ def adversary_play_lwdpa(algorithm, params):
         followups = [left, right] + frees
         case = "middle" if i != b else "peak"
         opt_req = [left, right] + frees
-    remaining = list(followups)
-    while remaining:
-        r = session.max_of(remaining)
-        session.feed(r)
-        remaining.remove(r)
-    sol = Solution(g, tuple(opt_req))
-    return _finish(session, g, tuple([r_star] + followups), case, sol, "length")
+    session.drain(followups)
+    return adversary_outcome(session, Instance(g, [r_star] + followups), case,
+                             Solution(g, tuple(opt_req)), "length")
 
 
 # --------------------------------------------------------------------------

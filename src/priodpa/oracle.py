@@ -20,6 +20,7 @@ from itertools import product
 from .graphs import (
     InvalidParameterError,
     Instance,
+    PriodpaError,
     Solution,
     edge_mask,
     gain,
@@ -31,7 +32,7 @@ from .engine import InvalidOrderError, presentation_sequence
 _COMPONENT_SUBSET_GUARD = 1 << 20
 
 
-class InstanceTooLargeError(RuntimeError):
+class InstanceTooLargeError(PriodpaError, RuntimeError):
     """The instance exceeds the brute-force cap."""
 
 

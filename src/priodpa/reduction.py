@@ -15,8 +15,7 @@ lower bounds:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import inf, log2
+from math import log2
 
 from .graphs import (
     Instance,
@@ -25,7 +24,9 @@ from .graphs import (
     PathGraph,
     Request,
     TreeGraph,
+    edge_mask,
     gain,
+    ratio,
     request_length,
 )
 from .engine import Session
@@ -98,30 +99,59 @@ def _drain_and_pick(session, upcoming, queue, served):
             return m
 
 
-def _settle(session, queue, served):
-    while queue:
-        m = session.max_of(queue)
-        session.feed(m)
+def _guessing_game(algorithm, graph, blocks, hidden, block_opt, mode, zero_followups):
+    """Play one round per hidden bit over the gadget ``blocks``.
+
+    Each round the algorithm's top fresh request m is its guess (accept
+    means 1).  A hidden 1 is answered with m's complement, the request of
+    m's block that covers exactly the block edges m leaves free; a hidden
+    0 with ``zero_followups`` of the set of the block's other requests.
+    """
+    block_of = {}
+    complement = {}
+    for i, block in enumerate(blocks, start=1):
+        masks = {r: edge_mask(graph, r) for r in block}
+        full = 0
+        for mask in masks.values():
+            full |= mask
+        by_mask = {mask: r for r, mask in masks.items()}
+        for r in block:
+            block_of[r] = i
+            complement[r] = by_mask[full ^ masks[r]]
+
+    session = Session(algorithm, graph)
+    upcoming = {r for blk in blocks for r in blk}
+    queue = set()
+    served = []
+    meta = []
+    for d in hidden:
+        m = _drain_and_pick(session, upcoming, queue, served)
+        i = block_of[m]
+        upcoming -= set(blocks[i - 1])
+        decision = session.feed(m)
         served.append(m)
-        queue.remove(m)
+        y = 1 if decision.accept else 0
+        if d == 1:
+            queue.add(complement[m])
+        else:
+            queue.update(zero_followups(set(blocks[i - 1]) - {m, complement[m]}))
+        meta.append((i, m, y, d))
+    assert not upcoming
+    served.extend(session.drain(queue))
 
-
-def _block_accounting(session, served, block_of, n, block_opt, mode, records_meta, instance):
-    g = instance.graph
     sol = session.result().solution
-    per_block = [0] * (n + 1)
+    per_block = [0] * (len(blocks) + 1)
     for r in sol.accepted:
-        w = 1 if mode == "count" else request_length(g, r)
+        w = 1 if mode == "count" else request_length(graph, r)
         per_block[block_of[r]] += w
     records = tuple(
         BlockRecord(k, m, y, d, y == d, per_block[k], block_opt)
-        for (k, m, y, d) in records_meta
+        for (k, m, y, d) in meta
     )
     alg = gain(sol, mode)
-    opt = block_opt * n
+    opt = block_opt * len(hidden)
     wrong = sum(1 for rec in records if not rec.correct)
-    ratio = inf if alg == 0 else Fraction(opt, alg)
-    return GuessOutcome(instance, records, alg, opt, wrong, ratio, mode)
+    return GuessOutcome(Instance(graph, served), records, alg, opt, wrong, ratio(opt, alg), mode)
 
 
 def run_guess(algorithm, bits):
@@ -142,35 +172,8 @@ def run_guess(algorithm, bits):
         r3 = Request(g, base + 1, base + 3)
         r4 = Request(g, base + 2, base + 3)
         blocks.append((r1, r2, r3, r4))
-    complement = {}
-    block_of = {}
-    for i, (r1, r2, r3, r4) in enumerate(blocks, start=1):
-        complement.update({r1: r3, r3: r1, r2: r4, r4: r2})
-        for r in (r1, r2, r3, r4):
-            block_of[r] = i
-
-    session = Session(algorithm, g)
-    upcoming = {r for blk in blocks for r in blk}
-    queue = set()
-    served = []
-    meta = []
-    for k in range(1, n + 1):
-        m = _drain_and_pick(session, upcoming, queue, served)
-        i = block_of[m]
-        upcoming -= set(blocks[i - 1])
-        decision = session.feed(m)
-        served.append(m)
-        y = 1 if decision.accept else 0
-        d = hidden[k - 1]
-        if d == 1:
-            queue.add(complement[m])
-        else:
-            queue.update(set(blocks[i - 1]) - {m, complement[m]})
-        meta.append((i, m, y, d))
-    assert not upcoming
-    _settle(session, queue, served)
-    instance = Instance(g, served)
-    return _block_accounting(session, served, block_of, n, 3, "length", meta, instance)
+    # a hidden 0 brings both requests that intersect m
+    return _guessing_game(algorithm, g, blocks, hidden, 3, "length", lambda rest: rest)
 
 
 def run_tguess(algorithm, tree, bits):
@@ -187,48 +190,17 @@ def run_tguess(algorithm, tree, bits):
             Request(tree, a, b) for i, a in enumerate(leaves) for b in leaves[i + 1:]
         )
         blocks.append(rs)
-    complement = {}
-    block_of = {}
-    for i, rs in enumerate(blocks, start=1):
-        for r in rs:
-            block_of[r] = i
-            (c,) = [q for q in rs if not set(q.endpoints()) & set(r.endpoints())]
-            complement[r] = c
+    return _guessing_game(algorithm, tree, blocks, hidden, 2, "count", _first_disjoint_pair)
 
-    session = Session(algorithm, tree)
-    upcoming = {r for blk in blocks for r in blk}
-    queue = set()
-    served = []
-    meta = []
-    for k in range(1, n + 1):
-        m = _drain_and_pick(session, upcoming, queue, served)
-        i = block_of[m]
-        upcoming -= set(blocks[i - 1])
-        decision = session.feed(m)
-        served.append(m)
-        y = 1 if decision.accept else 0
-        d = hidden[k - 1]
-        if d == 1:
-            queue.add(complement[m])
-        else:
-            # the lexicographically first pair of disjoint requests that
-            # both intersect m
-            rest = sorted(set(blocks[i - 1]) - {m, complement[m]}, key=lambda r: r.key)
-            picked = None
-            for a_i in range(len(rest)):
-                for b_i in range(a_i + 1, len(rest)):
-                    a, b = rest[a_i], rest[b_i]
-                    if not set(a.endpoints()) & set(b.endpoints()):
-                        picked = (a, b)
-                        break
-                if picked:
-                    break
-            queue.update(picked)
-        meta.append((i, m, y, d))
-    assert not upcoming
-    _settle(session, queue, served)
-    instance = Instance(tree, served)
-    return _block_accounting(session, served, block_of, n, 2, "count", meta, instance)
+
+def _first_disjoint_pair(rest):
+    """The lexicographically first pair of disjoint requests in ``rest``,
+    the four leaf pairs of the star that intersect m."""
+    rest = sorted(rest, key=lambda r: r.key)
+    for a_i, a in enumerate(rest):
+        for b in rest[a_i + 1:]:
+            if not set(a.endpoints()) & set(b.endpoints()):
+                return (a, b)
 
 
 def fig9_tree(n):

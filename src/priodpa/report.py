@@ -14,10 +14,9 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from math import inf
 
-from .graphs import InvalidParameterError
+from .graphs import InvalidParameterError, ratio
 
 CSV_COLUMNS = ("graph", "algorithm", "instance_hash", "gain_alg", "gain_opt",
                "ratio", "advice_bits", "ms")
@@ -37,17 +36,11 @@ class RatioReport:
     def ratio(self):
         if self.gain_opt is None:
             return None
-        if self.gain_alg == 0:
-            return inf
-        return Fraction(self.gain_opt, self.gain_alg)
+        return ratio(self.gain_opt, self.gain_alg)
 
     def ratio_text(self):
         r = self.ratio
-        if r is None:
-            return ""
-        if r == inf:
-            return "inf"
-        return repr(self.gain_opt / self.gain_alg)
+        return "" if r is None else format_ratio(r)
 
     def to_json(self):
         r = self.ratio
@@ -57,7 +50,7 @@ class RatioReport:
             "instance_hash": self.instance_hash,
             "gain_alg": self.gain_alg,
             "gain_opt": self.gain_opt,
-            "ratio": None if r is None or r == inf else self.gain_opt / self.gain_alg,
+            "ratio": None if r is None or r == inf else float(r),
             "infinite": r == inf,
             "ratio_exact": None if r is None or r == inf else f"{r.numerator}/{r.denominator}",
             "advice_bits": self.advice_bits,
@@ -75,6 +68,11 @@ class RatioReport:
             advice_bits=obj["advice_bits"],
             ms=obj["ms"],
         )
+
+
+def format_ratio(r):
+    """Shortest float text of an exact ratio, or "inf"."""
+    return "inf" if r == inf else repr(float(r))
 
 
 def render_csv(reports):

@@ -19,8 +19,7 @@ written to the tape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import ceil, inf, log2
+from math import ceil, log2
 
 from .graphs import (
     Instance,
@@ -30,8 +29,6 @@ from .graphs import (
     Solution,
     TreeGraph,
     edge_mask,
-    gain,
-    validate_solution,
 )
 from .engine import (
     AdviceWriter,
@@ -40,6 +37,7 @@ from .engine import (
     PriorityAlgorithm,
     PriorityOrder,
     Session,
+    adversary_outcome,
     presentation_sequence,
     run,
 )
@@ -99,31 +97,14 @@ def tree_adversary(algorithm, tree):
     r = session.max_of(pairs)
     first = session.feed(r)
     if not first.accept:
-        instance = Instance(tree, (r,))
-        sol = Solution(tree, (r,))
-        assert validate_solution(instance, sol)
-        return _tree_outcome(session, instance, "rejected-first", sol)
+        return adversary_outcome(session, Instance(tree, (r,)), "rejected-first",
+                                 Solution(tree, (r,)))
     p1, p2 = r.x, r.y
     x, y = sorted(set(nb) - {p1, p2})
     followups = (Request(tree, p1, x), Request(tree, p2, y))
-    remaining = list(followups)
-    while remaining:
-        f = session.max_of(remaining)
-        session.feed(f)
-        remaining.remove(f)
-    instance = Instance(tree, (r,) + followups)
-    sol = Solution(tree, followups)
-    assert validate_solution(instance, sol)
-    return _tree_outcome(session, instance, "hub", sol)
-
-
-def _tree_outcome(session, instance, case, opt_solution):
-    from .lwdpa import AdversaryOutcome  # shared result shape
-
-    alg = gain(session.result().solution, "count")
-    opt = gain(opt_solution, "count")
-    ratio = inf if alg == 0 else Fraction(opt, alg)
-    return AdversaryOutcome(instance, ratio, case, alg, opt, opt_solution)
+    session.drain(followups)
+    return adversary_outcome(session, Instance(tree, (r,) + followups), "hub",
+                             Solution(tree, followups))
 
 
 # --------------------------------------------------------------------------

@@ -117,6 +117,30 @@ def test_adaptive_presented_request_is_stepwise_maximum():
     assert not remaining
 
 
+def test_drain_feeds_a_fixed_order_in_presentation_sequence():
+    g, inst = _p5_instance()
+    session = Session(greedy_path_algorithm(), g)
+    fed = session.drain(reversed(inst.requests))
+    assert fed == list(presentation_sequence(right_end_order(g), inst))
+    assert [d.request for d in session.result().log] == fed
+
+
+def test_drain_follows_an_adaptive_order_like_run():
+    g = PathGraph(6)
+    inst = Instance(
+        g,
+        [Request(g, 0, 2), Request(g, 1, 4), Request(g, 2, 6), Request(g, 4, 6)],
+    )
+    alg = [a for a in battery("dpa-path") if a.name == "adaptive-flip"][0]
+    session = Session(alg, g)
+    fed = session.drain(inst.requests)
+    log = run(alg, inst).log
+    assert fed == [d.request for d in log]
+    assert session.result().log == log
+    # the flip really reorders: a fixed right-end order would differ
+    assert fed != list(presentation_sequence(right_end_order(g), inst))
+
+
 def test_greedy_accepts_exactly_the_fitting_requests():
     g, inst = _p5_instance()
     result = run(greedy_path_algorithm(), inst)

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import inf
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +12,7 @@ from priodpa import (
     InvalidRequestError,
     InvalidTreeError,
     PathGraph,
+    PriodpaError,
     Request,
     Solution,
     TreeGraph,
@@ -19,6 +22,7 @@ from priodpa import (
     instance_hash,
     instance_to_json,
     intersects,
+    ratio,
     request_length,
     unique_path,
     validate_solution,
@@ -107,6 +111,22 @@ def test_gain_modes():
     assert gain(sol, "length") == 5
     empty = Solution(g, frozenset(), {})
     assert gain(empty, "count") == 0 and gain(empty, "length") == 0
+
+
+def test_ratio_is_exact_and_infinite_without_gain():
+    assert ratio(3, 0) == inf
+    assert ratio(12, 5) == Fraction(12, 5)
+
+
+@pytest.mark.parametrize("obj", [
+    {"graph": {"kind": "grid", "rows": True, "cols": 3}, "requests": []},
+    {"graph": {"kind": "tree", "edges": [[0, 1], [1, True]]}, "requests": []},
+    {"graph": {"kind": "path", "length": 4}, "requests": [[False, 2]]},
+    {"graph": {"kind": "grid", "rows": 3, "cols": 3}, "requests": [[[0, True], [2, 2]]]},
+])
+def test_instance_json_rejects_bool_for_int(obj):
+    with pytest.raises(PriodpaError):
+        instance_from_json(obj)
 
 
 def test_validate_solution_rejects_shared_edge():

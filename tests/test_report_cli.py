@@ -216,3 +216,37 @@ def test_usage_and_input_errors_exit_2(capsys, tmp_path):
     rc, _, err = _main(capsys, "run", "--instance", str(bad), "--alg",
                        "greedy-path")
     assert rc == 2 and "malformed JSON" in err
+
+
+_PATH4 = {"kind": "path", "length": 4}
+# name -> (instance JSON, or "dir" for a directory, or None for the demo;
+#          advice tape JSON, or None to run greedy-lwdpa instead of decoding)
+MALFORMED = {
+    "no-requests-key": ({"graph": _PATH4}, None),
+    "three-endpoints": ({"graph": _PATH4, "requests": [[0, 1, 2]]}, None),
+    "bool-path-length": ({"graph": {"kind": "path", "length": True}, "requests": [[0, 1]]},
+                         None),
+    "directory-instance": ("dir", None),
+    "non-hex-tape": (None, {"bits": 12, "hex": "zz"}),
+    "short-tape": (None, {"bits": 4, "hex": "0"}),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_input_exits_2_with_one_line(name, capsys, tmp_path):
+    instance, tape = MALFORMED[name]
+    path = DEMO
+    if instance == "dir":
+        path = str(tmp_path)
+    elif instance is not None:
+        path = str(tmp_path / "instance.json")
+        (tmp_path / "instance.json").write_text(json.dumps(instance))
+    argv = ["run", "--alg", "greedy-lwdpa", "--instance", path]
+    if tape is not None:
+        (tmp_path / "tape.json").write_text(json.dumps(tape))
+        argv = ["advice", "--problem", "lwdpa", "--decode", "--instance", path,
+                "--tape", str(tmp_path / "tape.json")]
+    rc, out, err = _main(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err
