@@ -38,6 +38,7 @@ from .engine import (
     PriorityOrder,
     RunResult,
     Session,
+    decode_run,
     presentation_sequence,
     run,
 )

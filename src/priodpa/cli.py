@@ -21,7 +21,7 @@ import sys
 import time
 
 from .graphs import PriodpaError, graph_from_json, instance_hash, load_instance
-from .engine import AdviceTape, run
+from .engine import AdviceTape, decode_run, run
 from .oracle import InstanceTooLargeError, brute_force_opt
 from .graphs import gain as gain_of
 from .paths import greedy_path_algorithm
@@ -103,7 +103,7 @@ def _run_and_report(args, alg, inst, tape=None):
     """Run, time and score one algorithm, with the oracle's optimum when
     the instance is small enough, and emit its report row."""
     t0 = time.monotonic()
-    result = run(alg, inst, tape)
+    result = run(alg, inst) if tape is None else decode_run(alg, inst, tape)
     ms = int((time.monotonic() - t0) * 1000)
     alg_gain = gain_of(result.solution, alg.mode)
     try:

@@ -7,7 +7,8 @@ swap in a new order after every decision via the order's ``readapt`` hook.
 
 Advice is a finite bit tape made available before the order is chosen.
 Bits are consumed MSB-first in fixed-width fields; the number of consumed
-bits is the advice complexity of the run.
+bits is the advice complexity of the run.  A decoder must read its tape to
+the last bit (``decode_run``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .graphs import (
     Solution,
     edge_mask,
     gain,
-    norm_edge,
     ratio,
     validate_solution,
 )
@@ -166,8 +166,8 @@ class AdviceTape:
         if type(n) is not int or n < 0 or not isinstance(hexed, str) or set(hexed) - set(hexdigits):
             raise InvalidParameterError('an advice tape is {"bits": <count>, "hex": "<hex>"}')
         raw = "".join(f"{int(c, 16):04b}" for c in hexed)
-        if len(raw) < n:
-            raise InvalidParameterError("hex payload shorter than declared bit count")
+        if len(hexed) != -(-n // 4) or "1" in raw[n:]:
+            raise InvalidParameterError(f"a {n}-bit tape is {-(-n // 4)} zero-padded hex digits")
         return cls(raw[:n])
 
 
@@ -210,8 +210,7 @@ class RunState:
     """Mutable view an algorithm sees while deciding."""
 
     graph: object
-    blocked_mask: int = 0
-    used_edges: set = field(default_factory=set)
+    blocked_mask: int = 0  # edges of everything accepted, on every host
     accepted: list = field(default_factory=list)
     allocations: dict = field(default_factory=dict)
     log: list = field(default_factory=list)  # every Decision, in order
@@ -222,7 +221,8 @@ class RunState:
         return not (edge_mask(self.graph, request) & self.blocked_mask)
 
     def allocation_fits(self, allocation):
-        return not any(norm_edge(u, v) in self.used_edges for u, v in allocation)
+        """Grids: are all edges of the routing unblocked?"""
+        return not (self.graph.route_mask(allocation) & self.blocked_mask)
 
 
 class PriorityAlgorithm:
@@ -299,14 +299,15 @@ class Session:
             if self.graph.kind == "grid":
                 if decision.allocation is None:
                     raise IllegalAcceptanceError(f"{self.algorithm.name}: accept without allocation")
-                if not state.allocation_fits(decision.allocation):
+                mask = self.graph.route_mask(decision.allocation)
+                if mask & state.blocked_mask:
                     raise IllegalAcceptanceError(f"{self.algorithm.name}: allocation reuses an edge")
-                state.used_edges |= {norm_edge(u, v) for u, v in decision.allocation}
                 state.allocations[request] = tuple(decision.allocation)
             else:
-                if not state.fits(request):
+                mask = edge_mask(self.graph, request)
+                if mask & state.blocked_mask:
                     raise IllegalAcceptanceError(f"{self.algorithm.name}: accepted a blocked request")
-                state.blocked_mask |= edge_mask(self.graph, request)
+            state.blocked_mask |= mask
             state.accepted.append(request)
         state.log.append(decision)
         if self.order.readapt is not None:
@@ -325,6 +326,15 @@ def run(algorithm, instance, tape=None):
     session = Session(algorithm, instance.graph, tape)
     session.drain(instance.requests)
     return session.result()
+
+
+def decode_run(decoder, instance, tape):
+    """Run an advice decoder, which must read its tape to the last bit."""
+    result = run(decoder, instance, tape)
+    if result.bits_consumed != len(tape):
+        n = len(tape)
+        raise InvalidParameterError(f"{n - result.bits_consumed} of {n} advice bits left unread")
+    return result
 
 
 @dataclass

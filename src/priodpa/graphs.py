@@ -10,9 +10,15 @@ Three host graph families are supported:
 
 A request is an unordered pair of distinct vertices, normalized so that the
 smaller endpoint comes first.  On cycle-free hosts a request is identified
-with the unique path between its endpoints; edge sets are represented as
-bitmasks for speed (paths: bit i = edge {i, i+1}; trees: bit i = the edge
-from vertex i to its parent).
+with the unique path between its endpoints.  Every edge set is an int
+bitmask, built only here:
+
+* paths: bit i is the edge {i, i+1};
+* trees: bit v is the edge from vertex v to its parent.  ``up[v]`` is the
+  mask of the path from v to the root, so ``up[x] & up[y]`` is the root path
+  of the endpoints' LCA and ``up[x] ^ up[y]`` is the x-y path itself;
+* grids: bit i is ``edge_list()[i]``, in either direction; ``route_mask``
+  turns a routing (a sequence of edges) into its mask.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import inf
 
@@ -114,37 +121,28 @@ class TreeGraph:
         # BFS from the root; a tree must reach every vertex exactly once.
         parent = {self.root: None}
         depth = {self.root: 0}
+        up = [0] * n
         order = [self.root]
         for v in order:
             for w in self.adj[v]:
                 if w not in parent:
                     parent[w] = v
                     depth[w] = depth[v] + 1
+                    up[w] = up[v] | 1 << w
                     order.append(w)
         if len(order) != n:
             raise InvalidTreeError("edge list is not connected")
         self.parent = parent
         self.depth = depth
+        self.up = up
+        self._vertex_of_up = {mask: v for v, mask in enumerate(up)}
         self.children = {v: tuple(w for w in self.adj[v] if parent[w] == v) for v in range(n)}
-
-    def leaves(self):
-        return tuple(v for v in range(self.n) if self.degree[v] == 1)
 
     def has_vertex(self, v):
         return type(v) is int and 0 <= v < self.n
 
     def lca(self, x, y):
-        dx, dy = self.depth[x], self.depth[y]
-        while dx > dy:
-            x = self.parent[x]
-            dx -= 1
-        while dy > dx:
-            y = self.parent[y]
-            dy -= 1
-        while x != y:
-            x = self.parent[x]
-            y = self.parent[y]
-        return x
+        return self._vertex_of_up[self.up[x] & self.up[y]]
 
     def path_vertices(self, x, y):
         """Vertex sequence of the unique x-y path."""
@@ -207,12 +205,25 @@ class GridGraph:
         return tuple(out)
 
     def edge_list(self):
-        out = []
-        for v in self.vertices():
-            for w in self.neighbors(v):
-                if v < w:
-                    out.append((v, w))
-        return tuple(out)
+        return tuple((v, w) for v in self.vertices() for w in self.neighbors(v) if v < w)
+
+    @cached_property
+    def edge_bit(self):
+        """Bit of each edge, keyed by both of its directions."""
+        bits = {}
+        for i, (v, w) in enumerate(self.edge_list()):
+            bits[v, w] = bits[w, v] = 1 << i
+        return bits
+
+    def route_mask(self, route):
+        """Mask of a routing given as (u, v) edges in either direction."""
+        mask = 0
+        for u, v in route:
+            bit = self.edge_bit.get((u, v))
+            if bit is None:
+                raise InvalidRequestError(f"({u}, {v}) is not an edge of {self.descriptor()}")
+            mask |= bit
+        return mask
 
     def descriptor(self):
         return f"grid:{self.rows}x{self.cols}"
@@ -225,10 +236,6 @@ class GridGraph:
 
     def __repr__(self):
         return f"GridGraph({self.rows}, {self.cols})"
-
-
-def norm_edge(u, v):
-    return (u, v) if u < v else (v, u)
 
 
 # --------------------------------------------------------------------------
@@ -285,28 +292,19 @@ def edge_mask(graph, req):
     if graph.kind == "path":
         return ((1 << req.y) - 1) ^ ((1 << req.x) - 1)
     if graph.kind == "tree":
-        mask = 0
-        a = graph.lca(req.x, req.y)
-        for v in (req.x, req.y):
-            while v != a:
-                mask |= 1 << v
-                v = graph.parent[v]
-        return mask
+        return graph.up[req.x] ^ graph.up[req.y]
     raise InvalidRequestError("edge masks are only defined on cycle-free hosts")
 
 
 def edge_set(graph, req):
     """The request's path edges as a frozenset of normalized pairs."""
-    return frozenset(norm_edge(u, v) for u, v in unique_path(graph, req))
+    return frozenset((u, v) if u < v else (v, u) for u, v in unique_path(graph, req))
 
 
 def request_length(graph, req):
-    if graph.kind == "path":
-        return req.y - req.x
-    if graph.kind == "tree":
-        a = graph.lca(req.x, req.y)
-        return graph.depth[req.x] + graph.depth[req.y] - 2 * graph.depth[a]
-    raise InvalidRequestError("length on a grid depends on the chosen routing")
+    if graph.kind == "grid":
+        raise InvalidRequestError("length on a grid depends on the chosen routing")
+    return edge_mask(graph, req).bit_count()
 
 
 def intersects(r1, r2):
@@ -339,9 +337,6 @@ class Instance:
 
     def __iter__(self):
         return iter(self.requests)
-
-    def __contains__(self, r):
-        return r in set(self.requests)
 
     def __eq__(self, other):
         return (
@@ -382,8 +377,11 @@ def gain(solution, mode="count"):
 
 
 def ratio(opt, alg):
-    """Exact competitive ratio opt/alg; infinite when the algorithm gained nothing."""
-    return inf if alg == 0 else Fraction(opt, alg)
+    """Exact competitive ratio opt/alg: 1 when neither gained anything,
+    infinite when only the algorithm gained nothing."""
+    if alg == 0:
+        return inf if opt else Fraction(1)
+    return Fraction(opt, alg)
 
 
 def _walk_ok(graph, req, alloc):
@@ -392,14 +390,10 @@ def _walk_ok(graph, req, alloc):
         return False
     vs = [alloc[0][0]]
     for u, v in alloc:
-        if norm_edge(u, v) not in set(graph.edge_list()):
-            return False
-        if u != vs[-1]:
+        if u != vs[-1] or (u, v) not in graph.edge_bit:
             return False
         vs.append(v)
-    if len(set(vs)) != len(vs):
-        return False
-    return {vs[0], vs[-1]} == {req.x, req.y}
+    return len(set(vs)) == len(vs) and {vs[0], vs[-1]} == {req.x, req.y}
 
 
 def validate_solution(instance, solution):
@@ -412,22 +406,18 @@ def validate_solution(instance, solution):
     if len(set(solution.accepted)) != len(solution.accepted):
         return False
     g = instance.graph
-    if g.kind == "grid":
-        if solution.allocations is None:
-            return False
-        used = set()
-        for r in solution.accepted:
+    grid = g.kind == "grid"
+    if grid and solution.allocations is None:
+        return False
+    mask = 0
+    for r in solution.accepted:
+        if grid:
             alloc = solution.allocations.get(r)
             if alloc is None or not _walk_ok(g, r, alloc):
                 return False
-            es = {norm_edge(u, v) for u, v in alloc}
-            if used & es:
-                return False
-            used |= es
-        return True
-    mask = 0
-    for r in solution.accepted:
-        m = edge_mask(g, r)
+            m = g.route_mask(alloc)
+        else:
+            m = edge_mask(g, r)
         if mask & m:
             return False
         mask |= m

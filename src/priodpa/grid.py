@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import GridGraph, Instance, Request, Solution, norm_edge
+from .graphs import GridGraph, Instance, Request, Solution
 from .engine import Decision, PriorityAlgorithm, PriorityOrder, Session, adversary_outcome
 from .oracle import grid_simple_paths, max_allocatable
 
@@ -167,8 +167,7 @@ def exhaustive_verify_3x3():
         for path in grid_simple_paths(g, corner, r.x if corner == r.y else r.y):
             vs = _walk_vertices(path, corner)
             case, followups = _followups(g, r, vs)
-            blocked = {norm_edge(u, w) for u, w in path}
-            cont, _, _ = max_allocatable(g, followups, blocked)
+            cont, _, _ = max_allocatable(g, followups, path)
             alg_total = 1 + cont
             fol, _, _ = max_allocatable(g, followups)
             opt, _, _ = max_allocatable(g, (r,) + followups)

@@ -31,6 +31,7 @@ from .engine import (
     PriorityOrder,
     Session,
     adversary_outcome,
+    decode_run,
     run,
 )
 from .oracle import brute_force_opt, greediest_opt
@@ -195,28 +196,24 @@ class LwdpaAdviceAlgorithm(PriorityAlgorithm):
     mode = "length"
 
     def initial_order(self, graph, advice):
+        if graph.kind != "path":
+            raise InvalidParameterError("this codec works on path hosts")
+        # the whole table is read before any request arrives, so a run on
+        # no requests still reads every bit the encoder wrote
+        self.starts = {4 * blk + off for blk in range(_block_count(graph.length))
+                       for off in _BLOCK_DECODE[advice.read_field(3)]}
         return lwdpa_order(graph)
 
-    def _starts(self, state, advice):
-        if "starts" not in state.scratch:
-            starts = set()
-            for blk in range(_block_count(state.graph.length)):
-                for off in _BLOCK_DECODE[advice.read_field(3)]:
-                    starts.add(4 * blk + off)
-            state.scratch["starts"] = starts
-        return state.scratch["starts"]
-
     def decide(self, request, state, advice):
-        starts = self._starts(state, advice)
         if not state.fits(request):
             return Decision(request, False)
         if request_length(state.graph, request) == 1:
             return Decision(request, True)
-        if request.x not in starts:
+        if request.x not in self.starts:
             return Decision(request, False)
-        blocked_inside = any(request.x < s < request.y for s in starts)
+        blocked_inside = any(request.x < s < request.y for s in self.starts)
         return Decision(request, not blocked_inside)
 
 
 def decode_run_lwdpa(instance, tape):
-    return run(LwdpaAdviceAlgorithm(), instance, tape).solution
+    return decode_run(LwdpaAdviceAlgorithm(), instance, tape).solution

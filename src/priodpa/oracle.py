@@ -24,7 +24,6 @@ from .graphs import (
     Solution,
     edge_mask,
     gain,
-    norm_edge,
     request_length,
 )
 from .engine import InvalidOrderError, presentation_sequence
@@ -215,21 +214,22 @@ def grid_simple_paths(graph, x, y):
 
 
 def _route(path_lists, i, used, alloc):
+    # path_lists[i] holds (path, mask) pairs; ``used`` is the mask taken so far
     if i == len(path_lists):
         return True
-    for path in path_lists[i]:
-        es = {norm_edge(u, v) for u, v in path}
-        if used & es:
+    for path, mask in path_lists[i]:
+        if used & mask:
             continue
         alloc.append(path)
-        if _route(path_lists, i + 1, used | es, alloc):
+        if _route(path_lists, i + 1, used | mask, alloc):
             return True
         alloc.pop()
     return False
 
 
 def max_allocatable(graph, requests, blocked_edges=frozenset()):
-    """Largest routable subset of ``requests`` given pre-used edges.
+    """Largest routable subset of ``requests`` given pre-used edges, in
+    either direction (a served routing will do).
 
     Returns (count, accepted tuple, allocations dict) with the canonical
     increasing-bitmask witness over endpoint-sorted requests.
@@ -237,19 +237,18 @@ def max_allocatable(graph, requests, blocked_edges=frozenset()):
     reqs = sorted(requests, key=lambda r: r.key)
     if len(reqs) > 12:
         raise InstanceTooLargeError("grid routing search capped at 12 requests")
-    blocked = frozenset(blocked_edges)
+    blocked = graph.route_mask(blocked_edges)
     lists = []
     for r in reqs:
-        ps = [p for p in grid_simple_paths(graph, r.x, r.y)
-              if not any(norm_edge(u, v) in blocked for u, v in p)]
-        lists.append(ps)
+        pairs = ((p, graph.route_mask(p)) for p in grid_simple_paths(graph, r.x, r.y))
+        lists.append([(p, m) for p, m in pairs if not m & blocked])
     best = (0, (), {})
     for sub in range(1 << len(reqs)):
         picked = [i for i in range(len(reqs)) if sub >> i & 1]
         if len(picked) <= best[0]:
             continue
         alloc = []
-        if _route([lists[i] for i in picked], 0, set(), alloc):
+        if _route([lists[i] for i in picked], 0, 0, alloc):
             accepted = tuple(reqs[i] for i in picked)
             best = (len(picked), accepted, dict(zip(accepted, alloc)))
     return best

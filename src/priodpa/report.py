@@ -2,8 +2,8 @@
 
 CSV columns are fixed: graph, algorithm, instance_hash, gain_alg, gain_opt,
 ratio, advice_bits, ms.  The ratio is rendered as the shortest float
-representation ("2.4", "1.0"), "inf" when the algorithm gained nothing,
-and left empty when no oracle value is available.  JSON rows carry the
+representation ("2.4", "1.0"), "inf" when only the optimum gained
+anything, and left empty when no oracle value is available.  JSON rows carry the
 same fields plus an ``infinite`` flag and the exact fraction, and
 round-trip losslessly (the ratio is derived from the integer gains).
 """

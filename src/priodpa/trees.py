@@ -38,6 +38,7 @@ from .engine import (
     PriorityOrder,
     Session,
     adversary_outcome,
+    decode_run,
     presentation_sequence,
     run,
 )
@@ -119,14 +120,9 @@ def _field_width(deg):
 
 def _sides(tree, req, v):
     """The two child edges of v used by a pass-through request, as the
-    child vertices below v on each side."""
-    out = []
-    for e in (req.x, req.y):
-        w = e
-        while tree.parent[w] != v:
-            w = tree.parent[w]
-        out.append(w)
-    cx, cy = sorted(out)
+    child vertices below v on each side, smaller first."""
+    mask = edge_mask(tree, req)
+    cx, cy = (c for c in tree.children[v] if mask >> c & 1)
     return cx, cy
 
 
@@ -232,6 +228,8 @@ class CatAdviceAlgorithm(PriorityAlgorithm):
     mode = "count"
 
     def initial_order(self, graph, advice):
+        if graph.kind != "tree":
+            raise InvalidParameterError("this codec works on tree hosts")
         return cat_order(graph)
 
     def decide(self, request, state, advice):
@@ -257,7 +255,7 @@ class CatAdviceAlgorithm(PriorityAlgorithm):
 
 
 def decode_run_cat(instance, tape):
-    return run(CatAdviceAlgorithm(), instance, tape).solution
+    return decode_run(CatAdviceAlgorithm(), instance, tape).solution
 
 
 # --------------------------------------------------------------------------

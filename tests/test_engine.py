@@ -15,6 +15,7 @@ from priodpa import (
     PriorityOrder,
     Request,
     Session,
+    decode_run,
     presentation_sequence,
     run,
 )
@@ -194,6 +195,35 @@ def test_advice_tape_json_format():
     tape = AdviceTape("0110001001")
     assert tape.to_json() == {"bits": 10, "hex": "624"}
     assert AdviceTape.from_json({"bits": 10, "hex": "624"}).bits == "0110001001"
+
+
+@pytest.mark.parametrize("obj", [
+    {"bits": 12, "hex": "48"},  # fewer than ceil(bits / 4) hex digits
+    {"bits": 10, "hex": "627"},  # a padding bit is set
+])
+def test_advice_tape_json_is_exactly_the_declared_bits(obj):
+    with pytest.raises(InvalidParameterError):
+        AdviceTape.from_json(obj)
+
+
+def test_decoders_must_read_the_whole_tape():
+    from priodpa import decode_run_lwdpa, encode_lwdpa_advice, load_instance
+
+    inst = load_instance(DEMO)
+    tape = encode_lwdpa_advice(inst)
+    assert len(decode_run_lwdpa(inst, AdviceTape(tape.bits)).accepted) == 3
+    with pytest.raises(InvalidParameterError, match="8 of 20 advice bits left unread"):
+        decode_run_lwdpa(inst, AdviceTape(tape.bits + "0" * 8))
+
+
+def test_lwdpa_decoder_reads_its_table_on_an_empty_instance():
+    from priodpa import encode_lwdpa_advice
+    from priodpa.lwdpa import LwdpaAdviceAlgorithm
+
+    empty = Instance(PathGraph(4), [])
+    tape = encode_lwdpa_advice(empty)
+    assert len(tape) == 3
+    assert decode_run(LwdpaAdviceAlgorithm(), empty, tape).bits_consumed == 3
 
 
 @given(st.text(alphabet="01", max_size=64))

@@ -116,6 +116,8 @@ def test_gain_modes():
 def test_ratio_is_exact_and_infinite_without_gain():
     assert ratio(3, 0) == inf
     assert ratio(12, 5) == Fraction(12, 5)
+    # nothing to gain and nothing gained: the algorithm is optimal
+    assert ratio(0, 0) == 1 and isinstance(ratio(0, 0), Fraction)
 
 
 @pytest.mark.parametrize("obj", [

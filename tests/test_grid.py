@@ -1,7 +1,18 @@
 import math
 from fractions import Fraction
 
-from priodpa import GridGraph, Request, validate_solution
+import pytest
+
+from priodpa import (
+    Decision,
+    GridGraph,
+    IllegalAcceptanceError,
+    PriorityAlgorithm,
+    Request,
+    Session,
+    validate_solution,
+)
+from priodpa.oracle import grid_simple_paths
 from priodpa.grid import (
     CENTER,
     CORNERS,
@@ -13,6 +24,7 @@ from priodpa.grid import (
     grid_adversary,
     grid_automorphisms,
     grid_battery,
+    grid_order,
 )
 
 
@@ -106,3 +118,48 @@ def test_adversary_witnesses_are_routable():
         out = grid_adversary(alg)
         assert validate_solution(out.instance, out.opt_witness)
         assert out.ratio == math.inf or out.ratio >= Fraction(3, 2)
+
+
+def test_route_masks_match_edge_sets_on_every_simple_routing():
+    g = grid_3x3()
+    vs = g.vertices()
+    routes = [p for i, a in enumerate(vs) for b in vs[i + 1:] for p in grid_simple_paths(g, a, b)]
+    edges = [{frozenset(e) for e in p} for p in routes]
+    masks = [g.route_mask(p) for p in routes]
+    for p, m in zip(routes, masks):
+        assert m.bit_count() == len(p)  # one bit per edge
+        assert g.route_mask([(v, u) for u, v in reversed(p)]) == m
+    for i in range(len(routes)):
+        for j in range(i + 1, len(routes)):
+            assert bool(masks[i] & masks[j]) == bool(edges[i] & edges[j])
+
+
+class _FixedRoute(PriorityAlgorithm):
+    """Accepts every request along the same ``route``."""
+
+    name = "fixed-route"
+
+    def __init__(self, route):
+        self.route = route
+
+    def initial_order(self, graph, advice):
+        return grid_order(graph)
+
+    def decide(self, request, state, advice):
+        return Decision(request, True, self.route)
+
+
+def test_grid_accept_without_an_allocation_is_illegal():
+    g = grid_3x3()
+    session = Session(_FixedRoute(None), g)
+    with pytest.raises(IllegalAcceptanceError, match="without allocation"):
+        session.feed(Request(g, (0, 0), (0, 1)))
+
+
+def test_grid_allocation_that_reuses_an_edge_is_illegal():
+    g = grid_3x3()
+    r = Request(g, (0, 0), (0, 1))
+    session = Session(_FixedRoute((((0, 1), (0, 0)),)), g)
+    assert session.feed(r).accept
+    with pytest.raises(IllegalAcceptanceError, match="reuses an edge"):
+        session.feed(r)

@@ -96,6 +96,20 @@ def test_run_json_row(capsys):
     assert list(obj) == sorted(obj)
 
 
+def test_run_on_no_requests_has_ratio_one(capsys, tmp_path):
+    inst = tmp_path / "empty.json"
+    inst.write_text(json.dumps({"graph": {"kind": "path", "length": 4}, "requests": []}))
+    rc, out, _ = _main(capsys, "run", "--instance", str(inst), "--alg", "greedy-lwdpa",
+                       "--seed", "0")
+    assert rc == 0
+    assert out.splitlines()[1] == "path:4,greedy-lwdpa,8416be156ad6,0,0,1.0,0,0"
+    rc, out, _ = _main(capsys, "run", "--instance", str(inst), "--alg", "greedy-lwdpa",
+                       "--format", "json", "--seed", "0")
+    obj = json.loads(out)
+    assert rc == 0 and obj["ratio"] == 1.0
+    assert obj["infinite"] is False and obj["ratio_exact"] == "1/1"
+
+
 def test_advice_encode_then_decode(capsys, tmp_path):
     rc, out, _ = _main(capsys, "advice", "--problem", "lwdpa", "--encode",
                        "--instance", DEMO)
@@ -229,6 +243,10 @@ MALFORMED = {
     "directory-instance": ("dir", None),
     "non-hex-tape": (None, {"bits": 12, "hex": "zz"}),
     "short-tape": (None, {"bits": 4, "hex": "0"}),
+    "bits-left-over": (None, {"bits": 20, "hex": "48800"}),
+    "hex-past-the-bits": (None, {"bits": 12, "hex": "488ffff"}),
+    "lwdpa-tape-on-a-tree": ({"graph": {"kind": "tree", "edges": [[0, 1]]},
+                              "requests": [[0, 1]]}, {"bits": 0, "hex": ""}),
 }
 
 

@@ -12,11 +12,14 @@ from priodpa import (
     brute_force_opt,
     gain,
     greedy_cat,
+    request_length,
     validate_solution,
 )
 from priodpa.battery import battery
+from priodpa.graphs import edge_mask
 from priodpa.reduction import fig9_tree
 from priodpa.trees import (
+    _sides,
     cat_order,
     decode_run_cat,
     encode_cat_advice,
@@ -32,6 +35,7 @@ from helpers import (
     HUB_EDGES,
     NESTED_EDGES,
     STAR4_EDGES,
+    prufer_decode,
     random_high_degree_tree,
     random_instance,
     random_tree,
@@ -66,6 +70,31 @@ def test_greedy_loses_half_on_a_star():
     inst = Instance(s, reqs)
     assert gain(greedy_cat(inst), "count") == 1
     assert brute_force_opt(inst, "count").optimum == 2
+
+
+def _root_walk(tree, v):
+    walk = [v]
+    while tree.parent[walk[-1]] is not None:
+        walk.append(tree.parent[walk[-1]])
+    return walk
+
+
+@given(st.data())
+def test_root_path_masks_match_parent_walks(data):
+    n = data.draw(st.integers(2, 30))
+    seq = data.draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+    t = TreeGraph(prufer_decode(seq, n))
+    for _ in range(5):
+        x, y = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        r = Request(t, x, y)
+        wx, wy = _root_walk(t, r.x), _root_walk(t, r.y)
+        top = next(v for v in wx if v in wy)
+        below_x, below_y = wx[:wx.index(top)], wy[:wy.index(top)]
+        assert edge_mask(t, r) == sum(1 << v for v in below_x + below_y)
+        assert request_length(t, r) == len(below_x) + len(below_y)
+        assert peak(t, r).vertex == top
+        if below_x and below_y:
+            assert _sides(t, r, top) == tuple(sorted((below_x[-1], below_y[-1])))
 
 
 @given(st.data())
