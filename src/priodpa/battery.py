@@ -76,14 +76,10 @@ class AdaptiveFlip(GreedyAlgorithm):
         backward = forward.reversed()
 
         def readapt(history):
-            current = forward if len(history) % 2 == 0 else backward
-            return _with_readapt(current, readapt)
+            return backward if len(history) % 2 else forward
 
-        return _with_readapt(forward, readapt)
-
-
-def _with_readapt(order, readapt):
-    return PriorityOrder(order.key, name=order.name, readapt=readapt)
+        forward.readapt = backward.readapt = readapt
+        return forward
 
 
 def battery(problem):

@@ -22,6 +22,7 @@ from .graphs import (
     InvalidParameterError,
     PriodpaError,
     Solution,
+    _walk_ok,
     edge_mask,
     gain,
     ratio,
@@ -34,7 +35,7 @@ class InvalidOrderError(PriodpaError, RuntimeError):
 
 
 class IllegalAcceptanceError(PriodpaError, RuntimeError):
-    """An algorithm accepted a request whose path is already blocked."""
+    """An acceptance reuses an edge or, on a grid, does not route its request."""
 
 
 class AdviceExhaustedError(PriodpaError, RuntimeError):
@@ -44,21 +45,16 @@ class AdviceExhaustedError(PriodpaError, RuntimeError):
 class PriorityOrder:
     """Strict total order on requests, realized as a key function.
 
-    ``precedes(r1, r2)`` is true when r1 is presented before r2 (r1 has the
-    higher priority).  Built-in constructors append the lexicographic
-    endpoint tie-break so keys are injective on any universe.
+    The request with the smaller key is presented first (it has the higher
+    priority).  Built-in constructors append the lexicographic endpoint
+    tie-break so keys are injective on any universe.  ``readapt``, when set,
+    maps the decision history to the order used for the next request.
     """
 
     def __init__(self, key, name="order", readapt=None):
         self._key = key
         self.name = name
         self.readapt = readapt
-
-    def key(self, r):
-        return self._key(r)
-
-    def precedes(self, r1, r2):
-        return self._key(r1) < self._key(r2)
 
     def max_of(self, requests):
         """The highest-priority request; ties between distinct requests are
@@ -81,24 +77,9 @@ class PriorityOrder:
     def sort(self, requests):
         seq = sorted(requests, key=self._key)
         for a, b in zip(seq, seq[1:]):
-            if not self.precedes(a, b):
+            if not self._key(a) < self._key(b):
                 raise InvalidOrderError(f"{self.name}: {a} and {b} are not strictly ordered")
         return seq
-
-    @classmethod
-    def from_comparator(cls, prefers, name="comparator", readapt=None):
-        """Build from a boolean ``prefers(r1, r2)`` predicate."""
-
-        def cmp(r1, r2):
-            if r1 == r2:
-                return 0
-            if prefers(r1, r2):
-                return -1
-            if prefers(r2, r1):
-                return 1
-            return 0  # surfaces as a tie -> InvalidOrderError
-
-        return cls(functools.cmp_to_key(cmp), name=name, readapt=readapt)
 
     def reversed(self):
         base = self._key
@@ -177,9 +158,6 @@ class AdviceWriter:
     def __init__(self):
         self._bits = []
 
-    def write_bit(self, b):
-        self._bits.append("1" if b else "0")
-
     def write_field(self, value, width):
         if value < 0 or value >= (1 << width):
             raise InvalidParameterError(f"{value} does not fit in {width} bits")
@@ -230,7 +208,6 @@ class PriorityAlgorithm:
 
     name = "algorithm"
     mode = "count"
-    greedy_decisions = False
 
     def initial_order(self, graph, advice):
         raise NotImplementedError
@@ -241,8 +218,6 @@ class PriorityAlgorithm:
 
 class GreedyAlgorithm(PriorityAlgorithm):
     """Accept whenever the unique path fits (cycle-free hosts)."""
-
-    greedy_decisions = True
 
     def __init__(self, order_factory, name, mode="count"):
         self.order_factory = order_factory
@@ -297,8 +272,9 @@ class Session:
         decision = self.algorithm.decide(request, state, self.tape)
         if decision.accept:
             if self.graph.kind == "grid":
-                if decision.allocation is None:
-                    raise IllegalAcceptanceError(f"{self.algorithm.name}: accept without allocation")
+                if not _walk_ok(self.graph, request, decision.allocation):
+                    raise IllegalAcceptanceError(
+                        f"{self.algorithm.name}: accept without allocation of a simple route")
                 mask = self.graph.route_mask(decision.allocation)
                 if mask & state.blocked_mask:
                     raise IllegalAcceptanceError(f"{self.algorithm.name}: allocation reuses an edge")

@@ -64,10 +64,6 @@ class PathGraph:
             raise InvalidParameterError("path length must be a positive integer")
         self.length = length
 
-    @property
-    def vertex_count(self):
-        return self.length + 1
-
     def has_vertex(self, v):
         return type(v) is int and 0 <= v <= self.length
 
@@ -451,13 +447,28 @@ def _pairs(obj, what, error):
     return [tuple(p) for p in obj]
 
 
+# Hosts read from files have fewer edges than this: a path mask has a bit per
+# edge, and a tree keeps a root-path mask per vertex, about n*n/16 bytes.
+MAX_FILE_EDGES = 1 << 15
+
+
+def _file_sized(edge_count):
+    if edge_count >= MAX_FILE_EDGES:
+        raise InvalidParameterError(
+            f"a host read from a file needs fewer than {MAX_FILE_EDGES} edges, not {edge_count}")
+
+
 def graph_from_json(obj):
     (kind,) = _fields(obj, "a graph", "kind")
     if kind == "path":
-        return PathGraph(*_fields(obj, "a path", "length"))
+        g = PathGraph(*_fields(obj, "a path", "length"))
+        _file_sized(g.length)
+        return g
     if kind == "tree":
         (edges,) = _fields(obj, "a tree", "edges")
-        return TreeGraph(_pairs(edges, "tree edges", InvalidTreeError))
+        edges = _pairs(edges, "tree edges", InvalidTreeError)
+        _file_sized(len(edges))
+        return TreeGraph(edges)
     if kind == "grid":
         return GridGraph(*_fields(obj, "a grid", "rows", "cols"))
     raise InvalidParameterError(f"unknown graph kind {kind!r}")

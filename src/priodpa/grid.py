@@ -203,8 +203,6 @@ class GridRouter(PriorityAlgorithm):
     """First-fit router; ``prefer`` steers the choice through or around
     the center when possible."""
 
-    mode = "count"
-
     def __init__(self, prefer=None, name="grid-first", reject_first=False):
         self.prefer = prefer
         self.name = name

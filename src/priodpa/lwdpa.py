@@ -34,7 +34,7 @@ from .engine import (
     decode_run,
     run,
 )
-from .oracle import brute_force_opt, greediest_opt
+from .oracle import greediest_opt
 
 
 def lwdpa_order(graph):
@@ -164,7 +164,7 @@ def _block_count(length):
     return (length + 3) // 4  # vertices 0..l-1 grouped in fours; l is covered
 
 
-def encode_lwdpa_advice(instance, cap=22):
+def encode_lwdpa_advice(instance):
     """Tape of exactly 3*ceil(l/4) bits pinning the canonical optimum.
 
     Encodes the start vertices of the long (length >= 2) requests of
@@ -173,7 +173,7 @@ def encode_lwdpa_advice(instance, cap=22):
     g = instance.graph
     if g.kind != "path":
         raise InvalidParameterError("this codec works on path hosts")
-    chosen = greediest_opt(instance, lwdpa_order(g), mode="length", cap=cap)
+    chosen = greediest_opt(instance, lwdpa_order(g), mode="length")
     starts = sorted(r.x for r in chosen.accepted if request_length(g, r) >= 2)
     writer = AdviceWriter()
     for blk in range(_block_count(g.length)):

@@ -15,7 +15,6 @@ for edge-disjoint routings over precomputed simple-path lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .graphs import (
     InvalidParameterError,
@@ -23,12 +22,9 @@ from .graphs import (
     PriodpaError,
     Solution,
     edge_mask,
-    gain,
     request_length,
 )
 from .engine import InvalidOrderError, presentation_sequence
-
-_COMPONENT_SUBSET_GUARD = 1 << 20
 
 
 class InstanceTooLargeError(PriodpaError, RuntimeError):
@@ -39,7 +35,6 @@ class InstanceTooLargeError(PriodpaError, RuntimeError):
 class OracleResult:
     optimum: int
     witness: Solution
-    all_optimal: tuple = None
 
 
 def _components(masks):
@@ -64,20 +59,17 @@ def _components(masks):
     return comps
 
 
-def _component_best(indices, masks, weights, collect_all):
+def _component_best(indices, masks, weights):
     """Enumerate one component by increasing bitmask.
 
-    Returns (best_weight, minimal best local mask, all best local masks?).
-    Local bit j corresponds to indices[j]; because indices are ascending and
-    subsets are scanned in increasing local-mask order, the first maximizer
-    is also minimal as a global mask.
+    Returns (best_weight, minimal best local mask).  Local bit j corresponds
+    to indices[j]; because indices are ascending and subsets are scanned in
+    increasing local-mask order, the first maximizer is also minimal as a
+    global mask.
     """
     k = len(indices)
-    if 1 << k > _COMPONENT_SUBSET_GUARD:
-        raise InstanceTooLargeError(f"conflict component with {k} requests is too dense")
     best_w = -1
     best_mask = 0
-    best_all = []
     for sub in range(1 << k):
         used = 0
         w = 0
@@ -90,31 +82,27 @@ def _component_best(indices, masks, weights, collect_all):
                     break
                 used |= m
                 w += weights[indices[j]]
-        if not ok:
-            continue
-        if w > best_w:
+        if ok and w > best_w:
             best_w = w
             best_mask = sub
-            if collect_all:
-                best_all = [sub]
-        elif collect_all and w == best_w:
-            best_all.append(sub)
-    return best_w, best_mask, best_all
+    return best_w, best_mask
 
 
-def brute_force_opt(instance, mode="count", cap=22, collect_all=False):
-    """Exact optimum, canonical witness, optionally every optimal set."""
+def brute_force_opt(instance, mode="count", cap=22):
+    """Exact optimum and its canonical witness.
+
+    ``cap`` is the one size limit: an instance with more requests raises
+    InstanceTooLargeError, whatever its conflict structure.  Grids also
+    stop at 3x3 and 12 requests.
+    """
     g = instance.graph
     reqs = instance.requests  # already sorted by normalized endpoints
-    if cap is not None and len(reqs) > cap:
+    if len(reqs) > cap:
         raise InstanceTooLargeError(f"{len(reqs)} requests exceed the cap of {cap}")
     if g.kind == "grid":
-        if collect_all:
-            raise InvalidParameterError("collect_all is not supported on grids")
         return _grid_opt(instance, mode)
     if not reqs:
-        sol = Solution(g, ())
-        return OracleResult(0, sol, (sol,) if collect_all else None)
+        return OracleResult(0, Solution(g, ()))
 
     masks = [edge_mask(g, r) for r in reqs]
     if mode == "count":
@@ -124,29 +112,13 @@ def brute_force_opt(instance, mode="count", cap=22, collect_all=False):
     else:
         raise InvalidParameterError(f"unknown gain mode {mode!r}")
 
-    comps = _components(masks)
     total = 0
     chosen = []
-    per_comp_all = []
-    for comp in comps:
-        w, local_mask, local_all = _component_best(comp, masks, weights, collect_all)
+    for comp in _components(masks):
+        w, local_mask = _component_best(comp, masks, weights)
         total += w
         chosen.extend(comp[j] for j in range(len(comp)) if local_mask >> j & 1)
-        if collect_all:
-            per_comp_all.append([(comp, m) for m in local_all])
-
-    witness = Solution(g, tuple(reqs[i] for i in sorted(chosen)))
-    all_optimal = None
-    if collect_all:
-        sols = []
-        for combo in product(*per_comp_all):
-            idxs = []
-            for comp, m in combo:
-                idxs.extend(comp[j] for j in range(len(comp)) if m >> j & 1)
-            sols.append(Solution(g, tuple(reqs[i] for i in sorted(idxs))))
-        sols.sort(key=lambda s: tuple(r.key for r in s.accepted))
-        all_optimal = tuple(sols)
-    return OracleResult(total, witness, all_optimal)
+    return OracleResult(total, Solution(g, tuple(reqs[i] for i in sorted(chosen))))
 
 
 def max_gain_completion(graph, requests, blocked_mask, mode="count"):
@@ -155,10 +127,10 @@ def max_gain_completion(graph, requests, blocked_mask, mode="count"):
     if not usable:
         return 0
     sub = Instance(graph, usable)
-    return brute_force_opt(sub, mode=mode, cap=None).optimum
+    return brute_force_opt(sub, mode=mode).optimum
 
 
-def greediest_opt(instance, order, mode="count", cap=22):
+def greediest_opt(instance, order, mode="count"):
     """The canonical optimum of a fixed priority order.
 
     Walk the presentation sequence; keep a request exactly when the kept
@@ -169,7 +141,7 @@ def greediest_opt(instance, order, mode="count", cap=22):
     g = instance.graph
     if g.kind == "grid":
         raise InvalidParameterError("greediest_opt is only defined on cycle-free hosts")
-    opt = brute_force_opt(instance, mode=mode, cap=cap).optimum
+    opt = brute_force_opt(instance, mode=mode).optimum
     seq = presentation_sequence(order, instance)
     chosen = []
     chosen_gain = 0

@@ -27,7 +27,6 @@ from .graphs import (
     InvalidTreeError,
     Request,
     Solution,
-    TreeGraph,
     edge_mask,
 )
 from .engine import (
@@ -151,14 +150,14 @@ def tree_advice_bound(tree):
     )
 
 
-def encode_cat_advice(instance, cap=22):
+def encode_cat_advice(instance):
     """Advice pinning the canonical optimum; simulates the decoder so both
     sides derive identical remaining-edge lists from the shared decisions."""
     tree = instance.graph
     if tree.kind != "tree":
         raise InvalidParameterError("this codec works on tree hosts")
     order = cat_order(tree)
-    opt_gr = set(greediest_opt(instance, order, mode="count", cap=cap).accepted)
+    opt_gr = set(greediest_opt(instance, order, mode="count").accepted)
     writer = AdviceWriter()
     mask = 0
     cur_peak = None

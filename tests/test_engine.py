@@ -72,18 +72,6 @@ def test_reversed_order_flips_max():
     assert lo.key == (0, 2) and hi.key == (2, 5)
 
 
-def test_from_comparator():
-    def prefers(a, b):
-        return (a.y - a.x, a.x) < (b.y - b.x, b.x)
-
-    g = PathGraph(5)
-    order = PriorityOrder.from_comparator(prefers, name="short-first")
-    seq = presentation_sequence(
-        order, Instance(g, [Request(g, 0, 3), Request(g, 3, 4), Request(g, 0, 2)])
-    )
-    assert [r.key for r in seq] == [(3, 4), (0, 2), (0, 3)]
-
-
 def test_presentation_sequence_rejects_adaptive_orders():
     g, inst = _p5_instance()
     adaptive = [a for a in battery("dpa-path") if a.name == "adaptive-flip"][0]

@@ -187,6 +187,15 @@ def test_path_graph_rejects_bad_length():
             PathGraph(bad)
 
 
+def test_hosts_read_from_files_are_bounded():
+    assert graph_from_json({"kind": "path", "length": (1 << 15) - 1}).length == (1 << 15) - 1
+    with pytest.raises(InvalidParameterError):
+        graph_from_json({"kind": "path", "length": 1 << 15})
+    with pytest.raises(InvalidParameterError):  # 2**15 + 1 vertices
+        graph_from_json({"kind": "tree", "edges": [[v, v + 1] for v in range(1 << 15)]})
+    assert PathGraph(10**18).length == 10**18  # the constructor stays unbounded
+
+
 def test_tree_graph_roots_at_smallest_leaf():
     t = TreeGraph(NESTED_EDGES)
     assert t.root == 0

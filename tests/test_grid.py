@@ -149,11 +149,30 @@ class _FixedRoute(PriorityAlgorithm):
         return Decision(request, True, self.route)
 
 
+# a (0,0)-(2,2) walk over distinct edges that passes the center twice
+_REVISIT = ((0, 0), (1, 0), (1, 1), (0, 1), (0, 2), (1, 2), (1, 1), (2, 1), (2, 2))
+
+
 def test_grid_accept_without_an_allocation_is_illegal():
     g = grid_3x3()
     session = Session(_FixedRoute(None), g)
     with pytest.raises(IllegalAcceptanceError, match="without allocation"):
         session.feed(Request(g, (0, 0), (0, 1)))
+
+
+@pytest.mark.parametrize("route", [
+    (),
+    (((0, 0), (1, 0)),),
+    tuple(zip(_REVISIT, _REVISIT[1:])),
+], ids=["empty", "one-edge", "revisits-the-center"])
+def test_grid_acceptance_must_route_its_request(route):
+    g = grid_3x3()
+    session = Session(_FixedRoute(route), g)
+    with pytest.raises(IllegalAcceptanceError, match="route"):
+        session.feed(Request(g, (0, 0), (2, 2)))
+    # the adversary meets the cheat at its first acceptance
+    with pytest.raises(IllegalAcceptanceError):
+        grid_adversary(_FixedRoute(route))
 
 
 def test_grid_allocation_that_reuses_an_edge_is_illegal():

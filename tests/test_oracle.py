@@ -82,20 +82,6 @@ def test_witness_is_smallest_bitmask_maximizer():
     assert sorted(r.key for r in res.witness.accepted) == [(1, 3), (2, 4)]
 
 
-def test_all_optimal_solutions_collected():
-    s = TreeGraph(STAR4_EDGES)
-    inst = Instance(
-        s,
-        [Request(s, 1, 2), Request(s, 1, 3), Request(s, 2, 4), Request(s, 3, 4)],
-    )
-    res = brute_force_opt(inst, "count", collect_all=True)
-    sets = sorted(sorted(r.key for r in sol.accepted) for sol in res.all_optimal)
-    assert sets == [[(1, 2), (3, 4)], [(1, 3), (2, 4)]]
-    for sol in res.all_optimal:
-        assert validate_solution(inst, sol)
-        assert gain(sol, "count") == res.optimum
-
-
 def test_witness_always_valid_and_optimal():
     rng = random.Random(7)
     for _ in range(50):
@@ -142,6 +128,15 @@ def test_cap_governs_instance_size():
         brute_force_opt(inst, "count")
     # 23 pairwise-disjoint singleton components are fine with a raised cap
     assert brute_force_opt(inst, "count", cap=30).optimum == 23
+
+
+def test_dense_component_up_to_the_cap_is_solved():
+    # 21 requests that all share edge 0-1 form one conflict component
+    g = PathGraph(21)
+    inst = Instance(g, [Request(g, 0, i) for i in range(1, 22)])
+    res = brute_force_opt(inst, "count")
+    assert res.optimum == 1
+    assert [r.key for r in res.witness.accepted] == [(0, 1)]
 
 
 def test_conflict_components_solved_independently():

@@ -245,6 +245,8 @@ MALFORMED = {
     "short-tape": (None, {"bits": 4, "hex": "0"}),
     "bits-left-over": (None, {"bits": 20, "hex": "48800"}),
     "hex-past-the-bits": (None, {"bits": 12, "hex": "488ffff"}),
+    "path-too-long-for-a-file": ({"graph": {"kind": "path", "length": 10**18},
+                                  "requests": [[0, 10**18 - 1]]}, None),
     "lwdpa-tape-on-a-tree": ({"graph": {"kind": "tree", "edges": [[0, 1]]},
                               "requests": [[0, 1]]}, {"bits": 0, "hex": ""}),
 }
