@@ -12,17 +12,13 @@ from .graphs import (
     Request,
     Solution,
     TreeGraph,
-    edge_set,
     gain,
     instance_from_json,
     instance_hash,
     instance_to_json,
-    intersects,
     load_instance,
-    dump_instance,
     ratio,
     request_length,
-    unique_path,
     validate_solution,
 )
 from .engine import (
@@ -39,7 +35,6 @@ from .engine import (
     RunResult,
     Session,
     decode_run,
-    presentation_sequence,
     run,
 )
 from .oracle import (

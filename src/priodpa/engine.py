@@ -13,7 +13,6 @@ the last bit (``decode_run``).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from string import hexdigits
 
@@ -45,10 +44,12 @@ class AdviceExhaustedError(PriodpaError, RuntimeError):
 class PriorityOrder:
     """Strict total order on requests, realized as a key function.
 
-    The request with the smaller key is presented first (it has the higher
-    priority).  Built-in constructors append the lexicographic endpoint
+    A key is a flat tuple of ints, and the request with the smaller key is
+    presented first (it has the higher priority), so ``reversed`` negates
+    every entry.  Built-in constructors append the lexicographic endpoint
     tie-break so keys are injective on any universe.  ``readapt``, when set,
-    maps the decision history to the order used for the next request.
+    maps the decision history to the order used for the next request;
+    returning the same object means the order is unchanged.
     """
 
     def __init__(self, key, name="order", readapt=None):
@@ -75,31 +76,21 @@ class PriorityOrder:
         return best
 
     def sort(self, requests):
-        seq = sorted(requests, key=self._key)
-        for a, b in zip(seq, seq[1:]):
-            if not self._key(a) < self._key(b):
-                raise InvalidOrderError(f"{self.name}: {a} and {b} are not strictly ordered")
-        return seq
+        """The requests in presentation order, one key evaluation each; a
+        tie anywhere raises InvalidOrderError."""
+        items = list(requests)
+        keys = [self._key(r) for r in items]
+        idx = sorted(range(len(items)), key=keys.__getitem__)
+        for a, b in zip(idx, idx[1:]):
+            if not keys[a] < keys[b]:
+                raise InvalidOrderError(f"{self.name}: {items[a]} and {items[b]} are not strictly ordered")
+        return [items[i] for i in idx]
 
     def reversed(self):
-        base = self._key
+        return PriorityOrder(self._negated_key, name=f"reversed-{self.name}")
 
-        def cmp(r1, r2):
-            k1, k2 = base(r1), base(r2)
-            if k1 < k2:
-                return 1
-            if k2 < k1:
-                return -1
-            return 0
-
-        return PriorityOrder(functools.cmp_to_key(cmp), name=f"reversed-{self.name}")
-
-
-def presentation_sequence(order, instance):
-    """The order in which a fixed order presents the whole instance."""
-    if order.readapt is not None:
-        raise InvalidOrderError("presentation_sequence needs a fixed (non-adaptive) order")
-    return order.sort(instance.requests)
+    def _negated_key(self, r):
+        return tuple(-k for k in self._key(r))
 
 
 # --------------------------------------------------------------------------
@@ -256,15 +247,19 @@ class Session:
         return self.order.max_of(candidates)
 
     def drain(self, requests):
-        """Feed whichever of ``requests`` tops the current order until none
-        are left; return them in the order they were fed."""
+        """Feed ``requests`` in the order in force, sorting what is left
+        again whenever a feed changes the order; return them as fed."""
         remaining = list(requests)
         fed = []
         while remaining:
-            r = self.max_of(remaining)
-            self.feed(r)
-            remaining.remove(r)
-            fed.append(r)
+            order = self.order
+            seq = order.sort(remaining)
+            for i, r in enumerate(seq):
+                self.feed(r)
+                fed.append(r)
+                if self.order is not order:
+                    break
+            remaining = seq[i + 1:]
         return fed
 
     def feed(self, request):

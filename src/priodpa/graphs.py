@@ -140,21 +140,6 @@ class TreeGraph:
     def lca(self, x, y):
         return self._vertex_of_up[self.up[x] & self.up[y]]
 
-    def path_vertices(self, x, y):
-        """Vertex sequence of the unique x-y path."""
-        a = self.lca(x, y)
-        up = []
-        v = x
-        while v != a:
-            up.append(v)
-            v = self.parent[v]
-        down = []
-        v = y
-        while v != a:
-            down.append(v)
-            v = self.parent[v]
-        return tuple(up + [a] + list(reversed(down)))
-
     def descriptor(self):
         return f"tree:{self.n}"
 
@@ -270,19 +255,6 @@ class Request:
         return f"Request({self.x!r}, {self.y!r})"
 
 
-def unique_path(graph, req):
-    """Edges of the unique path between the endpoints, in walk order.
-
-    Only defined on cycle-free hosts; grids raise InvalidRequestError.
-    """
-    if graph.kind == "path":
-        return tuple((i, i + 1) for i in range(req.x, req.y))
-    if graph.kind == "tree":
-        vs = graph.path_vertices(req.x, req.y)
-        return tuple((vs[i], vs[i + 1]) for i in range(len(vs) - 1))
-    raise InvalidRequestError("requests on a grid do not determine a unique path")
-
-
 def edge_mask(graph, req):
     """Bitmask of the request's path edges (cycle-free hosts only)."""
     if graph.kind == "path":
@@ -292,22 +264,10 @@ def edge_mask(graph, req):
     raise InvalidRequestError("edge masks are only defined on cycle-free hosts")
 
 
-def edge_set(graph, req):
-    """The request's path edges as a frozenset of normalized pairs."""
-    return frozenset((u, v) if u < v else (v, u) for u, v in unique_path(graph, req))
-
-
 def request_length(graph, req):
     if graph.kind == "grid":
         raise InvalidRequestError("length on a grid depends on the chosen routing")
     return edge_mask(graph, req).bit_count()
-
-
-def intersects(r1, r2):
-    """True if the two requests' unique paths share an edge."""
-    if r1.graph != r2.graph:
-        raise InvalidRequestError("requests live on different hosts")
-    return bool(edge_mask(r1.graph, r1) & edge_mask(r2.graph, r2))
 
 
 # --------------------------------------------------------------------------
@@ -506,12 +466,6 @@ def instance_from_json(obj):
 def load_instance(path):
     with open(path) as fh:
         return instance_from_json(json.load(fh))
-
-
-def dump_instance(instance, path):
-    with open(path, "w") as fh:
-        json.dump(instance_to_json(instance), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def instance_hash(instance):

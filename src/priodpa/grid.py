@@ -196,7 +196,7 @@ def exhaustive_verify_3x3():
 
 
 def grid_order(graph):
-    return PriorityOrder(lambda r: r.key, name="lex")
+    return PriorityOrder(lambda r: (*r.x, *r.y), name="lex")
 
 
 class GridRouter(PriorityAlgorithm):

@@ -24,7 +24,7 @@ from .graphs import (
     edge_mask,
     request_length,
 )
-from .engine import InvalidOrderError, presentation_sequence
+from .engine import InvalidOrderError
 
 
 class InstanceTooLargeError(PriodpaError, RuntimeError):
@@ -142,7 +142,7 @@ def greediest_opt(instance, order, mode="count"):
     if g.kind == "grid":
         raise InvalidParameterError("greediest_opt is only defined on cycle-free hosts")
     opt = brute_force_opt(instance, mode=mode).optimum
-    seq = presentation_sequence(order, instance)
+    seq = order.sort(instance.requests)
     chosen = []
     chosen_gain = 0
     mask = 0

@@ -38,7 +38,6 @@ from .engine import (
     Session,
     adversary_outcome,
     decode_run,
-    presentation_sequence,
     run,
 )
 from .oracle import greediest_opt
@@ -162,7 +161,7 @@ def encode_cat_advice(instance):
     mask = 0
     cur_peak = None
     labels = None  # per-phase {child: label}, None until first pass-through
-    for r in presentation_sequence(order, instance):
+    for r in order.sort(instance.requests):
         pk = peak(tree, r)
         if pk.vertex != cur_peak:
             cur_peak = pk.vertex

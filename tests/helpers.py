@@ -1,6 +1,7 @@
 """Shared generators for the test suite: Prufer-coded random trees,
-canonical enumeration of small free trees, request sampling, and the paths
-of the committed instance files."""
+canonical enumeration of small free trees, request sampling, the paths of
+the committed instance files, and the walk-based reference geometry that
+the library's edge masks are checked against."""
 
 import heapq
 import itertools
@@ -105,6 +106,31 @@ def all_pairs(graph):
         for i, u in enumerate(ids)
         for v in ids[i + 1:]
     ]
+
+
+def root_walk(tree, v):
+    """Vertices from v up to the root, following ``parent`` only."""
+    walk = [v]
+    while tree.parent[walk[-1]] is not None:
+        walk.append(tree.parent[walk[-1]])
+    return walk
+
+
+def path_edges(graph, req):
+    """Edges of the request's unique path in walk order from x to y: an
+    interval on a path, two parent walks that meet at their first common
+    vertex on a tree."""
+    if graph.kind == "path":
+        return tuple((i, i + 1) for i in range(req.x, req.y))
+    wx, wy = root_walk(graph, req.x), root_walk(graph, req.y)
+    top = next(v for v in wx if v in wy)
+    vs = wx[:wx.index(top) + 1] + wy[:wy.index(top)][::-1]
+    return tuple(zip(vs, vs[1:]))
+
+
+def edge_set(graph, req):
+    """The request's path edges as a frozenset of (smaller, larger) pairs."""
+    return frozenset((min(e), max(e)) for e in path_edges(graph, req))
 
 
 def random_instance(graph, max_requests, rng):

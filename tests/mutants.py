@@ -1,0 +1,112 @@
+"""Mutation smoke test: each named mutant must fail its named test file.
+
+Run from the repository root:
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named ones
+
+For each mutant, ``src/``, ``tests/`` and ``pyproject.toml`` are copied to a
+temporary directory, one source line is replaced there, and pytest runs the
+named test file against the copy.  The unmutated copy must pass those files
+first.  A mutant whose text no longer appears exactly once is reported as
+stale.  The exit code is 0 when every mutant is killed, 1 when one is
+not, and 2 for an unknown mutant name.
+The script needs only the standard library and pytest, and pytest does not
+collect it (its name does not start with ``test_``).
+"""
+
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# name -> (file under src/priodpa, original text, mutated text, test file)
+MUTANTS = {
+    "drain-never-resorts": (
+        "engine.py",
+        "                if self.order is not order:\n",
+        "                if False:\n",
+        "tests/test_engine.py",
+    ),
+    "reversed-keeps-base-key": (
+        "engine.py",
+        "return PriorityOrder(self._negated_key,",
+        "return PriorityOrder(self._key,",
+        "tests/test_engine.py",
+    ),
+    "sort-without-strictness": (
+        "engine.py",
+        "            if not keys[a] < keys[b]:\n",
+        "            if False:\n",
+        "tests/test_engine.py",
+    ),
+    "tree-edge-mask-or": (
+        "graphs.py",
+        "return graph.up[req.x] ^ graph.up[req.y]",
+        "return graph.up[req.x] | graph.up[req.y]",
+        "tests/test_trees.py",
+    ),
+    "grid-reverse-direction-bit": (
+        "graphs.py",
+        "bits[v, w] = bits[w, v] = 1 << i",
+        "bits[v, w], bits[w, v] = 1 << 2 * i, 1 << 2 * i + 1",
+        "tests/test_grid.py",
+    ),
+}
+
+
+def _copy(dest):
+    shutil.copytree(ROOT / "src", dest / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(ROOT / "tests", dest / "tests", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _pytest(where, test_file):
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", test_file],
+        cwd=where, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    failed = [line.split(" - ")[0] for line in lines if line.startswith("FAILED ")]
+    return proc.returncode, (failed or lines or [proc.stderr.strip()])[-1]
+
+
+def main(names):
+    unknown = [n for n in names if n not in MUTANTS]
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(unknown)}; known: {', '.join(MUTANTS)}")
+        return 2
+    names = names or list(MUTANTS)
+    survived = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "base"
+        _copy(base)
+        for test_file in sorted({MUTANTS[n][3] for n in names}):
+            rc, summary = _pytest(base, test_file)
+            if rc != 0:
+                print(f"unmutated copy fails {test_file}: {summary}")
+                return 1
+        for name in names:
+            module, original, mutated, test_file = MUTANTS[name]
+            work = Path(tmp) / name
+            _copy(work)
+            target = work / "src" / "priodpa" / module
+            text = target.read_text()
+            if text.count(original) != 1:
+                print(f"STALE    {name}: {original.strip()!r} is not in {module} exactly once")
+                survived += 1
+                continue
+            target.write_text(text.replace(original, mutated))
+            rc, summary = _pytest(work, test_file)
+            killed = rc == 1
+            survived += not killed
+            print(f"{'killed' if killed else 'SURVIVED':8} {name} ({module}): {summary}")
+    print(f"{len(names) - survived} of {len(names)} mutants killed")
+    return 0 if survived == 0 else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,6 +8,7 @@ from priodpa import (
     AdviceTape,
     AdviceWriter,
     Decision,
+    GreedyAlgorithm,
     IllegalAcceptanceError,
     Instance,
     InvalidOrderError,
@@ -16,13 +19,13 @@ from priodpa import (
     Request,
     Session,
     decode_run,
-    presentation_sequence,
+    greediest_opt,
     run,
 )
 from priodpa.battery import battery
 from priodpa.paths import greedy_path_algorithm, right_end_order
 
-from helpers import DEMO
+from helpers import DEMO, all_pairs, random_instance, random_tree
 
 
 def _p5_instance():
@@ -32,14 +35,14 @@ def _p5_instance():
 
 def test_fixed_order_presentation_sequence():
     g, inst = _p5_instance()
-    seq = presentation_sequence(right_end_order(g), inst)
+    seq = right_end_order(g).sort(inst.requests)
     assert [r.key for r in seq] == [(0, 2), (1, 3), (2, 5)]
 
 
 def test_order_breaks_right_endpoint_ties_on_left_endpoint():
     g = PathGraph(5)
     inst = Instance(g, [Request(g, 1, 3), Request(g, 0, 3)])
-    seq = presentation_sequence(right_end_order(g), inst)
+    seq = right_end_order(g).sort(inst.requests)
     assert [r.key for r in seq] == [(0, 3), (1, 3)]
 
 
@@ -54,7 +57,7 @@ def test_sort_rejects_tied_priorities():
     g, inst = _p5_instance()
     flat = PriorityOrder(lambda r: 0, name="flat")
     with pytest.raises(InvalidOrderError):
-        presentation_sequence(flat, inst)
+        flat.sort(inst.requests)
 
 
 def test_max_of_singleton_is_trivial():
@@ -76,41 +79,82 @@ def test_presentation_sequence_rejects_adaptive_orders():
     g, inst = _p5_instance()
     adaptive = [a for a in battery("dpa-path") if a.name == "adaptive-flip"][0]
     with pytest.raises(InvalidOrderError):
-        presentation_sequence(adaptive.initial_order(g, None), inst)
+        greediest_opt(inst, adaptive.initial_order(g, None))
 
 
 def test_run_visits_requests_in_presentation_order():
     g, inst = _p5_instance()
     result = run(greedy_path_algorithm(), inst)
     fed = [d.request for d in result.log]
-    assert fed == list(presentation_sequence(right_end_order(g), inst))
+    assert fed == right_end_order(g).sort(inst.requests)
+
+
+def _stepwise_instances(problem):
+    """The hand-made adaptive example plus seeded random instances."""
+    rng = random.Random(f"stepwise-{problem}")
+    if problem == "cat":
+        return [random_instance(random_tree(rng.randint(4, 10), rng), 7, rng) for _ in range(8)]
+    g = PathGraph(6)
+    hand = Instance(g, [Request(g, 0, 2), Request(g, 1, 4), Request(g, 2, 6), Request(g, 4, 6)])
+    return [hand] + [random_instance(PathGraph(rng.randint(3, 9)), 8, rng) for _ in range(8)]
 
 
 def test_adaptive_presented_request_is_stepwise_maximum():
-    g = PathGraph(6)
-    inst = Instance(
-        g,
-        [Request(g, 0, 2), Request(g, 1, 4), Request(g, 2, 6), Request(g, 4, 6)],
-    )
-    alg = [a for a in battery("dpa-path") if a.name == "adaptive-flip"][0]
-    result = run(alg, inst)
-    order = alg.initial_order(g, None)
-    remaining = list(inst.requests)
-    history = []
-    for decision in result.log:
-        assert decision.request == order.max_of(remaining)
-        remaining.remove(decision.request)
-        history.append(decision)
-        if order.readapt is not None:
-            order = order.readapt(history)
-    assert not remaining
+    """Reference walk: present the maximum of what is left under the order
+    in force, one request at a time, and let every decision readapt it."""
+    for problem in ("dpa-path", "lwdpa", "cat"):
+        for inst in _stepwise_instances(problem):
+            g = inst.graph
+            for alg in battery(problem):
+                result = run(alg, inst)
+                reference = Session(alg, g)
+                order = reference.order
+                remaining = list(inst.requests)
+                while remaining:
+                    r = order.max_of(remaining)
+                    reference.feed(r)
+                    remaining.remove(r)
+                    if order.readapt is not None:
+                        order = order.readapt(tuple(reference.state.log))
+                log = reference.result().log
+                assert result.log == log, (problem, alg.name, inst.requests)
+                fed = Session(alg, g).drain(reversed(inst.requests))
+                assert fed == [d.request for d in log]
+
+
+def test_key_evaluations_are_one_per_request():
+    """A fixed order is sorted once, ``sort`` decorates once, and a reversed
+    order's ``max_of`` is one pass; an adaptive order pays one evaluation
+    per request left at each decision."""
+    g = PathGraph(30)
+    inst = Instance(g, random.Random(4).sample(all_pairs(g), 40))
+    evals = [0]
+
+    def key(r):
+        evals[0] += 1
+        return (r.y, r.x)
+
+    def counted(requests, walk):
+        evals[0] = 0
+        walk(requests)
+        return evals[0]
+
+    order = PriorityOrder(key, name="counted")
+    fixed = GreedyAlgorithm(lambda graph: order, "counted-greedy")
+    n = len(inst)
+    assert counted(inst, lambda i: run(fixed, i)) == n
+    assert counted(list(inst.requests), order.sort) == n
+    assert counted(set(inst.requests), order.reversed().max_of) == n
+    flip = [a for a in battery("dpa-path") if a.name == "adaptive-flip"][0]
+    flip.order_factory = lambda graph: PriorityOrder(key, name="counted")
+    assert counted(inst, lambda i: run(flip, i)) == n * (n + 1) // 2
 
 
 def test_drain_feeds_a_fixed_order_in_presentation_sequence():
     g, inst = _p5_instance()
     session = Session(greedy_path_algorithm(), g)
     fed = session.drain(reversed(inst.requests))
-    assert fed == list(presentation_sequence(right_end_order(g), inst))
+    assert fed == right_end_order(g).sort(inst.requests)
     assert [d.request for d in session.result().log] == fed
 
 
@@ -127,7 +171,7 @@ def test_drain_follows_an_adaptive_order_like_run():
     assert fed == [d.request for d in log]
     assert session.result().log == log
     # the flip really reorders: a fixed right-end order would differ
-    assert fed != list(presentation_sequence(right_end_order(g), inst))
+    assert fed != right_end_order(g).sort(inst.requests)
 
 
 def test_greedy_accepts_exactly_the_fitting_requests():

@@ -16,20 +16,17 @@ from priodpa import (
     Request,
     Solution,
     TreeGraph,
-    edge_set,
     gain,
     instance_from_json,
     instance_hash,
     instance_to_json,
-    intersects,
     ratio,
     request_length,
-    unique_path,
     validate_solution,
 )
-from priodpa.graphs import graph_from_json, graph_to_json
+from priodpa.graphs import edge_mask, graph_from_json, graph_to_json
 
-from helpers import NESTED_EDGES, all_pairs, random_tree
+from helpers import NESTED_EDGES, all_pairs, edge_set, path_edges, random_tree
 
 
 def test_request_normalizes_endpoint_order():
@@ -50,31 +47,31 @@ def test_request_rejects_unknown_vertex():
         Request(g, 0, 6)
 
 
+def _intersects(r1, r2):
+    return bool(edge_mask(r1.graph, r1) & edge_mask(r2.graph, r2))
+
+
 def test_unique_path_on_path_graph():
     g = PathGraph(5)
-    assert unique_path(g, Request(g, 2, 5)) == ((2, 3), (3, 4), (4, 5))
+    assert path_edges(g, Request(g, 2, 5)) == ((2, 3), (3, 4), (4, 5))
+    assert request_length(g, Request(g, 2, 5)) == 3
 
 
 def test_unique_path_on_tree():
     t = TreeGraph(NESTED_EDGES)
-    assert unique_path(t, Request(t, 12, 13)) == ((12, 7), (7, 13))
+    assert path_edges(t, Request(t, 12, 13)) == ((12, 7), (7, 13))
+    assert request_length(t, Request(t, 12, 13)) == 2
 
 
 def test_intersects_on_path():
     g = PathGraph(5)
-    assert intersects(Request(g, 0, 2), Request(g, 1, 3))
-    assert not intersects(Request(g, 0, 2), Request(g, 2, 5))
+    assert _intersects(Request(g, 0, 2), Request(g, 1, 3))
+    assert not _intersects(Request(g, 0, 2), Request(g, 2, 5))
 
 
 def test_intersects_on_tree():
     t = TreeGraph(NESTED_EDGES)
-    assert not intersects(Request(t, 6, 8), Request(t, 12, 13))
-
-
-def test_intersects_rejects_cross_graph():
-    a, b = PathGraph(5), PathGraph(7)
-    with pytest.raises(InvalidRequestError):
-        intersects(Request(a, 0, 2), Request(b, 0, 2))
+    assert not _intersects(Request(t, 6, 8), Request(t, 12, 13))
 
 
 @given(st.data())
@@ -86,8 +83,8 @@ def test_intersects_matches_edge_set_computation(data):
     r1 = data.draw(st.sampled_from(pairs))
     r2 = data.draw(st.sampled_from(pairs))
     expect = bool(edge_set(t, r1) & edge_set(t, r2))
-    assert intersects(r1, r2) == expect
-    assert intersects(r2, r1) == expect
+    assert _intersects(r1, r2) == expect
+    assert _intersects(r2, r1) == expect
 
 
 @given(st.data())
@@ -96,7 +93,7 @@ def test_unique_path_is_connected_and_has_distance_length(data):
     rng = random.Random(data.draw(st.integers(0, 10**6)))
     t = random_tree(n, rng)
     r = data.draw(st.sampled_from(all_pairs(t)))
-    walk = unique_path(t, r)
+    walk = path_edges(t, r)
     assert walk[0][0] == r.x and walk[-1][1] == r.y
     for (a, b), (c, d) in zip(walk, walk[1:]):
         assert b == c

@@ -11,10 +11,8 @@ from priodpa import (
     Request,
     TreeGraph,
     brute_force_opt,
-    edge_set,
     gain,
     greediest_opt,
-    intersects,
     max_allocatable,
     request_length,
     validate_solution,
@@ -23,7 +21,7 @@ from priodpa.lwdpa import lwdpa_order
 from priodpa.paths import right_end_order
 from priodpa.trees import cat_order
 
-from helpers import STAR4_EDGES, all_pairs, random_instance, random_tree
+from helpers import STAR4_EDGES, all_pairs, edge_set, random_instance, random_tree
 
 
 def _direct_optimum(instance, mode):
@@ -34,7 +32,8 @@ def _direct_optimum(instance, mode):
     for k in range(len(reqs), 0, -1):
         for combo in itertools.combinations(reqs, k):
             if all(
-                not intersects(a, b) for a, b in itertools.combinations(combo, 2)
+                not (edge_set(g, a) & edge_set(g, b))
+                for a, b in itertools.combinations(combo, 2)
             ):
                 w = (
                     len(combo)

@@ -39,6 +39,7 @@ from helpers import (
     random_high_degree_tree,
     random_instance,
     random_tree,
+    root_walk,
 )
 
 
@@ -72,13 +73,6 @@ def test_greedy_loses_half_on_a_star():
     assert brute_force_opt(inst, "count").optimum == 2
 
 
-def _root_walk(tree, v):
-    walk = [v]
-    while tree.parent[walk[-1]] is not None:
-        walk.append(tree.parent[walk[-1]])
-    return walk
-
-
 @given(st.data())
 def test_root_path_masks_match_parent_walks(data):
     n = data.draw(st.integers(2, 30))
@@ -87,7 +81,7 @@ def test_root_path_masks_match_parent_walks(data):
     for _ in range(5):
         x, y = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
         r = Request(t, x, y)
-        wx, wy = _root_walk(t, r.x), _root_walk(t, r.y)
+        wx, wy = root_walk(t, r.x), root_walk(t, r.y)
         top = next(v for v in wx if v in wy)
         below_x, below_y = wx[:wx.index(top)], wy[:wy.index(top)]
         assert edge_mask(t, r) == sum(1 << v for v in below_x + below_y)
