@@ -9,6 +9,7 @@ from .graphs import (
     InvalidTreeError,
     PathGraph,
     PriodpaError,
+    PropertyViolation,
     Request,
     Solution,
     TreeGraph,

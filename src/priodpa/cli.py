@@ -20,7 +20,7 @@ import random
 import sys
 import time
 
-from .graphs import PriodpaError, graph_from_json, instance_hash, load_instance
+from .graphs import PriodpaError, PropertyViolation, graph_from_json, instance_hash, load_instance
 from .engine import AdviceTape, decode_run, run
 from .oracle import InstanceTooLargeError, brute_force_opt
 from .graphs import gain as gain_of
@@ -317,6 +317,9 @@ def main(argv=None):
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return 2
+    except PropertyViolation as exc:
+        print(f"property failed: {exc}", file=sys.stderr)
+        return 1
     except (PriodpaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

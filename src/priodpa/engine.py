@@ -20,6 +20,7 @@ from .graphs import (
     Instance,
     InvalidParameterError,
     PriodpaError,
+    PropertyViolation,
     Solution,
     _walk_ok,
     edge_mask,
@@ -183,7 +184,6 @@ class RunState:
     accepted: list = field(default_factory=list)
     allocations: dict = field(default_factory=dict)
     log: list = field(default_factory=list)  # every Decision, in order
-    scratch: dict = field(default_factory=dict)  # algorithm-private state
 
     def fits(self, request):
         """Unique-path hosts: is the request's path fully unblocked?"""
@@ -322,7 +322,8 @@ def adversary_outcome(session, instance, case, witness, mode="count"):
     """Score a finished adversary game: the algorithm's gain from the
     session against the optimum of ``witness``, which must be a valid
     solution of the ``instance`` the adversary served."""
-    assert validate_solution(instance, witness), "adversary witness must be valid"
+    if not validate_solution(instance, witness):
+        raise PropertyViolation(f"{case}: the adversary's witness is not a valid solution")
     alg = gain(session.result().solution, mode)
     opt = gain(witness, mode)
     return AdversaryOutcome(instance, ratio(opt, alg), case, alg, opt, witness)

@@ -47,6 +47,10 @@ class InvalidParameterError(PriodpaError, ValueError):
     """A numeric construction parameter is out of range."""
 
 
+class PropertyViolation(PriodpaError, RuntimeError):
+    """A property the package proves or checks failed on a run."""
+
+
 # --------------------------------------------------------------------------
 # host graphs
 # --------------------------------------------------------------------------
@@ -106,6 +110,7 @@ class TreeGraph:
             adj[v].append(u)
         self.n = n
         self.edges = tuple(sorted(seen))
+        self._hash = hash(("tree", self.edges))
         self.adj = {v: tuple(sorted(nb)) for v, nb in adj.items()}
         self.degree = {v: len(self.adj[v]) for v in range(n)}
         if n == 1:
@@ -147,7 +152,7 @@ class TreeGraph:
         return isinstance(other, TreeGraph) and other.edges == self.edges
 
     def __hash__(self):
-        return hash(("tree", self.edges))
+        return self._hash
 
     def __repr__(self):
         return f"TreeGraph({list(self.edges)!r})"

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import GridGraph, Instance, Request, Solution
+from .graphs import GridGraph, Instance, PropertyViolation, Request, Solution
 from .engine import Decision, PriorityAlgorithm, PriorityOrder, Session, adversary_outcome
 from .oracle import grid_simple_paths, max_allocatable
 
@@ -71,7 +71,8 @@ def _walk_vertices(allocation, start):
     vs = [allocation[0][0]] + [e[1] for e in allocation]
     if vs[0] != start:
         vs.reverse()
-    assert vs[0] == start
+    if vs[0] != start:
+        raise PropertyViolation(f"the routing does not run from {start}")
     return vs
 
 
@@ -93,7 +94,8 @@ def _followups(graph, req, path_vertices):
             Request(graph, t_prime, other_mid),
         )
     inner = [c for c in path_vertices[1:-1] if c in CORNERS]
-    assert inner, "a center-free routing passes an internal corner"
+    if not inner:
+        raise PropertyViolation("a center-free routing must pass an internal corner")
     c = next(c for c in inner if abs(v[0] - c[0]) + abs(v[1] - c[1]) == 2)
     x, y = (m for m in MIDPOINTS if m in graph.neighbors(antipode(c)))
     return "corner", (Request(graph, c, x), Request(graph, c, y))

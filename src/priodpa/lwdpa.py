@@ -20,6 +20,7 @@ from .graphs import (
     InvalidParameterError,
     Request,
     PathGraph,
+    PropertyViolation,
     Solution,
     request_length,
 )
@@ -91,7 +92,8 @@ def build_pab(params):
     """Host path, the long requests p_1..p_{2b-1}, and all unit requests."""
     g = PathGraph(params.l)
     longs = tuple(Request(g, *params.span_of(i)) for i in range(1, 2 * params.b))
-    assert longs[-1].y == params.l, "layer structure must end exactly at l"
+    if longs[-1].y != params.l:
+        raise PropertyViolation("the layer structure must end exactly at l")
     units = tuple(Request(g, e, e + 1) for e in range(params.l))
     return g, longs, units
 
@@ -179,7 +181,6 @@ def encode_lwdpa_advice(instance):
     for blk in range(_block_count(g.length)):
         offsets = tuple(s - 4 * blk for s in starts if 4 * blk <= s < 4 * blk + 4)
         writer.write_field(_BLOCK_CODE[offsets], 3)
-    assert len(writer) == 3 * _block_count(g.length)
     return writer.tape()
 
 

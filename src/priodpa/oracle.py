@@ -1,12 +1,23 @@
 """Exact optima by exhaustive search, with canonical witnesses.
 
-The witness returned for cycle-free hosts is the lexicographically smallest
-maximizer: subsets are ranked by their bitmask over the instance's requests
-sorted by normalized endpoints, and the smallest optimal mask wins.  For
-speed the conflict graph is split into connected components, each component
-is enumerated by increasing bitmask, and the per-component minimal masks are
-recombined — bit positions of different components are disjoint, so the sum
-of coordinate-wise minima is the overall minimum.
+On cycle-free hosts a set of requests is read as a bitmask over a ranking
+of the requests (request i is bit i), and the witness is the smallest or
+the largest optimal mask.  The conflict graph is split into connected
+components, and each component is searched depth-first over its
+conflict-free subsets, deciding the highest bit first.  Leaving a request
+out before taking it meets the subsets in increasing mask order; taking it
+first meets them in decreasing order.  The first strict maximizer wins,
+and a branch stops once its weight plus the weight of every undecided
+request that still fits cannot beat the best so far.  Bit positions of
+different components are disjoint, so the per-component extremes combine
+into the overall one.  Two rules use the search:
+
+* ``brute_force_opt`` ranks requests by normalized endpoints and keeps the
+  smallest optimal mask;
+* ``greediest_opt`` ranks them by presentation, the first-presented request
+  being the highest bit, and keeps the largest optimal mask.  That is the
+  optimum which keeps each request, in presentation order, whenever the
+  requests kept so far and it still extend to an optimum.
 
 Grids (3x3 only) are handled by enumerating accepted subsets and searching
 for edge-disjoint routings over precomputed simple-path lists.
@@ -18,11 +29,9 @@ from dataclasses import dataclass
 
 from .graphs import (
     InvalidParameterError,
-    Instance,
     PriodpaError,
     Solution,
     edge_mask,
-    request_length,
 )
 from .engine import InvalidOrderError
 
@@ -59,104 +68,84 @@ def _components(masks):
     return comps
 
 
-def _component_best(indices, masks, weights):
-    """Enumerate one component by increasing bitmask.
+def _component_best(indices, masks, weights, largest):
+    """Best weight of one component and its smallest (or ``largest``)
+    optimal local mask; local bit j is request indices[j]."""
+    # a lone request is its own optimum; most components of tiny instances
+    # are lone, and the walk's set-up would dominate their cost
+    if len(indices) == 1:
+        return weights[indices[0]], 1
+    ms = [masks[i] for i in indices]
+    ws = [weights[i] for i in indices]
+    best_w, best_sub = -1, 0
+    branches = (1, 0) if largest else (0, 1)
 
-    Returns (best_weight, minimal best local mask).  Local bit j corresponds
-    to indices[j]; because indices are ascending and subsets are scanned in
-    increasing local-mask order, the first maximizer is also minimal as a
-    global mask.
-    """
-    k = len(indices)
-    best_w = -1
-    best_mask = 0
-    for sub in range(1 << k):
-        used = 0
-        w = 0
-        ok = True
-        for j in range(k):
-            if sub >> j & 1:
-                m = masks[indices[j]]
-                if used & m:
-                    ok = False
-                    break
-                used |= m
-                w += weights[indices[j]]
-        if ok and w > best_w:
-            best_w = w
-            best_mask = sub
-    return best_w, best_mask
+    def walk(j, used, w, sub):
+        # decide bit j; the bits above it are decided, with edges ``used``
+        nonlocal best_w, best_sub
+        for take in branches:
+            if take and used & ms[j]:
+                continue
+            edges, gain, mask = (used | ms[j], w + ws[j], sub | 1 << j) if take else (used, w, sub)
+            if not j:
+                if gain > best_w:
+                    best_w, best_sub = gain, mask
+            # go on only while the requests below that still fit could beat the best
+            elif gain + sum([ws[i] for i in range(j) if not edges & ms[i]]) > best_w:
+                walk(j - 1, edges, gain, mask)
+
+    walk(len(ms) - 1, 0, 0, 0)
+    return best_w, best_sub
+
+
+def _check_cap(instance, cap):
+    if len(instance.requests) > cap:
+        raise InstanceTooLargeError(f"{len(instance.requests)} requests exceed the cap of {cap}")
+
+
+def _extreme_opt(graph, ranked, mode, largest):
+    """Optimum over ``ranked`` (request i is bit i) and its extreme witness."""
+    masks = [edge_mask(graph, r) for r in ranked]
+    if mode == "count":
+        weights = [1] * len(ranked)
+    elif mode == "length":
+        weights = [m.bit_count() for m in masks]
+    else:
+        raise InvalidParameterError(f"unknown gain mode {mode!r}")
+    total = 0
+    chosen = []
+    for comp in _components(masks):
+        w, local_mask = _component_best(comp, masks, weights, largest)
+        total += w
+        chosen.extend(ranked[i] for j, i in enumerate(comp) if local_mask >> j & 1)
+    return OracleResult(total, Solution(graph, tuple(sorted(chosen, key=lambda r: r.key))))
 
 
 def brute_force_opt(instance, mode="count", cap=22):
-    """Exact optimum and its canonical witness.
+    """Exact optimum and its canonical witness, the smallest optimal mask
+    over the requests sorted by normalized endpoints.
 
     ``cap`` is the one size limit: an instance with more requests raises
     InstanceTooLargeError, whatever its conflict structure.  Grids also
     stop at 3x3 and 12 requests.
     """
-    g = instance.graph
-    reqs = instance.requests  # already sorted by normalized endpoints
-    if len(reqs) > cap:
-        raise InstanceTooLargeError(f"{len(reqs)} requests exceed the cap of {cap}")
-    if g.kind == "grid":
+    _check_cap(instance, cap)
+    if instance.graph.kind == "grid":
         return _grid_opt(instance, mode)
-    if not reqs:
-        return OracleResult(0, Solution(g, ()))
-
-    masks = [edge_mask(g, r) for r in reqs]
-    if mode == "count":
-        weights = [1] * len(reqs)
-    elif mode == "length":
-        weights = [request_length(g, r) for r in reqs]
-    else:
-        raise InvalidParameterError(f"unknown gain mode {mode!r}")
-
-    total = 0
-    chosen = []
-    for comp in _components(masks):
-        w, local_mask = _component_best(comp, masks, weights)
-        total += w
-        chosen.extend(comp[j] for j in range(len(comp)) if local_mask >> j & 1)
-    return OracleResult(total, Solution(g, tuple(reqs[i] for i in sorted(chosen))))
-
-
-def max_gain_completion(graph, requests, blocked_mask, mode="count"):
-    """Best achievable gain from ``requests`` with some edges pre-blocked."""
-    usable = [r for r in requests if not (edge_mask(graph, r) & blocked_mask)]
-    if not usable:
-        return 0
-    sub = Instance(graph, usable)
-    return brute_force_opt(sub, mode=mode).optimum
+    return _extreme_opt(instance.graph, instance.requests, mode, largest=False)
 
 
 def greediest_opt(instance, order, mode="count"):
-    """The canonical optimum of a fixed priority order.
-
-    Walk the presentation sequence; keep a request exactly when the kept
-    prefix together with it still extends to an optimal solution.
-    """
+    """The canonical optimum of a fixed priority order: the largest optimal
+    mask when the first-presented request is the highest bit."""
     if order.readapt is not None:
         raise InvalidOrderError("greediest_opt needs a fixed (non-adaptive) order")
     g = instance.graph
     if g.kind == "grid":
         raise InvalidParameterError("greediest_opt is only defined on cycle-free hosts")
-    opt = brute_force_opt(instance, mode=mode).optimum
-    seq = order.sort(instance.requests)
-    chosen = []
-    chosen_gain = 0
-    mask = 0
-    for i, r in enumerate(seq):
-        m = edge_mask(g, r)
-        if mask & m:
-            continue
-        w = 1 if mode == "count" else request_length(g, r)
-        rest = max_gain_completion(g, seq[i + 1:], mask | m, mode)
-        if chosen_gain + w + rest == opt:
-            chosen.append(r)
-            chosen_gain += w
-            mask |= m
-    return Solution(g, tuple(sorted(chosen, key=lambda r: r.key)))
+    _check_cap(instance, 22)
+    ranked = order.sort(instance.requests)[::-1]
+    return _extreme_opt(g, ranked, mode, largest=True).witness
 
 
 # --------------------------------------------------------------------------

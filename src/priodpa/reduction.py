@@ -22,6 +22,7 @@ from .graphs import (
     InvalidParameterError,
     InvalidTreeError,
     PathGraph,
+    PropertyViolation,
     Request,
     TreeGraph,
     edge_mask,
@@ -136,7 +137,8 @@ def _guessing_game(algorithm, graph, blocks, hidden, block_opt, mode, zero_follo
         else:
             queue.update(zero_followups(set(blocks[i - 1]) - {m, complement[m]}))
         meta.append((i, m, y, d))
-    assert not upcoming
+    if upcoming:
+        raise PropertyViolation("every block must be played in exactly one round")
     served.extend(session.drain(queue))
 
     sol = session.result().solution

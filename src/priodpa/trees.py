@@ -25,6 +25,7 @@ from .graphs import (
     Instance,
     InvalidParameterError,
     InvalidTreeError,
+    PropertyViolation,
     Request,
     Solution,
     edge_mask,
@@ -150,73 +151,16 @@ def tree_advice_bound(tree):
 
 
 def encode_cat_advice(instance):
-    """Advice pinning the canonical optimum; simulates the decoder so both
-    sides derive identical remaining-edge lists from the shared decisions."""
+    """Advice pinning the canonical optimum: the decoder runs with its
+    labels computed from the optimum, writing the fields it would read."""
     tree = instance.graph
     if tree.kind != "tree":
         raise InvalidParameterError("this codec works on tree hosts")
-    order = cat_order(tree)
-    opt_gr = set(greediest_opt(instance, order, mode="count").accepted)
-    writer = AdviceWriter()
-    mask = 0
-    cur_peak = None
-    labels = None  # per-phase {child: label}, None until first pass-through
-    for r in order.sort(instance.requests):
-        pk = peak(tree, r)
-        if pk.vertex != cur_peak:
-            cur_peak = pk.vertex
-            labels = None
-        v = pk.vertex
-        fits = not (edge_mask(tree, r) & mask)
-        if tree.degree[v] <= 3 or pk.is_endpoint:
-            accept = fits
-            assert accept == (r in opt_gr), "greedy sub-phase must match the canonical optimum"
-        else:
-            if labels is None:
-                labels = _emit_phase_labels(tree, v, mask, opt_gr, writer)
-            cx, cy = _sides(tree, r, v)
-            lab = labels.get(cx, 0)
-            accept = fits and lab > 0 and lab == labels.get(cy, 0)
-            assert accept == (r in opt_gr), "label rule must match the canonical optimum"
-        if accept:
-            mask |= edge_mask(tree, r)
-    return writer.tape()
-
-
-def _emit_phase_labels(tree, v, mask, opt_gr, writer):
-    remaining = _remaining_children(tree, v, mask)
-    # which optimal pass-through requests peak here, and which child edges
-    # serve optimal requests of *later* (shallower-peak) phases
-    side_map = {}
-    for q in opt_gr:
-        pq = peak(tree, q)
-        if pq.vertex == v and not pq.is_endpoint:
-            cx, cy = _sides(tree, q, v)
-            assert cx in remaining and cy in remaining
-            side_map[cx] = q
-            side_map[cy] = q
-    later = 0
-    for c in remaining:
-        if c in side_map:
-            continue
-        for q in opt_gr:
-            if tree.depth[peak(tree, q).vertex] < tree.depth[v] and (edge_mask(tree, q) >> c) & 1:
-                later += 1
-    assert later <= 1, "at most one remaining edge may serve a later phase"
-    labels = {}
-    numbered = {}
-    for c in remaining:
-        q = side_map.get(c)
-        if q is None:
-            labels[c] = 0
-        else:
-            if q not in numbered:
-                numbered[q] = len(numbered) + 1
-            labels[c] = numbered[q]
-    width = _field_width(tree.degree[v])
-    for c in remaining[:-1]:
-        writer.write_field(labels[c], width)
-    return labels
+    optimum = greediest_opt(instance, cat_order(tree), mode="count").accepted
+    encoder = _CatAdviceEncoder(tree, optimum)
+    if set(run(encoder, instance).solution.accepted) != set(optimum):
+        raise PropertyViolation("the labeled run must accept the canonical optimum")
+    return encoder.writer.tape()
 
 
 class CatAdviceAlgorithm(PriorityAlgorithm):
@@ -228,28 +172,55 @@ class CatAdviceAlgorithm(PriorityAlgorithm):
     def initial_order(self, graph, advice):
         if graph.kind != "tree":
             raise InvalidParameterError("this codec works on tree hosts")
+        self.peak = self.labels = None
         return cat_order(graph)
 
     def decide(self, request, state, advice):
         tree = state.graph
         pk = peak(tree, request)
         v = pk.vertex
-        if state.scratch.get("peak") != v:
-            state.scratch["peak"] = v
-            state.scratch["labels"] = None
+        if self.peak != v:
+            self.peak, self.labels = v, None
         fits = state.fits(request)
         if tree.degree[v] <= 3 or pk.is_endpoint:
             return Decision(request, fits)
-        labels = state.scratch["labels"]
-        if labels is None:
+        if self.labels is None:
             remaining = _remaining_children(tree, v, state.blocked_mask)
-            width = _field_width(tree.degree[v])
-            read = [advice.read_field(width) for _ in range(max(len(remaining) - 1, 0))]
-            labels = dict(zip(remaining, _infer_last(read, len(remaining))))
-            state.scratch["labels"] = labels
+            fields = self.phase_fields(remaining, _field_width(tree.degree[v]), advice)
+            self.labels = dict(zip(remaining, _infer_last(fields, len(remaining))))
         cx, cy = _sides(tree, request, v)
-        lab = labels.get(cx, 0)
-        return Decision(request, fits and lab > 0 and lab == labels.get(cy, 0))
+        lab = self.labels.get(cx, 0)
+        return Decision(request, fits and lab > 0 and lab == self.labels.get(cy, 0))
+
+    def phase_fields(self, remaining, width, advice):
+        """The labels of all remaining child edges but the last."""
+        return [advice.read_field(width) for _ in remaining[1:]]
+
+
+class _CatAdviceEncoder(CatAdviceAlgorithm):
+    """The decoder, with each phase's labels taken from ``optimum`` and
+    written instead of read: the two peak edges of an optimal pass-through
+    request share a label, numbered from 1 in order of the remaining
+    edges, and every other edge is labeled 0."""
+
+    name = "encode-cat"
+
+    def __init__(self, tree, optimum):
+        self.writer = AdviceWriter()
+        self.pair_of = {}  # child vertex -> the optimal request through it
+        for q in optimum:
+            pk = peak(tree, q)
+            if not pk.is_endpoint:
+                for c in _sides(tree, q, pk.vertex):
+                    self.pair_of[c] = q
+
+    def phase_fields(self, remaining, width, advice):
+        numbered = {}
+        labels = [numbered.setdefault(self.pair_of[c], len(numbered) + 1)
+                  if c in self.pair_of else 0 for c in remaining]
+        for lab in labels[:-1]:
+            self.writer.write_field(lab, width)
+        return labels[:-1]
 
 
 def decode_run_cat(instance, tape):
@@ -286,7 +257,8 @@ def pack_s4(tree):
         if not high:
             break
         eligible = [v for v in sorted(high) if sum(1 for w in adj[v] if w in high) <= 1]
-        assert eligible, "the induced forest of high-degree vertices always has a leaf"
+        if not eligible:
+            raise PropertyViolation("the induced forest of high-degree vertices must have a leaf")
         u = eligible[0]
         nbs = sorted(adj[u])
         for j in range(len(nbs) // 4):
@@ -294,5 +266,6 @@ def pack_s4(tree):
         for w in adj[u]:
             adj[w].discard(u)
         adj[u] = set()
-    assert len(copies) >= sigma(tree)
+    if len(copies) < sigma(tree):
+        raise PropertyViolation(f"{len(copies)} stars fall short of sigma = {sigma(tree)}")
     return tuple(copies)

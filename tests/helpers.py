@@ -1,14 +1,16 @@
 """Shared generators for the test suite: Prufer-coded random trees,
 canonical enumeration of small free trees, request sampling, the paths of
-the committed instance files, and the walk-based reference geometry that
-the library's edge masks are checked against."""
+the committed instance files, the walk-based reference geometry that the
+library's edge masks are checked against, and the plain subset scans that
+the oracle's canonical witnesses are checked against."""
 
 import heapq
 import itertools
 from functools import lru_cache
 from pathlib import Path
 
-from priodpa import Instance, Request, TreeGraph
+from priodpa import Instance, Request, TreeGraph, request_length
+from priodpa.graphs import edge_mask
 
 # Instance files under tests/data, found from this file so the suite runs
 # from any working directory. DEMO is the README's 15-edge LWDPA instance;
@@ -137,6 +139,49 @@ def random_instance(graph, max_requests, rng):
     pairs = all_pairs(graph)
     k = rng.randint(0, min(max_requests, len(pairs)))
     return Instance(graph, rng.sample(pairs, k))
+
+
+def scan_opt(graph, requests, mode, blocked_mask=0):
+    """Reference oracle: scan every subset of ``requests`` (request i is
+    bit i) by increasing mask, skipping requests that meet ``blocked_mask``;
+    return the optimum and the first, so smallest, optimal subset."""
+    reqs = [r for r in requests if not edge_mask(graph, r) & blocked_mask]
+    masks = [edge_mask(graph, r) for r in reqs]
+    weights = [1 if mode == "count" else request_length(graph, r) for r in reqs]
+    used = [0] * (1 << len(reqs))   # edges of each subset, or -1 on a conflict
+    total = [0] * (1 << len(reqs))
+    best, best_sub = 0, 0
+    for sub in range(1, 1 << len(reqs)):
+        j = (sub & -sub).bit_length() - 1
+        rest = sub & (sub - 1)
+        if used[rest] < 0 or used[rest] & masks[j]:
+            used[sub] = -1
+            continue
+        used[sub] = used[rest] | masks[j]
+        total[sub] = total[rest] + weights[j]
+        if total[sub] > best:
+            best, best_sub = total[sub], sub
+    return best, [r for i, r in enumerate(reqs) if best_sub >> i & 1]
+
+
+def prefix_walk_greediest(instance, order, mode):
+    """Reference for greediest_opt: walk the presentation sequence and keep
+    a request when the kept requests and it still extend to an optimum,
+    with each completion taken from ``scan_opt``."""
+    g = instance.graph
+    opt = scan_opt(g, instance.requests, mode)[0]
+    seq = order.sort(instance.requests)
+    chosen, chosen_gain, mask = [], 0, 0
+    for i, r in enumerate(seq):
+        m = edge_mask(g, r)
+        if mask & m:
+            continue
+        w = 1 if mode == "count" else request_length(g, r)
+        if chosen_gain + w + scan_opt(g, seq[i + 1:], mode, mask | m)[0] == opt:
+            chosen.append(r)
+            chosen_gain += w
+            mask |= m
+    return sorted(chosen, key=lambda r: r.key)
 
 
 # A two-level caterpillar whose request peaks sit at three different depths,

@@ -49,6 +49,36 @@ MUTANTS = {
         "return graph.up[req.x] | graph.up[req.y]",
         "tests/test_trees.py",
     ),
+    "tree-up-bit-of-parent": (
+        "graphs.py",
+        "up[w] = up[v] | 1 << w",
+        "up[w] = up[v] | 1 << v",
+        "tests/test_trees.py",
+    ),
+    "sides-larger-first": (
+        "trees.py",
+        "cx, cy = (c for c in tree.children[v] if mask >> c & 1)",
+        "cy, cx = (c for c in tree.children[v] if mask >> c & 1)",
+        "tests/test_trees.py",
+    ),
+    "brute-force-takes-first": (
+        "oracle.py",
+        "branches = (1, 0) if largest else (0, 1)",
+        "branches = (1, 0) if largest else (1, 0)",
+        "tests/test_oracle.py",
+    ),
+    "greediest-leaves-first": (
+        "oracle.py",
+        "branches = (1, 0) if largest else (0, 1)",
+        "branches = (0, 1) if largest else (0, 1)",
+        "tests/test_oracle.py",
+    ),
+    "bound-prunes-at-best-plus-one": (
+        "oracle.py",
+        "if not edges & ms[i]]) > best_w:",
+        "if not edges & ms[i]]) > best_w + 1:",
+        "tests/test_oracle.py",
+    ),
     "grid-reverse-direction-bit": (
         "graphs.py",
         "bits[v, w] = bits[w, v] = 1 << i",

@@ -17,11 +17,20 @@ from priodpa import (
     request_length,
     validate_solution,
 )
+from priodpa.battery import battery
 from priodpa.lwdpa import lwdpa_order
 from priodpa.paths import right_end_order
 from priodpa.trees import cat_order
 
-from helpers import STAR4_EDGES, all_pairs, edge_set, random_instance, random_tree
+from helpers import (
+    STAR4_EDGES,
+    all_pairs,
+    edge_set,
+    prefix_walk_greediest,
+    random_instance,
+    random_tree,
+    scan_opt,
+)
 
 
 def _direct_optimum(instance, mode):
@@ -136,6 +145,54 @@ def test_dense_component_up_to_the_cap_is_solved():
     res = brute_force_opt(inst, "count")
     assert res.optimum == 1
     assert [r.key for r in res.witness.accepted] == [(0, 1)]
+
+
+def test_long_request_over_its_units():
+    # one 22-request component: [0, 21] over 21 units, whose 2^21 unit
+    # subsets are all conflict-free
+    g = PathGraph(21)
+    units = [Request(g, i, i + 1) for i in range(21)]
+    inst = Instance(g, [Request(g, 0, 21)] + units)
+    res = brute_force_opt(inst, "count")
+    assert res.optimum == 21 and res.witness.accepted == tuple(units)
+    res = brute_force_opt(inst, "length")
+    assert res.optimum == 21
+    assert [r.key for r in res.witness.accepted] == [(0, 21)]
+
+
+def _fixed_battery_orders(graph):
+    problems = ("dpa-path", "lwdpa") if graph.kind == "path" else ("cat",)
+    orders = {}
+    for problem in problems:
+        for alg in battery(problem):
+            order = alg.initial_order(graph, None)
+            if order.readapt is None:
+                orders.setdefault(order.name, order)
+    return list(orders.values())
+
+
+def test_witnesses_match_the_reference_scans():
+    """Both rules against the plain increasing-mask scan and the prefix
+    walk, on paths and trees, in both modes, under every fixed order of
+    the battery (reversed and sha orders included)."""
+    rng = random.Random(2026)
+    compared = 0
+    for _ in range(300):
+        if rng.random() < 0.5:
+            graph = PathGraph(rng.randint(2, 9))
+        else:
+            graph = random_tree(rng.randint(3, 10), rng)
+        inst = random_instance(graph, 14, rng)
+        orders = _fixed_battery_orders(graph)
+        for mode in ("count", "length"):
+            res = brute_force_opt(inst, mode)
+            expected = scan_opt(graph, inst.requests, mode)
+            assert (res.optimum, list(res.witness.accepted)) == expected
+            for order in orders:
+                sol = greediest_opt(inst, order, mode)
+                assert list(sol.accepted) == prefix_walk_greediest(inst, order, mode)
+            compared += 1 + len(orders)
+    assert compared > 8000
 
 
 def test_conflict_components_solved_independently():

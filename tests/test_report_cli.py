@@ -1,14 +1,17 @@
+import ast
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from priodpa import cli
+import priodpa
+from priodpa import Solution, cli, trees
 from priodpa.graphs import InvalidParameterError
 from priodpa.report import RatioReport, render, render_csv, render_json_lines
 
-from helpers import CATERPILLAR, DEMO
+from helpers import CATERPILLAR, DATA, DEMO
 
 
 def _row(**kw):
@@ -270,3 +273,23 @@ def test_malformed_input_exits_2_with_one_line(name, capsys, tmp_path):
     assert rc == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_package_checks_properties_without_assert():
+    # ``python -O`` strips assert statements; checked properties raise
+    # PropertyViolation instead
+    package = Path(priodpa.__file__).parent
+    for source in sorted(package.glob("*.py")):
+        tree = ast.parse(source.read_text())
+        asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not asserts, f"{source.name}: assert on lines {asserts}"
+
+
+def test_violated_property_exits_1_with_one_line(capsys, monkeypatch):
+    # an encoder handed a non-canonical optimum cannot make its labeled
+    # run accept it
+    monkeypatch.setattr(trees, "greediest_opt", lambda inst, order, mode: Solution(inst.graph, ()))
+    rc, out, err = _main(capsys, "advice", "--problem", "cat", "--encode",
+                         "--instance", str(DATA / "hub-tree.json"))
+    assert rc == 1 and out == ""
+    assert err == "property failed: the labeled run must accept the canonical optimum\n"
