@@ -40,6 +40,10 @@ class InstanceTooLargeError(PriodpaError, RuntimeError):
     """The instance exceeds the brute-force cap."""
 
 
+# the default size limit of every exact search, in requests
+CAP = 22
+
+
 @dataclass(frozen=True)
 class OracleResult:
     optimum: int
@@ -71,10 +75,6 @@ def _components(masks):
 def _component_best(indices, masks, weights, largest):
     """Best weight of one component and its smallest (or ``largest``)
     optimal local mask; local bit j is request indices[j]."""
-    # a lone request is its own optimum; most components of tiny instances
-    # are lone, and the walk's set-up would dominate their cost
-    if len(indices) == 1:
-        return weights[indices[0]], 1
     ms = [masks[i] for i in indices]
     ws = [weights[i] for i in indices]
     best_w, best_sub = -1, 0
@@ -121,7 +121,7 @@ def _extreme_opt(graph, ranked, mode, largest):
     return OracleResult(total, Solution(graph, tuple(sorted(chosen, key=lambda r: r.key))))
 
 
-def brute_force_opt(instance, mode="count", cap=22):
+def brute_force_opt(instance, mode="count", cap=CAP):
     """Exact optimum and its canonical witness, the smallest optimal mask
     over the requests sorted by normalized endpoints.
 
@@ -143,7 +143,7 @@ def greediest_opt(instance, order, mode="count"):
     g = instance.graph
     if g.kind == "grid":
         raise InvalidParameterError("greediest_opt is only defined on cycle-free hosts")
-    _check_cap(instance, 22)
+    _check_cap(instance, CAP)
     ranked = order.sort(instance.requests)[::-1]
     return _extreme_opt(g, ranked, mode, largest=True).witness
 
