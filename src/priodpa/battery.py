@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 
 from .graphs import InvalidParameterError
-from .engine import Decision, GreedyAlgorithm, PriorityAlgorithm, PriorityOrder
+from .engine import Decision, GreedyAlgorithm, PriorityAlgorithm, PriorityOrder, RejectFirst
 from .paths import right_end_order
 from .lwdpa import lwdpa_order
 from .trees import cat_order
@@ -33,23 +33,6 @@ _CANONICAL = {
 def _hash_key(seed, r):
     digest = hashlib.sha256(f"{seed}:{r.x}:{r.y}".encode()).hexdigest()
     return (int(digest, 16), r.x, r.y)
-
-
-class RejectFirst(PriorityAlgorithm):
-    """Greedy, except the very first presented request is rejected."""
-
-    def __init__(self, order_factory, mode):
-        self.order_factory = order_factory
-        self.mode = mode
-        self.name = "reject-first"
-
-    def initial_order(self, graph, advice):
-        return self.order_factory(graph)
-
-    def decide(self, request, state, advice):
-        if not state.log:
-            return Decision(request, False)
-        return Decision(request, state.fits(request))
 
 
 class RejectAll(PriorityAlgorithm):
@@ -90,7 +73,7 @@ def battery(problem):
     algs = [
         GreedyAlgorithm(order_factory, "greedy", mode),
         GreedyAlgorithm(lambda g: order_factory(g).reversed(), "greedy-reversed", mode),
-        RejectFirst(order_factory, mode),
+        RejectFirst(GreedyAlgorithm(order_factory, "greedy", mode)),
         RejectAll(order_factory, mode),
         AdaptiveFlip(order_factory, mode),
     ]

@@ -22,7 +22,6 @@ from .graphs import (
     PriodpaError,
     PropertyViolation,
     Solution,
-    _walk_ok,
     edge_mask,
     gain,
     ratio,
@@ -189,10 +188,6 @@ class RunState:
         """Unique-path hosts: is the request's path fully unblocked?"""
         return not (edge_mask(self.graph, request) & self.blocked_mask)
 
-    def allocation_fits(self, allocation):
-        """Grids: are all edges of the routing unblocked?"""
-        return not (self.graph.route_mask(allocation) & self.blocked_mask)
-
 
 class PriorityAlgorithm:
     """Interface: a priority order plus an irrevocable decision rule."""
@@ -220,6 +215,23 @@ class GreedyAlgorithm(PriorityAlgorithm):
 
     def decide(self, request, state, advice):
         return Decision(request, state.fits(request))
+
+
+class RejectFirst(PriorityAlgorithm):
+    """``inner``, except that the very first presented request is rejected."""
+
+    def __init__(self, inner, name="reject-first"):
+        self.inner = inner
+        self.name = name
+        self.mode = inner.mode
+
+    def initial_order(self, graph, advice):
+        return self.inner.initial_order(graph, advice)
+
+    def decide(self, request, state, advice):
+        if not state.log:
+            return Decision(request, False)
+        return self.inner.decide(request, state, advice)
 
 
 @dataclass
@@ -267,13 +279,13 @@ class Session:
         decision = self.algorithm.decide(request, state, self.tape)
         if decision.accept:
             if self.graph.kind == "grid":
-                if not _walk_ok(self.graph, request, decision.allocation):
+                mask = self.graph.route_mask(request, decision.allocation)
+                if not mask:
                     raise IllegalAcceptanceError(
                         f"{self.algorithm.name}: accept without allocation of a simple route")
-                mask = self.graph.route_mask(decision.allocation)
                 if mask & state.blocked_mask:
                     raise IllegalAcceptanceError(f"{self.algorithm.name}: allocation reuses an edge")
-                state.allocations[request] = tuple(decision.allocation)
+                state.allocations[request] = decision.allocation
             else:
                 mask = edge_mask(self.graph, request)
                 if mask & state.blocked_mask:

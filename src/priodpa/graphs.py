@@ -17,8 +17,11 @@ bitmask, built only here:
 * trees: bit v is the edge from vertex v to its parent.  ``up[v]`` is the
   mask of the path from v to the root, so ``up[x] & up[y]`` is the root path
   of the endpoints' LCA and ``up[x] ^ up[y]`` is the x-y path itself;
-* grids: bit i is ``edge_list()[i]``, in either direction; ``route_mask``
-  turns a routing (a sequence of edges) into its mask.
+* the grid: bit i is ``edge_list()[i]``, in either direction.  Its route
+  table is the one place a grid route is enumerated, validated and masked:
+  ``routes(x, y)`` maps each simple x-y route to its mask, and
+  ``route_mask(request, route)`` is the mask of a route of the request in
+  either direction, or 0 for anything else.
 """
 
 from __future__ import annotations
@@ -159,18 +162,16 @@ class TreeGraph:
 
 
 class GridGraph:
-    """A rows x cols grid; vertices are (row, col) pairs."""
+    """The 3x3 grid; vertices are (row, col) pairs.  Each instance keeps
+    its own route table, filled as pairs are asked for."""
 
     kind = "grid"
 
-    def __init__(self, rows, cols):
-        if not (type(rows) is int and type(cols) is int) or rows < 2 or cols < 2:
-            raise InvalidParameterError("grid needs at least 2 rows and 2 columns")
-        self.rows = rows
-        self.cols = cols
+    def __init__(self):
+        self._routes = {}
 
     def vertices(self):
-        return tuple((r, c) for r in range(self.rows) for c in range(self.cols))
+        return tuple((r, c) for r in range(3) for c in range(3))
 
     def has_vertex(self, v):
         return (
@@ -178,15 +179,15 @@ class GridGraph:
             and len(v) == 2
             and type(v[0]) is int
             and type(v[1]) is int
-            and 0 <= v[0] < self.rows
-            and 0 <= v[1] < self.cols
+            and 0 <= v[0] < 3
+            and 0 <= v[1] < 3
         )
 
     def neighbors(self, v):
         r, c = v
         out = []
         for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            if 0 <= rr < self.rows and 0 <= cc < self.cols:
+            if 0 <= rr < 3 and 0 <= cc < 3:
                 out.append((rr, cc))
         return tuple(out)
 
@@ -201,27 +202,46 @@ class GridGraph:
             bits[v, w] = bits[w, v] = 1 << i
         return bits
 
-    def route_mask(self, route):
-        """Mask of a routing given as (u, v) edges in either direction."""
-        mask = 0
-        for u, v in route:
-            bit = self.edge_bit.get((u, v))
-            if bit is None:
-                raise InvalidRequestError(f"({u}, {v}) is not an edge of {self.descriptor()}")
-            mask |= bit
-        return mask
+    def routes(self, x, y):
+        """Every simple x-y route (a tuple of (u, v) edges) mapped to its
+        edge mask, in vertex-sequence order; built per pair on first use."""
+        table = self._routes.get((x, y))
+        if table is None:
+            found = []
+
+            def extend(walk, mask):
+                v = walk[-1]
+                if v == y:
+                    found.append((tuple(zip(walk, walk[1:])), mask))
+                    return
+                for w in self.neighbors(v):
+                    if w not in walk:
+                        extend(walk + [w], mask | self.edge_bit[v, w])
+
+            extend([x], 0)
+            table = self._routes[x, y] = dict(sorted(found))
+        return table
+
+    def route_mask(self, request, route):
+        """Mask of ``route`` if it is a simple route of ``request`` in either
+        direction, else 0."""
+        try:
+            return (self.routes(request.x, request.y).get(route)
+                    or self.routes(request.y, request.x).get(route, 0))
+        except TypeError:  # unhashable, so not a tuple of edge tuples
+            return 0
 
     def descriptor(self):
-        return f"grid:{self.rows}x{self.cols}"
+        return "grid:3x3"
 
     def __eq__(self, other):
-        return isinstance(other, GridGraph) and (other.rows, other.cols) == (self.rows, self.cols)
+        return isinstance(other, GridGraph)
 
     def __hash__(self):
-        return hash(("grid", self.rows, self.cols))
+        return hash("grid")
 
     def __repr__(self):
-        return f"GridGraph({self.rows}, {self.cols})"
+        return "GridGraph()"
 
 
 # --------------------------------------------------------------------------
@@ -345,18 +365,6 @@ def ratio(opt, alg):
     return Fraction(opt, alg)
 
 
-def _walk_ok(graph, req, alloc):
-    # alloc must be a simple path from req.x to req.y over host edges
-    if not alloc:
-        return False
-    vs = [alloc[0][0]]
-    for u, v in alloc:
-        if u != vs[-1] or (u, v) not in graph.edge_bit:
-            return False
-        vs.append(v)
-    return len(set(vs)) == len(vs) and {vs[0], vs[-1]} == {req.x, req.y}
-
-
 def validate_solution(instance, solution):
     """Check acceptance subset-ness and pairwise edge-disjointness."""
     if solution.graph != instance.graph:
@@ -372,14 +380,8 @@ def validate_solution(instance, solution):
         return False
     mask = 0
     for r in solution.accepted:
-        if grid:
-            alloc = solution.allocations.get(r)
-            if alloc is None or not _walk_ok(g, r, alloc):
-                return False
-            m = g.route_mask(alloc)
-        else:
-            m = edge_mask(g, r)
-        if mask & m:
+        m = g.route_mask(r, solution.allocations.get(r)) if grid else edge_mask(g, r)
+        if not m or mask & m:
             return False
         mask |= m
     return True
@@ -395,7 +397,7 @@ def graph_to_json(graph):
         return {"kind": "path", "length": graph.length}
     if graph.kind == "tree":
         return {"kind": "tree", "edges": [list(e) for e in graph.edges]}
-    return {"kind": "grid", "rows": graph.rows, "cols": graph.cols}
+    return {"kind": "grid", "rows": 3, "cols": 3}
 
 
 def _fields(obj, what, *names):
@@ -435,7 +437,10 @@ def graph_from_json(obj):
         _file_sized(len(edges))
         return TreeGraph(edges)
     if kind == "grid":
-        return GridGraph(*_fields(obj, "a grid", "rows", "cols"))
+        size = _fields(obj, "a grid", "rows", "cols")
+        if size != [3, 3] or {type(n) for n in size} != {int}:
+            raise InvalidParameterError("a grid has exactly 3 rows and 3 cols")
+        return GridGraph()
     raise InvalidParameterError(f"unknown graph kind {kind!r}")
 
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import GridGraph, Instance, PropertyViolation, Request, Solution
-from .engine import Decision, PriorityAlgorithm, PriorityOrder, Session, adversary_outcome
-from .oracle import grid_simple_paths, max_allocatable
+from .engine import Decision, PriorityAlgorithm, PriorityOrder, RejectFirst, Session, adversary_outcome
+from .oracle import max_allocatable
 
 CENTER = (1, 1)
 CORNERS = ((0, 0), (0, 2), (2, 0), (2, 2))
@@ -35,7 +35,7 @@ def antipode(v):
 
 
 def grid_3x3():
-    return GridGraph(3, 3)
+    return GridGraph()
 
 
 def distance3_pairs(graph):
@@ -110,7 +110,7 @@ def grid_adversary(algorithm):
     r = session.max_of(pairs)
     first = session.feed(r)
     if not first.accept:
-        alloc = {r: grid_simple_paths(g, r.x, r.y)[0]}
+        alloc = {r: next(iter(g.routes(r.x, r.y)))}
         return adversary_outcome(session, Instance(g, (r,)), "rejected-first",
                                  Solution(g, (r,), alloc))
 
@@ -166,10 +166,10 @@ def exhaustive_verify_3x3():
     cases = []
     for r in pairs:
         corner = r.x if r.x in CORNERS else r.y
-        for path in grid_simple_paths(g, corner, r.x if corner == r.y else r.y):
+        for path, mask in g.routes(corner, r.x if corner == r.y else r.y).items():
             vs = _walk_vertices(path, corner)
             case, followups = _followups(g, r, vs)
-            cont, _, _ = max_allocatable(g, followups, path)
+            cont, _, _ = max_allocatable(g, followups, mask)
             alg_total = 1 + cont
             fol, _, _ = max_allocatable(g, followups)
             opt, _, _ = max_allocatable(g, (r,) + followups)
@@ -205,30 +205,22 @@ class GridRouter(PriorityAlgorithm):
     """First-fit router; ``prefer`` steers the choice through or around
     the center when possible."""
 
-    def __init__(self, prefer=None, name="grid-first", reject_first=False):
+    def __init__(self, prefer=None, name="grid-first"):
         self.prefer = prefer
         self.name = name
-        self.reject_first = reject_first
 
     def initial_order(self, graph, advice):
         return grid_order(graph)
 
     def decide(self, request, state, advice):
-        if self.reject_first and not state.log:
-            return Decision(request, False)
-        feasible = [
-            p
-            for p in grid_simple_paths(state.graph, request.x, request.y)
-            if state.allocation_fits(p)
-        ]
+        routes = state.graph.routes(request.x, request.y).items()
+        feasible = [p for p, m in routes if not m & state.blocked_mask]
         if not feasible:
             return Decision(request, False)
-        if self.prefer == "via-center":
-            routed = [p for p in feasible if CENTER in _walk_vertices(p, request.x)]
-        elif self.prefer == "avoid-center":
-            routed = [p for p in feasible if CENTER not in _walk_vertices(p, request.x)]
-        else:
-            routed = feasible
+        routed = feasible
+        if self.prefer:
+            via = self.prefer == "via-center"
+            routed = [p for p in feasible if any(CENTER in e for e in p) == via]
         return Decision(request, True, (routed or feasible)[0])
 
 
@@ -237,5 +229,5 @@ def grid_battery():
         GridRouter(name="grid-first"),
         GridRouter("via-center", "grid-via-center"),
         GridRouter("avoid-center", "grid-avoid-center"),
-        GridRouter(name="grid-reject-first", reject_first=True),
+        RejectFirst(GridRouter(), "grid-reject-first"),
     )

@@ -19,8 +19,8 @@ into the overall one.  Two rules use the search:
   optimum which keeps each request, in presentation order, whenever the
   requests kept so far and it still extend to an optimum.
 
-Grids (3x3 only) are handled by enumerating accepted subsets and searching
-for edge-disjoint routings over precomputed simple-path lists.
+On the 3x3 grid ``max_allocatable`` enumerates accepted subsets and searches
+for edge-disjoint routings over the grid's route table.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class InstanceTooLargeError(PriodpaError, RuntimeError):
     """The instance exceeds the brute-force cap."""
 
 
-# the default size limit of every exact search, in requests
+# the size limit of every exact search, in requests
 CAP = 22
 
 
@@ -98,9 +98,9 @@ def _component_best(indices, masks, weights, largest):
     return best_w, best_sub
 
 
-def _check_cap(instance, cap):
-    if len(instance.requests) > cap:
-        raise InstanceTooLargeError(f"{len(instance.requests)} requests exceed the cap of {cap}")
+def _check_cap(instance):
+    if len(instance.requests) > CAP:
+        raise InstanceTooLargeError(f"{len(instance.requests)} requests exceed the cap of {CAP}")
 
 
 def _extreme_opt(graph, ranked, mode, largest):
@@ -121,15 +121,15 @@ def _extreme_opt(graph, ranked, mode, largest):
     return OracleResult(total, Solution(graph, tuple(sorted(chosen, key=lambda r: r.key))))
 
 
-def brute_force_opt(instance, mode="count", cap=CAP):
+def brute_force_opt(instance, mode="count"):
     """Exact optimum and its canonical witness, the smallest optimal mask
     over the requests sorted by normalized endpoints.
 
-    ``cap`` is the one size limit: an instance with more requests raises
+    ``CAP`` is the one size limit: an instance with more requests raises
     InstanceTooLargeError, whatever its conflict structure.  Grids also
-    stop at 3x3 and 12 requests.
+    stop at 12 requests.
     """
-    _check_cap(instance, cap)
+    _check_cap(instance)
     if instance.graph.kind == "grid":
         return _grid_opt(instance, mode)
     return _extreme_opt(instance.graph, instance.requests, mode, largest=False)
@@ -143,7 +143,7 @@ def greediest_opt(instance, order, mode="count"):
     g = instance.graph
     if g.kind == "grid":
         raise InvalidParameterError("greediest_opt is only defined on cycle-free hosts")
-    _check_cap(instance, CAP)
+    _check_cap(instance)
     ranked = order.sort(instance.requests)[::-1]
     return _extreme_opt(g, ranked, mode, largest=True).witness
 
@@ -151,27 +151,6 @@ def greediest_opt(instance, order, mode="count"):
 # --------------------------------------------------------------------------
 # grids
 # --------------------------------------------------------------------------
-
-
-def grid_simple_paths(graph, x, y):
-    """All simple x-y paths as edge tuples, sorted by vertex sequence."""
-    paths = []
-
-    def extend(v, visited, edges):
-        if v == y:
-            paths.append(tuple(edges))
-            return
-        for w in graph.neighbors(v):
-            if w not in visited:
-                visited.add(w)
-                edges.append((v, w))
-                extend(w, visited, edges)
-                edges.pop()
-                visited.remove(w)
-
-    extend(x, {x}, [])
-    paths.sort(key=lambda es: tuple(e for e in es))
-    return tuple(paths)
 
 
 def _route(path_lists, i, used, alloc):
@@ -188,9 +167,9 @@ def _route(path_lists, i, used, alloc):
     return False
 
 
-def max_allocatable(graph, requests, blocked_edges=frozenset()):
-    """Largest routable subset of ``requests`` given pre-used edges, in
-    either direction (a served routing will do).
+def max_allocatable(graph, requests, blocked=0):
+    """Largest routable subset of ``requests`` on the grid's edges outside
+    the mask ``blocked``.
 
     Returns (count, accepted tuple, allocations dict) with the canonical
     increasing-bitmask witness over endpoint-sorted requests.
@@ -198,11 +177,8 @@ def max_allocatable(graph, requests, blocked_edges=frozenset()):
     reqs = sorted(requests, key=lambda r: r.key)
     if len(reqs) > 12:
         raise InstanceTooLargeError("grid routing search capped at 12 requests")
-    blocked = graph.route_mask(blocked_edges)
-    lists = []
-    for r in reqs:
-        pairs = ((p, graph.route_mask(p)) for p in grid_simple_paths(graph, r.x, r.y))
-        lists.append([(p, m) for p, m in pairs if not m & blocked])
+    lists = [[(p, m) for p, m in graph.routes(r.x, r.y).items() if not m & blocked]
+             for r in reqs]
     best = (0, (), {})
     for sub in range(1 << len(reqs)):
         picked = [i for i in range(len(reqs)) if sub >> i & 1]
@@ -219,7 +195,5 @@ def _grid_opt(instance, mode):
     g = instance.graph
     if mode != "count":
         raise InvalidParameterError("grid oracle supports count gain only")
-    if (g.rows, g.cols) != (3, 3):
-        raise InstanceTooLargeError("grid oracle is implemented for the 3x3 grid only")
     count, accepted, alloc = max_allocatable(g, instance.requests)
     return OracleResult(count, Solution(g, accepted, alloc))

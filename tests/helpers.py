@@ -1,8 +1,10 @@
 """Shared generators for the test suite: Prufer-coded random trees,
 canonical enumeration of small free trees, request sampling, the paths of
 the committed instance files, the walk-based reference geometry that the
-library's edge masks are checked against, and the plain subset scans that
-the oracle's canonical witnesses are checked against."""
+library's edge masks are checked against, the plain subset scans that
+the oracle's canonical witnesses are checked against, and the depth-first
+route enumeration and walk check that the grid's route table is checked
+against."""
 
 import heapq
 import itertools
@@ -182,6 +184,41 @@ def prefix_walk_greediest(instance, order, mode):
             chosen_gain += w
             mask |= m
     return sorted(chosen, key=lambda r: r.key)
+
+
+def simple_paths(graph, x, y):
+    """Reference for ``GridGraph.routes``: every simple x-y path as a tuple
+    of (u, v) edges, found depth-first and sorted by vertex sequence."""
+    paths = []
+
+    def extend(v, visited, edges):
+        if v == y:
+            paths.append(tuple(edges))
+            return
+        for w in graph.neighbors(v):
+            if w not in visited:
+                visited.add(w)
+                edges.append((v, w))
+                extend(w, visited, edges)
+                edges.pop()
+                visited.remove(w)
+
+    extend(x, {x}, [])
+    return sorted(paths)
+
+
+def walk_ok(graph, req, walk):
+    """Reference for ``GridGraph.route_mask``: is ``walk`` a simple path
+    from one endpoint of ``req`` to the other over host edges?"""
+    if not walk:
+        return False
+    edges = set(graph.edge_list())
+    vs = [walk[0][0]]
+    for u, v in walk:
+        if u != vs[-1] or not ((u, v) in edges or (v, u) in edges):
+            return False
+        vs.append(v)
+    return len(set(vs)) == len(vs) and {vs[0], vs[-1]} == {req.x, req.y}
 
 
 # A two-level caterpillar whose request peaks sit at three different depths,

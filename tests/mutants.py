@@ -85,6 +85,12 @@ MUTANTS = {
         "bits[v, w], bits[w, v] = 1 << 2 * i, 1 << 2 * i + 1",
         "tests/test_grid.py",
     ),
+    "grid-route-one-direction": (
+        "graphs.py",
+        "                    or self.routes(request.y, request.x).get(route, 0))\n",
+        "                    or 0)\n",
+        "tests/test_grid.py",
+    ),
 }
 
 

@@ -145,7 +145,7 @@ def test_validate_solution_rejects_foreign_acceptance():
 
 
 def test_grid_allocations_checked_for_overlap():
-    gg = GridGraph(3, 3)
+    gg = GridGraph()
     r1, r2 = Request(gg, (0, 0), (1, 2)), Request(gg, (2, 0), (1, 1))
     inst = Instance(gg, [r1, r2])
     top = (((0, 0), (0, 1)), ((0, 1), (0, 2)), ((0, 2), (1, 2)))
@@ -208,13 +208,19 @@ def test_tree_graph_rejects_cycles_and_forests():
 
 
 def test_grid_graph_shape():
-    gg = GridGraph(3, 3)
+    gg = GridGraph()
     assert len(gg.vertices()) == 9
     assert len(gg.edge_list()) == 12
 
 
+@pytest.mark.parametrize("rows, cols", [(2, 3), (4, 3), (3, 2), (3.0, 3)])
+def test_a_grid_file_names_the_3x3_grid(rows, cols):
+    with pytest.raises(InvalidParameterError, match="exactly 3 rows and 3 cols"):
+        graph_from_json({"kind": "grid", "rows": rows, "cols": cols})
+
+
 def test_graph_json_roundtrip():
-    for g in (PathGraph(9), TreeGraph(NESTED_EDGES), GridGraph(3, 3)):
+    for g in (PathGraph(9), TreeGraph(NESTED_EDGES), GridGraph()):
         assert graph_from_json(graph_to_json(g)) == g
 
 

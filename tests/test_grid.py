@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from priodpa import (
     Session,
     validate_solution,
 )
-from priodpa.oracle import grid_simple_paths
 from priodpa.grid import (
     CENTER,
     CORNERS,
@@ -26,6 +26,8 @@ from priodpa.grid import (
     grid_battery,
     grid_order,
 )
+
+from helpers import simple_paths, walk_ok
 
 
 def test_grid_shape():
@@ -120,18 +122,68 @@ def test_adversary_witnesses_are_routable():
         assert out.ratio == math.inf or out.ratio >= Fraction(3, 2)
 
 
+def _reverse(route):
+    return tuple((v, u) for u, v in reversed(route))
+
+
 def test_route_masks_match_edge_sets_on_every_simple_routing():
     g = grid_3x3()
     vs = g.vertices()
-    routes = [p for i, a in enumerate(vs) for b in vs[i + 1:] for p in grid_simple_paths(g, a, b)]
-    edges = [{frozenset(e) for e in p} for p in routes]
-    masks = [g.route_mask(p) for p in routes]
-    for p, m in zip(routes, masks):
+    routes = [(Request(g, a, b), p) for i, a in enumerate(vs) for b in vs[i + 1:]
+              for p in simple_paths(g, a, b)]
+    edges = [{frozenset(e) for e in p} for _, p in routes]
+    masks = [g.route_mask(r, p) for r, p in routes]
+    for (r, p), m in zip(routes, masks):
         assert m.bit_count() == len(p)  # one bit per edge
-        assert g.route_mask([(v, u) for u, v in reversed(p)]) == m
+        assert g.route_mask(r, _reverse(p)) == m
     for i in range(len(routes)):
         for j in range(i + 1, len(routes)):
             assert bool(masks[i] & masks[j]) == bool(edges[i] & edges[j])
+
+
+def test_route_table_matches_the_reference_enumeration():
+    g = grid_3x3()
+    bit = {frozenset(e): 1 << i for i, e in enumerate(g.edge_list())}
+    pairs = [(x, y) for x in g.vertices() for y in g.vertices() if x != y]
+    assert len(pairs) == 72
+    for x, y in pairs:
+        table = g.routes(x, y)
+        assert list(table) == simple_paths(g, x, y)  # same routes, same order
+        back = g.routes(y, x)
+        assert len(back) == len(table)
+        for p, m in table.items():
+            assert m == sum(bit[frozenset(e)] for e in p)
+            assert back[_reverse(p)] == m
+
+
+def test_route_mask_accepts_exactly_the_walks_the_reference_accepts():
+    g = grid_3x3()
+    rng = random.Random(8)
+    vs = g.vertices()
+    requests = [Request(g, a, b) for i, a in enumerate(vs) for b in vs[i + 1:]]
+    accepted = rejected = 0
+    for _ in range(400):
+        r = rng.choice(requests)
+        route = rng.choice(simple_paths(g, r.x, r.y))
+        other = rng.choice([v for v in vs if v not in (r.x, r.y)])
+        walk = [rng.choice((r.x, r.y))]
+        while len(walk) < 2 or rng.random() < 0.8:  # revisits and stops anywhere
+            walk.append(rng.choice(g.neighbors(walk[-1])))
+        gap = rng.randrange(len(route))
+        for candidate in (
+            route,
+            _reverse(route),
+            tuple(zip(walk, walk[1:])),
+            route[:gap] + route[gap + 1:],
+            rng.choice(simple_paths(g, r.x, other)),
+            (),
+            None,
+        ):
+            ok = walk_ok(g, r, candidate)
+            assert (g.route_mask(r, candidate) != 0) == ok, (r, candidate)
+            accepted += ok
+            rejected += not ok
+    assert accepted > 800 and rejected > 1600
 
 
 class _FixedRoute(PriorityAlgorithm):
@@ -164,7 +216,8 @@ def test_grid_accept_without_an_allocation_is_illegal():
     (),
     (((0, 0), (1, 0)),),
     tuple(zip(_REVISIT, _REVISIT[1:])),
-], ids=["empty", "one-edge", "revisits-the-center"])
+    [((0, 0), (0, 1)), ((0, 1), (0, 2)), ((0, 2), (1, 2)), ((1, 2), (2, 2))],
+], ids=["empty", "one-edge", "revisits-the-center", "a-list-not-a-tuple"])
 def test_grid_acceptance_must_route_its_request(route):
     g = grid_3x3()
     session = Session(_FixedRoute(route), g)

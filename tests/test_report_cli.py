@@ -252,6 +252,10 @@ MALFORMED = {
                                   "requests": [[0, 10**18 - 1]]}, None),
     "lwdpa-tape-on-a-tree": ({"graph": {"kind": "tree", "edges": [[0, 1]]},
                               "requests": [[0, 1]]}, {"bits": 0, "hex": ""}),
+    "grid-of-2-rows": ({"graph": {"kind": "grid", "rows": 2, "cols": 3},
+                        "requests": [[[0, 0], [1, 2]]]}, None),
+    "grid-of-4-rows": ({"graph": {"kind": "grid", "rows": 4, "cols": 3},
+                        "requests": [[[0, 0], [3, 2]]]}, None),
 }
 
 
@@ -264,15 +268,17 @@ def test_malformed_input_exits_2_with_one_line(name, capsys, tmp_path):
     elif instance is not None:
         path = str(tmp_path / "instance.json")
         (tmp_path / "instance.json").write_text(json.dumps(instance))
-    argv = ["run", "--alg", "greedy-lwdpa", "--instance", path]
+    commands = [["run", "--alg", "greedy-lwdpa", "--instance", path],
+                ["verify", "--instance", path]]
     if tape is not None:
         (tmp_path / "tape.json").write_text(json.dumps(tape))
-        argv = ["advice", "--problem", "lwdpa", "--decode", "--instance", path,
-                "--tape", str(tmp_path / "tape.json")]
-    rc, out, err = _main(capsys, *argv)
-    assert rc == 2 and out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error:")
-    assert "Traceback" not in err
+        commands = [["advice", "--problem", "lwdpa", "--decode", "--instance", path,
+                     "--tape", str(tmp_path / "tape.json")]]
+    for argv in commands:
+        rc, out, err = _main(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "Traceback" not in err
 
 
 def test_package_checks_properties_without_assert():
