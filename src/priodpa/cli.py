@@ -10,6 +10,8 @@ Subcommands:
 * ``pack-s4``    print the 4-star packing of a tree
 
 Exit codes: 0 fine, 1 a verified property failed, 2 usage or input error.
+``main`` may be called repeatedly in one process: the parser is built on
+the first call and shared by every later one.
 """
 
 from __future__ import annotations
@@ -19,8 +21,11 @@ import json
 import random
 import sys
 import time
+from functools import cache
 
-from .graphs import PriodpaError, PropertyViolation, graph_from_json, instance_hash, load_instance
+from .graphs import (
+    PriodpaError, PropertyViolation, graph_from_json, instance_hash, load_instance, read_json,
+)
 from .engine import AdviceTape, decode_run, run
 from .oracle import InstanceTooLargeError, brute_force_opt
 from .graphs import gain as gain_of
@@ -157,8 +162,7 @@ def cmd_advice(args):
         return 0
     if not args.tape:
         raise UsageError("--decode needs --tape FILE")
-    with open(args.tape) as fh:
-        tape = AdviceTape.from_json(json.load(fh))
+    tape = AdviceTape.from_json(read_json(args.tape))
     return _run_and_report(args, decoder(), inst, tape)
 
 
@@ -240,8 +244,7 @@ def cmd_pack_s4(args):
 def _load_tree(path):
     if not path:
         raise UsageError("a tree file is required")
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = read_json(path)
     if isinstance(obj, dict) and "graph" in obj:
         obj = obj["graph"]
     g = graph_from_json(obj)
@@ -250,6 +253,7 @@ def _load_tree(path):
     return g
 
 
+@cache
 def build_parser():
     parser = argparse.ArgumentParser(prog="priodpa")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -314,9 +318,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON: {exc}", file=sys.stderr)
-        return 2
     except PropertyViolation as exc:
         print(f"property failed: {exc}", file=sys.stderr)
         return 1

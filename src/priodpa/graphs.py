@@ -473,9 +473,18 @@ def instance_from_json(obj):
     return Instance(g, reqs)
 
 
+def read_json(path):
+    """The JSON value in a UTF-8 file; text that is not UTF-8 JSON, or nests
+    or spells numbers beyond what the parser takes, is an input error."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise InvalidParameterError(f"malformed JSON: {exc}") from None
+
+
 def load_instance(path):
-    with open(path) as fh:
-        return instance_from_json(json.load(fh))
+    return instance_from_json(read_json(path))
 
 
 def instance_hash(instance):

@@ -91,6 +91,12 @@ MUTANTS = {
         "                    or 0)\n",
         "tests/test_grid.py",
     ),
+    "cli-parser-per-call": (
+        "cli.py",
+        "@cache\ndef build_parser():\n",
+        "def build_parser():\n",
+        "tests/test_report_cli.py",
+    ),
 }
 
 

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import math
@@ -235,9 +236,68 @@ def test_usage_and_input_errors_exit_2(capsys, tmp_path):
     assert rc == 2 and "malformed JSON" in err
 
 
+def test_main_builds_its_parser_once(capsys, monkeypatch, tmp_path):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    tape, hub = tmp_path / "tape.json", str(DATA / "hub-tree.json")
+    calls = [
+        ["run", "--instance", DEMO, "--alg", "greedy-lwdpa", "--seed", "0"],
+        ["run", "--instance", DEMO, "--alg", "greedy-path", "--seed", "0"],
+        ["run", "--instance", hub, "--alg", "greedy-cat", "--seed", "0"],
+        ["verify", "--instance", DEMO],
+        ["verify", "--instance", DEMO, "--mode", "length"],
+        ["advice", "--problem", "lwdpa", "--encode", "--instance", DEMO, "--out", str(tape)],
+        ["advice", "--problem", "lwdpa", "--decode", "--instance", DEMO, "--tape", str(tape),
+         "--seed", "0"],
+        ["advice", "--problem", "cat", "--encode", "--instance", hub],
+        ["pack-s4", "--tree", CATERPILLAR],
+        ["pack-s4", "--tree", hub],
+    ]
+    for argv in calls:
+        assert _main(capsys, *argv)[0] == 0
+    # one build is the root parser and its six subcommand parsers
+    assert len(built) <= 7
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_shared_parser_carries_nothing_between_calls(capsys, tmp_path):
+    bare = ["run", "--instance", DEMO, "--alg", "greedy-lwdpa"]
+    row = tmp_path / "row.json"
+    rc, out, _ = _main(capsys, *bare, "--seed", "1", "--format", "json", "--out", str(row))
+    assert rc == 0 and out == "" and json.loads(row.read_text())["gain_opt"] == 12
+    args = cli.build_parser().parse_args(bare)
+    assert vars(args) == {"command": "run", "instance": DEMO, "alg": "greedy-lwdpa",
+                          "format": "csv", "out": None, "seed": None, "fn": cli.cmd_run}
+    rc, out, _ = _main(capsys, *bare)
+    header, row = out.splitlines()
+    assert rc == 0 and header.startswith("graph,algorithm,instance_hash,")
+    assert row.startswith("path:15,greedy-lwdpa,efd13ab4775c,5,12,2.4,0,")
+
+
+def test_usage_error_leaves_the_shared_parser_intact(capsys):
+    good = ["advice", "--problem", "lwdpa", "--encode", "--instance", DEMO]
+    first = _main(capsys, *good)
+    assert first == (0, '{"bits": 12, "hex": "488"}\n', "")
+    for bad in (good + ["--decode"], good + ["--format", "xml"], ["advice", "--problem", "cat"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(bad)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: priodpa advice")
+    assert _main(capsys, *good) == first
+
+
 _PATH4 = {"kind": "path", "length": 4}
-# name -> (instance JSON, or "dir" for a directory, or None for the demo;
-#          advice tape JSON, or None to run greedy-lwdpa instead of decoding)
+_NOT_UTF8 = b'\xff\xfe{"bits": 0, "hex": ""}'
+_DEEP = b"[" * 200_000
+# name -> (instance JSON or raw file bytes, or "dir" for a directory, or None
+#          for the demo; advice tape JSON or raw file bytes, or None to run
+#          greedy-lwdpa, verify and pack-s4 instead of decoding)
 MALFORMED = {
     "no-requests-key": ({"graph": _PATH4}, None),
     "three-endpoints": ({"graph": _PATH4, "requests": [[0, 1, 2]]}, None),
@@ -256,7 +316,22 @@ MALFORMED = {
                         "requests": [[[0, 0], [1, 2]]]}, None),
     "grid-of-4-rows": ({"graph": {"kind": "grid", "rows": 4, "cols": 3},
                         "requests": [[[0, 0], [3, 2]]]}, None),
+    "instance-not-utf8": (_NOT_UTF8, None),
+    "instance-nested-too-deep": (_DEEP, None),
+    "path-length-of-5000-digits": (
+        b'{"graph": {"kind": "path", "length": ' + b"9" * 5000 + b'}, "requests": []}', None),
+    "tape-not-utf8": (None, _NOT_UTF8),
+    "tape-nested-too-deep": (None, _DEEP),
+    "tape-bits-of-5000-digits": (None, b'{"bits": ' + b"9" * 5000 + b', "hex": ""}'),
 }
+
+
+def _write(path, content):
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(json.dumps(content))
+    return str(path)
 
 
 @pytest.mark.parametrize("name", MALFORMED)
@@ -266,14 +341,13 @@ def test_malformed_input_exits_2_with_one_line(name, capsys, tmp_path):
     if instance == "dir":
         path = str(tmp_path)
     elif instance is not None:
-        path = str(tmp_path / "instance.json")
-        (tmp_path / "instance.json").write_text(json.dumps(instance))
+        path = _write(tmp_path / "instance.json", instance)
     commands = [["run", "--alg", "greedy-lwdpa", "--instance", path],
-                ["verify", "--instance", path]]
+                ["verify", "--instance", path],
+                ["pack-s4", "--tree", path]]
     if tape is not None:
-        (tmp_path / "tape.json").write_text(json.dumps(tape))
         commands = [["advice", "--problem", "lwdpa", "--decode", "--instance", path,
-                     "--tape", str(tmp_path / "tape.json")]]
+                     "--tape", _write(tmp_path / "tape.json", tape)]]
     for argv in commands:
         rc, out, err = _main(capsys, *argv)
         assert rc == 2 and out == ""
