@@ -24,7 +24,8 @@ import time
 from functools import cache
 
 from .graphs import (
-    PriodpaError, PropertyViolation, graph_from_json, instance_hash, load_instance, read_json,
+    PriodpaError, PropertyViolation, graph_from_json, instance_hash, load_instance,
+    open_file, read_json,
 )
 from .engine import AdviceTape, decode_run, run
 from .oracle import InstanceTooLargeError, brute_force_opt
@@ -86,7 +87,7 @@ def _by_name(algorithms, name, unknown):
 
 def _emit(text, out):
     if out:
-        with open(out, "w") as fh:
+        with open_file(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -50,21 +50,32 @@ class PriorityOrder:
     tie-break so keys are injective on any universe.  ``readapt``, when set,
     maps the decision history to the order used for the next request;
     returning the same object means the order is unchanged.
+
+    A key must be a pure function of the request: ``max_of`` remembers the
+    keys it computes from its second call on, so a game that asks for the
+    top of a shrinking candidate set evaluates each request's key at most
+    twice.  The first call remembers nothing, because most orders are asked
+    once.  ``sort`` never remembers.
     """
 
     def __init__(self, key, name="order", readapt=None):
         self._key = key
         self.name = name
         self.readapt = readapt
+        self._seen = None  # id(request) -> (request, key) once max_of has run
 
     def max_of(self, requests):
         """The highest-priority request; ties between distinct requests are
         an order bug and raise InvalidOrderError."""
+        if self._seen is None:
+            key, self._seen = self._key, {}
+        else:
+            key = self._remembered_key
         best = None
         best_key = None
         tied = False
         for r in requests:
-            k = self._key(r)
+            k = key(r)
             if best is None or k < best_key:
                 best, best_key, tied = r, k, False
             elif not (best_key < k) and r != best:
@@ -85,6 +96,14 @@ class PriorityOrder:
             if not keys[a] < keys[b]:
                 raise InvalidOrderError(f"{self.name}: {items[a]} and {items[b]} are not strictly ordered")
         return [items[i] for i in idx]
+
+    def _remembered_key(self, r):
+        # the table holds the request too, so its id is not reused
+        i = id(r)
+        seen = self._seen.get(i)
+        if seen is None:
+            seen = self._seen[i] = (r, self._key(r))
+        return seen[1]
 
     def reversed(self):
         return PriorityOrder(self._negated_key, name=f"reversed-{self.name}")

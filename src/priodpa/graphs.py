@@ -473,10 +473,18 @@ def instance_from_json(obj):
     return Instance(g, reqs)
 
 
+def open_file(path, mode="r", encoding=None):
+    """``open``, except that a path holding a NUL byte, which no file
+    system takes, is an input error."""
+    if "\0" in str(path):
+        raise InvalidParameterError(f"path {str(path)!r} holds a NUL byte")
+    return open(path, mode, encoding=encoding)
+
+
 def read_json(path):
     """The JSON value in a UTF-8 file; text that is not UTF-8 JSON, or nests
     or spells numbers beyond what the parser takes, is an input error."""
-    with open(path, encoding="utf-8") as fh:
+    with open_file(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except (ValueError, RecursionError) as exc:

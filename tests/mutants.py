@@ -43,6 +43,18 @@ MUTANTS = {
         "            if False:\n",
         "tests/test_engine.py",
     ),
+    "max-of-never-remembers": (
+        "engine.py",
+        "            key = self._remembered_key\n",
+        "            key = self._key\n",
+        "tests/test_engine.py",
+    ),
+    "memo-keyed-by-graph": (
+        "engine.py",
+        "        i = id(r)\n",
+        "        i = id(r.graph)\n",
+        "tests/test_engine.py",
+    ),
     "tree-edge-mask-or": (
         "graphs.py",
         "return graph.up[req.x] ^ graph.up[req.y]",

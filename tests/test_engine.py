@@ -150,6 +150,86 @@ def test_key_evaluations_are_one_per_request():
     assert counted(inst, lambda i: run(flip, i)) == n * (n + 1) // 2
 
 
+def _counting_key(base):
+    evals = [0]
+
+    def key(r):
+        evals[0] += 1
+        return base(r)
+
+    return key, evals
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_max_of_evaluates_only_unseen_requests_from_its_second_call_on(reverse):
+    g = PathGraph(30)
+    rng = random.Random(6)
+    universe = all_pairs(g)
+    key, evals = _counting_key(lambda r: (r.y, r.x))
+    order = PriorityOrder(key, name="counted")
+    if reverse:
+        order = order.reversed()
+    first = rng.sample(universe, 25)
+    order.max_of(first)
+    assert evals[0] == 25
+    seen = set()
+    for size in (25, 10, 30, 18, 40):
+        candidates = set(rng.sample(first, 5) + rng.sample(universe, size))
+        evals[0] = 0
+        order.max_of(candidates)
+        # the first call remembered nothing; later calls pay for new requests only
+        assert evals[0] == len(candidates - seen)
+        seen |= candidates
+    evals[0] = 0
+    order.max_of(seen)
+    assert evals[0] == 0
+
+
+def test_a_reversed_order_keeps_its_own_table():
+    g = PathGraph(12)
+    requests = all_pairs(g)
+    key, evals = _counting_key(lambda r: (r.y, r.x))
+    order = PriorityOrder(key, name="counted")
+    for _ in range(3):
+        order.max_of(requests)
+    back = order.reversed()
+    evals[0] = 0
+    lo = order.max_of(requests)
+    assert evals[0] == 0
+    hi, again = back.max_of(requests), back.max_of(requests)
+    assert evals[0] == 2 * len(requests)
+    assert (lo.key, hi.key, again) == ((0, 1), (11, 12), hi)
+    evals[0] = 0
+    assert back.max_of(requests) is hi and order.max_of(requests) is lo
+    assert evals[0] == 0
+
+
+def _answer(order, candidates):
+    try:
+        return order.max_of(candidates)
+    except InvalidOrderError:
+        return InvalidOrderError
+
+
+def test_repeated_max_of_answers_like_a_fresh_order():
+    """One long-lived order against a fresh one per call, on candidate sets
+    that overlap, hold value-equal copies, and tie at the top."""
+    rng = random.Random(7)
+    g = PathGraph(9)
+    pairs = all_pairs(g)
+    universe = pairs + [Request(g, r.x, r.y) for r in rng.sample(pairs, 12)]
+    tied = set()
+    for key in (lambda r: (r.y, r.x), lambda r: (r.y,), lambda r: (r.x * r.y % 7, r.x)):
+        for make in (lambda k: PriorityOrder(k), lambda k: PriorityOrder(k).reversed()):
+            kept = make(key)
+            for _ in range(60):
+                candidates = rng.sample(universe, rng.randint(1, 12))
+                expected = _answer(make(key), candidates)
+                assert _answer(kept, candidates) is expected
+                tied.add(expected is InvalidOrderError)
+    assert tied == {False, True}
+
+
 def test_drain_feeds_a_fixed_order_in_presentation_sequence():
     g, inst = _p5_instance()
     session = Session(greedy_path_algorithm(), g)

@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from priodpa import InvalidParameterError, InvalidTreeError, TreeGraph
+from priodpa import (
+    GreedyAlgorithm,
+    InvalidParameterError,
+    InvalidTreeError,
+    PriorityOrder,
+    TreeGraph,
+)
 from priodpa.battery import battery
 from priodpa.lwdpa import greedy_lwdpa_algorithm
 from priodpa.reduction import (
@@ -140,6 +146,35 @@ def test_hidden_string_validation():
             run_guess(alg, bad)
     with pytest.raises(InvalidParameterError):
         run_guess(alg, [0, 1, 2])
+
+
+def _counted_greedy(key, mode):
+    """A greedy on a fixed order, with a count of its key evaluations."""
+    evals = [0]
+
+    def counted(r):
+        evals[0] += 1
+        return key(r)
+
+    order = PriorityOrder(counted, name="counted")
+    return GreedyAlgorithm(lambda graph: order, "counted-greedy", mode), evals
+
+
+def test_guessing_games_evaluate_each_gadget_key_a_few_times():
+    """Every round asks the order for its top fresh request over all that
+    is left; the order remembers keys, so each gadget request's key is
+    evaluated a bounded number of times, not once per round."""
+    rng = random.Random(10)
+    bits = "".join(rng.choice("01") for _ in range(16))
+    alg, evals = _counted_greedy(lambda r: (r.x - r.y, r.x), "length")
+    out = run_guess(alg, bits)
+    assert out.records == run_guess(greedy_lwdpa_algorithm(), bits).records
+    assert evals[0] <= 3 * 4 * 16
+
+    alg, evals = _counted_greedy(lambda r: r.key, "count")
+    out = run_tguess(alg, fig9_tree(12), bits[:12])
+    assert len(out.records) == 12
+    assert evals[0] <= 3 * 6 * 12
 
 
 def test_outcome_instances_are_well_formed():

@@ -355,6 +355,27 @@ def test_malformed_input_exits_2_with_one_line(name, capsys, tmp_path):
         assert "Traceback" not in err
 
 
+# a shell cannot pass a NUL byte in an argument, but a caller of cli.main can
+NUL_PATHS = {
+    "instance": ["run", "--alg", "greedy-lwdpa", "--instance", "a\0b"],
+    "verify-instance": ["verify", "--instance", "a\0b"],
+    "tape": ["advice", "--problem", "lwdpa", "--decode", "--instance", DEMO, "--tape", "t\0"],
+    "tree": ["pack-s4", "--tree", "\0tree.json"],
+    "reduce-tree": ["reduce", "--problem", "cat", "--alg", "greedy", "--n", "2",
+                    "--tree", "tree\0.json"],
+    "out": ["verify", "--grid-3x3", "--out", "x\0y"],
+    "run-out": ["run", "--alg", "greedy-lwdpa", "--instance", DEMO, "--out", "row\0.csv"],
+}
+
+
+@pytest.mark.parametrize("name", NUL_PATHS)
+def test_path_with_a_nul_byte_exits_2_with_one_line(name, capsys):
+    rc, out, err = _main(capsys, *NUL_PATHS[name])
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: path ")
+    assert err.rstrip().endswith("holds a NUL byte")
+
+
 def test_package_checks_properties_without_assert():
     # ``python -O`` strips assert statements; checked properties raise
     # PropertyViolation instead
