@@ -36,6 +36,7 @@ from .engine import (
     RunResult,
     Session,
     decode_run,
+    encode_run,
     run,
 )
 from .oracle import (
@@ -50,21 +51,17 @@ from .lwdpa import (
     PabParams,
     adversary_play_lwdpa,
     build_pab,
-    decode_run_lwdpa,
     encode_lwdpa_advice,
     greedy_lwdpa,
     greedy_lwdpa_algorithm,
     lwdpa_order,
 )
 from .trees import (
-    Peak,
     cat_order,
-    decode_run_cat,
     encode_cat_advice,
     greedy_cat,
     greedy_cat_algorithm,
     pack_s4,
-    peak,
     sigma,
     tree_adversary,
     tree_advice_bound,

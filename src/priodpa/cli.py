@@ -24,8 +24,8 @@ import time
 from functools import cache
 
 from .graphs import (
-    PriodpaError, PropertyViolation, graph_from_json, instance_hash, load_instance,
-    open_file, read_json,
+    PriodpaError, PropertyViolation, check_host_size, graph_from_json, instance_hash,
+    load_instance, open_file, read_json,
 )
 from .engine import AdviceTape, decode_run, run
 from .oracle import InstanceTooLargeError, brute_force_opt
@@ -132,7 +132,9 @@ def cmd_adversary(args):
         if args.a is None or args.b is None:
             raise UsageError("--family pab needs --a and --b")
         alg = _battery_algorithm(args.alg, "lwdpa")
-        outcome = adversary_play_lwdpa(alg, PabParams(args.a, args.b))
+        params = PabParams(args.a, args.b)
+        check_host_size(params.l, f"P_{{{args.a},{args.b}}}")
+        outcome = adversary_play_lwdpa(alg, params)
     elif args.family == "tree":
         tree = _load_tree(args.tree)
         alg = _battery_algorithm(args.alg, "cat")
@@ -168,12 +170,17 @@ def cmd_advice(args):
 
 
 def cmd_reduce(args):
+    n = len(args.bits) if args.bits is not None else args.n
+    if n is None:
+        raise UsageError("reduce needs --bits or --n")
+    # the path gadget has 3n edges, fig9_tree(n) has 6n + 1, and a tree
+    # holding n disjoint 4-stars has at least 4n
+    edges = 3 * n if args.problem == "lwdpa" else 4 * n if args.tree else 6 * n + 1
+    check_host_size(edges, f"for {n} hidden bits")
     bits = args.bits
     if bits is None:
-        if args.n is None:
-            raise UsageError("reduce needs --bits or --n")
         rng = random.Random(args.seed if args.seed is not None else 0)
-        bits = "".join(rng.choice("01") for _ in range(args.n))
+        bits = "".join(rng.choice("01") for _ in range(n))
     if args.problem == "lwdpa":
         alg = _battery_algorithm(args.alg, "lwdpa")
         outcome = run_guess(alg, bits)

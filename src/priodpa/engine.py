@@ -8,7 +8,8 @@ swap in a new order after every decision via the order's ``readapt`` hook.
 Advice is a finite bit tape made available before the order is chosen.
 Bits are consumed MSB-first in fixed-width fields; the number of consumed
 bits is the advice complexity of the run.  A decoder must read its tape to
-the last bit (``decode_run``).
+the last bit (``decode_run``); an encoder is a decoder that writes the
+fields it would read, and must accept the optimum it encodes (``encode_run``).
 """
 
 from __future__ import annotations
@@ -337,6 +338,15 @@ def decode_run(decoder, instance, tape):
         n = len(tape)
         raise InvalidParameterError(f"{n - result.bits_consumed} of {n} advice bits left unread")
     return result
+
+
+def encode_run(encoder, instance, optimum):
+    """The tape of ``encoder.writer`` after a run that accepts exactly
+    ``optimum``; any other run is a PropertyViolation."""
+    accepted = run(encoder, instance).solution.accepted
+    if set(accepted) != set(optimum):
+        raise PropertyViolation("the labeled run must accept the canonical optimum")
+    return encoder.writer.tape()
 
 
 @dataclass

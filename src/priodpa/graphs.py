@@ -414,27 +414,28 @@ def _pairs(obj, what, error):
     return [tuple(p) for p in obj]
 
 
-# Hosts read from files have fewer edges than this: a path mask has a bit per
-# edge, and a tree keeps a root-path mask per vertex, about n*n/16 bytes.
+# Hosts read from files or built from command-line parameters have fewer
+# edges than this: a path mask has a bit per edge, and a tree keeps a
+# root-path mask per vertex, about n*n/16 bytes.
 MAX_FILE_EDGES = 1 << 15
 
 
-def _file_sized(edge_count):
+def check_host_size(edge_count, source="read from a file"):
     if edge_count >= MAX_FILE_EDGES:
         raise InvalidParameterError(
-            f"a host read from a file needs fewer than {MAX_FILE_EDGES} edges, not {edge_count}")
+            f"a host {source} needs fewer than {MAX_FILE_EDGES} edges, not {edge_count}")
 
 
 def graph_from_json(obj):
     (kind,) = _fields(obj, "a graph", "kind")
     if kind == "path":
         g = PathGraph(*_fields(obj, "a path", "length"))
-        _file_sized(g.length)
+        check_host_size(g.length)
         return g
     if kind == "tree":
         (edges,) = _fields(obj, "a tree", "edges")
         edges = _pairs(edges, "tree edges", InvalidTreeError)
-        _file_sized(len(edges))
+        check_host_size(len(edges))
         return TreeGraph(edges)
     if kind == "grid":
         size = _fields(obj, "a grid", "rows", "cols")

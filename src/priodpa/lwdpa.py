@@ -8,7 +8,8 @@ Three pieces live here:
   3 - 1/a, with the hard case pinned at b = 2(a+1);
 * an advice codec that spends exactly 3*ceil(l/4) bits to reach the optimum:
   the tape describes where the long (length >= 2) requests of the canonical
-  optimum start, three bits per block of four vertices.
+  optimum start, three bits per block of four vertices.  The encoder is the
+  decoder writing each block's code, checked by ``engine.encode_run``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .engine import (
     PriorityOrder,
     Session,
     adversary_outcome,
-    decode_run,
+    encode_run,
     run,
 )
 from .oracle import greediest_opt
@@ -167,21 +168,13 @@ def _block_count(length):
 
 
 def encode_lwdpa_advice(instance):
-    """Tape of exactly 3*ceil(l/4) bits pinning the canonical optimum.
-
-    Encodes the start vertices of the long (length >= 2) requests of
-    greediest_opt under the longest-first order, block by block.
-    """
+    """Tape of exactly 3*ceil(l/4) bits pinning greediest_opt under the
+    longest-first order, written by a run of the decoder."""
     g = instance.graph
     if g.kind != "path":
         raise InvalidParameterError("this codec works on path hosts")
-    chosen = greediest_opt(instance, lwdpa_order(g), mode="length")
-    starts = sorted(r.x for r in chosen.accepted if request_length(g, r) >= 2)
-    writer = AdviceWriter()
-    for blk in range(_block_count(g.length)):
-        offsets = tuple(s - 4 * blk for s in starts if 4 * blk <= s < 4 * blk + 4)
-        writer.write_field(_BLOCK_CODE[offsets], 3)
-    return writer.tape()
+    optimum = greediest_opt(instance, lwdpa_order(g), mode="length").accepted
+    return encode_run(_LwdpaAdviceEncoder(optimum), instance, optimum)
 
 
 class LwdpaAdviceAlgorithm(PriorityAlgorithm):
@@ -202,8 +195,12 @@ class LwdpaAdviceAlgorithm(PriorityAlgorithm):
         # the whole table is read before any request arrives, so a run on
         # no requests still reads every bit the encoder wrote
         self.starts = {4 * blk + off for blk in range(_block_count(graph.length))
-                       for off in _BLOCK_DECODE[advice.read_field(3)]}
+                       for off in _BLOCK_DECODE[self.block_code(blk, advice)]}
         return lwdpa_order(graph)
+
+    def block_code(self, blk, advice):
+        """The code of block ``blk``, a 3-bit field of the tape."""
+        return advice.read_field(3)
 
     def decide(self, request, state, advice):
         if not state.fits(request):
@@ -216,5 +213,17 @@ class LwdpaAdviceAlgorithm(PriorityAlgorithm):
         return Decision(request, not blocked_inside)
 
 
-def decode_run_lwdpa(instance, tape):
-    return decode_run(LwdpaAdviceAlgorithm(), instance, tape).solution
+class _LwdpaAdviceEncoder(LwdpaAdviceAlgorithm):
+    """The decoder, writing each block's code from the long starts of ``optimum``."""
+
+    name = "encode-lwdpa"
+
+    def __init__(self, optimum):
+        self.writer = AdviceWriter()
+        self.long_starts = sorted(r.x for r in optimum if request_length(r.graph, r) >= 2)
+
+    def block_code(self, blk, advice):
+        offsets = tuple(s - 4 * blk for s in self.long_starts if 4 * blk <= s < 4 * blk + 4)
+        code = _BLOCK_CODE[offsets]
+        self.writer.write_field(code, 3)
+        return code

@@ -18,7 +18,6 @@ written to the tape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil, log2
 
 from .graphs import (
@@ -38,22 +37,10 @@ from .engine import (
     PriorityOrder,
     Session,
     adversary_outcome,
-    decode_run,
+    encode_run,
     run,
 )
 from .oracle import greediest_opt
-
-
-@dataclass(frozen=True)
-class Peak:
-    vertex: int
-    is_endpoint: bool
-
-
-def peak(tree, req):
-    """The path vertex closest to the root: the LCA of the endpoints."""
-    v = tree.lca(req.x, req.y)
-    return Peak(v, v == req.x or v == req.y)
 
 
 def cat_order(tree):
@@ -61,8 +48,8 @@ def cat_order(tree):
     before pass-through ones; then lexicographic endpoints."""
 
     def key(r):
-        p = peak(tree, r)
-        return (-tree.depth[p.vertex], -p.vertex, 0 if p.is_endpoint else 1, r.x, r.y)
+        v = tree.lca(r.x, r.y)
+        return (-tree.depth[v], -v, 0 if v == r.x or v == r.y else 1, r.x, r.y)
 
     return PriorityOrder(key, name="deep-peak")
 
@@ -157,10 +144,7 @@ def encode_cat_advice(instance):
     if tree.kind != "tree":
         raise InvalidParameterError("this codec works on tree hosts")
     optimum = greediest_opt(instance, cat_order(tree), mode="count").accepted
-    encoder = _CatAdviceEncoder(tree, optimum)
-    if set(run(encoder, instance).solution.accepted) != set(optimum):
-        raise PropertyViolation("the labeled run must accept the canonical optimum")
-    return encoder.writer.tape()
+    return encode_run(_CatAdviceEncoder(tree, optimum), instance, optimum)
 
 
 class CatAdviceAlgorithm(PriorityAlgorithm):
@@ -177,12 +161,11 @@ class CatAdviceAlgorithm(PriorityAlgorithm):
 
     def decide(self, request, state, advice):
         tree = state.graph
-        pk = peak(tree, request)
-        v = pk.vertex
+        v = tree.lca(request.x, request.y)
         if self.peak != v:
             self.peak, self.labels = v, None
         fits = state.fits(request)
-        if tree.degree[v] <= 3 or pk.is_endpoint:
+        if tree.degree[v] <= 3 or v == request.x or v == request.y:
             return Decision(request, fits)
         if self.labels is None:
             remaining = _remaining_children(tree, v, state.blocked_mask)
@@ -209,9 +192,9 @@ class _CatAdviceEncoder(CatAdviceAlgorithm):
         self.writer = AdviceWriter()
         self.pair_of = {}  # child vertex -> the optimal request through it
         for q in optimum:
-            pk = peak(tree, q)
-            if not pk.is_endpoint:
-                for c in _sides(tree, q, pk.vertex):
+            v = tree.lca(q.x, q.y)
+            if v != q.x and v != q.y:
+                for c in _sides(tree, q, v):
                     self.pair_of[c] = q
 
     def phase_fields(self, remaining, width, advice):
@@ -221,10 +204,6 @@ class _CatAdviceEncoder(CatAdviceAlgorithm):
         for lab in labels[:-1]:
             self.writer.write_field(lab, width)
         return labels[:-1]
-
-
-def decode_run_cat(instance, tape):
-    return decode_run(CatAdviceAlgorithm(), instance, tape).solution
 
 
 # --------------------------------------------------------------------------

@@ -109,6 +109,18 @@ MUTANTS = {
         "def build_parser():\n",
         "tests/test_report_cli.py",
     ),
+    "lwdpa-encoder-drops-offset-0": (
+        "lwdpa.py",
+        "4 * blk <= s",
+        "4 * blk < s",
+        "tests/test_lwdpa.py",
+    ),
+    "encode-run-skips-check": (
+        "engine.py",
+        "    if set(accepted) != set(optimum):\n",
+        "    if False:\n",
+        "tests/test_report_cli.py",
+    ),
 }
 
 

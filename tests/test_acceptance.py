@@ -14,6 +14,7 @@ from priodpa import (
     TreeGraph,
     brute_force_opt,
     cli,
+    decode_run,
     gain,
     greedy_cat,
     greedy_lwdpa,
@@ -23,9 +24,9 @@ from priodpa import (
 from priodpa.battery import battery
 from priodpa.grid import exhaustive_verify_3x3
 from priodpa.lwdpa import (
+    LwdpaAdviceAlgorithm,
     PabParams,
     adversary_play_lwdpa,
-    decode_run_lwdpa,
     encode_lwdpa_advice,
     greedy_lwdpa_algorithm,
 )
@@ -36,7 +37,7 @@ from priodpa.reduction import (
     run_tguess,
 )
 from priodpa.trees import (
-    decode_run_cat,
+    CatAdviceAlgorithm,
     encode_cat_advice,
     pack_s4,
     sigma,
@@ -108,7 +109,7 @@ def test_criterion_04_path_codec_hits_the_optimum_in_budget():
         inst = random_instance(g, 8, rng)
         tape = encode_lwdpa_advice(inst)
         assert len(tape) == 3 * ((g.length + 3) // 4)
-        sol = decode_run_lwdpa(inst, tape)
+        sol = decode_run(LwdpaAdviceAlgorithm(), inst, tape).solution
         assert validate_solution(inst, sol)
         assert gain(sol, "length") == brute_force_opt(inst, "length").optimum
 
@@ -158,7 +159,7 @@ def test_criterion_07_tree_codec_hits_the_optimum_in_budget():
             theta3 = sum(1 for d in degs if d == 3)
             cap = (theta1 - theta3 - 2) * math.ceil(math.log2(delta / 2))
             assert len(tape) <= cap
-        sol = decode_run_cat(inst, tape)
+        sol = decode_run(CatAdviceAlgorithm(), inst, tape).solution
         assert validate_solution(inst, sol)
         assert gain(sol, "count") == brute_force_opt(inst, "count").optimum
 

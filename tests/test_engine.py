@@ -319,13 +319,15 @@ def test_advice_tape_json_is_exactly_the_declared_bits(obj):
 
 
 def test_decoders_must_read_the_whole_tape():
-    from priodpa import decode_run_lwdpa, encode_lwdpa_advice, load_instance
+    from priodpa import encode_lwdpa_advice, load_instance
+    from priodpa.lwdpa import LwdpaAdviceAlgorithm
 
     inst = load_instance(DEMO)
     tape = encode_lwdpa_advice(inst)
-    assert len(decode_run_lwdpa(inst, AdviceTape(tape.bits)).accepted) == 3
+    result = decode_run(LwdpaAdviceAlgorithm(), inst, AdviceTape(tape.bits))
+    assert len(result.solution.accepted) == 3
     with pytest.raises(InvalidParameterError, match="8 of 20 advice bits left unread"):
-        decode_run_lwdpa(inst, AdviceTape(tape.bits + "0" * 8))
+        decode_run(LwdpaAdviceAlgorithm(), inst, AdviceTape(tape.bits + "0" * 8))
 
 
 def test_lwdpa_decoder_reads_its_table_on_an_empty_instance():

@@ -12,7 +12,9 @@ from priodpa import (
     PathGraph,
     Request,
     brute_force_opt,
+    decode_run,
     gain,
+    greediest_opt,
     greedy_lwdpa,
     instance_from_json,
     request_length,
@@ -21,10 +23,10 @@ from priodpa import (
 from priodpa.battery import battery
 from priodpa.engine import GreedyAlgorithm, PriorityOrder
 from priodpa.lwdpa import (
+    LwdpaAdviceAlgorithm,
     PabParams,
     adversary_play_lwdpa,
     build_pab,
-    decode_run_lwdpa,
     encode_lwdpa_advice,
     greedy_lwdpa_algorithm,
     lwdpa_order,
@@ -150,7 +152,7 @@ def test_demo_tape_is_frozen_and_decodes_to_optimum():
     inst = _demo()
     tape = encode_lwdpa_advice(inst)
     assert tape.to_json() == {"bits": 12, "hex": "488"}
-    sol = decode_run_lwdpa(inst, tape)
+    sol = decode_run(LwdpaAdviceAlgorithm(), inst, tape).solution
     assert validate_solution(inst, sol)
     assert gain(sol, "length") == 12
 
@@ -159,7 +161,7 @@ def test_decoder_may_keep_an_equivalent_long_request():
     # (1, 4) and (1, 3)+(3, 4) tie; the decoder must land on full gain either way
     g = PathGraph(5)
     inst = Instance(g, [Request(g, 1, 4), Request(g, 1, 3), Request(g, 3, 4)])
-    sol = decode_run_lwdpa(inst, encode_lwdpa_advice(inst))
+    sol = decode_run(LwdpaAdviceAlgorithm(), inst, encode_lwdpa_advice(inst)).solution
     assert sorted(r.key for r in sol.accepted) == [(1, 4)]
     assert gain(sol, "length") == 3 == brute_force_opt(inst, "length").optimum
 
@@ -169,7 +171,7 @@ def test_all_unit_instance_needs_no_starts():
     inst = Instance(g, [Request(g, i, i + 1) for i in range(6)])
     tape = encode_lwdpa_advice(inst)
     assert tape.bits == "0" * 6  # two blocks, both empty
-    assert gain(decode_run_lwdpa(inst, tape), "length") == 6
+    assert gain(decode_run(LwdpaAdviceAlgorithm(), inst, tape).solution, "length") == 6
 
 
 def test_codec_rejects_non_path_hosts():
@@ -188,6 +190,7 @@ def test_decode_matches_oracle(data):
     inst = random_instance(g, 6, rng)
     tape = encode_lwdpa_advice(inst)
     assert len(tape) == 3 * ((g.length + 3) // 4)
-    sol = decode_run_lwdpa(inst, tape)
+    sol = decode_run(LwdpaAdviceAlgorithm(), inst, tape).solution
     assert validate_solution(inst, sol)
     assert gain(sol, "length") == brute_force_opt(inst, "length").optimum
+    assert set(sol.accepted) == set(greediest_opt(inst, lwdpa_order(g), "length").accepted)

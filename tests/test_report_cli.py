@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import priodpa
-from priodpa import Solution, cli, trees
+from priodpa import Solution, cli, lwdpa, trees
 from priodpa.graphs import InvalidParameterError
 from priodpa.report import RatioReport, render, render_csv, render_json_lines
 
@@ -235,6 +235,23 @@ def test_usage_and_input_errors_exit_2(capsys, tmp_path):
                        "greedy-path")
     assert rc == 2 and "malformed JSON" in err
 
+    # hosts built from parameters are capped like hosts read from files,
+    # before anything is allocated
+    too_large = [
+        ["adversary", "--family", "pab", "--alg", "greedy", "--a", "1000", "--b", "1000"],
+        ["adversary", "--family", "pab", "--alg", "greedy", "--a", "3", "--b", "105"],
+        ["reduce", "--problem", "lwdpa", "--alg", "greedy", "--n", str(10**9)],
+        ["reduce", "--problem", "lwdpa", "--alg", "greedy", "--bits", "01" * 5500],
+        ["reduce", "--problem", "cat", "--alg", "greedy", "--n", "5462"],
+        ["reduce", "--problem", "cat", "--alg", "greedy", "--n", str(10**9),
+         "--tree", CATERPILLAR],
+    ]
+    for argv in too_large:
+        rc, out, err = _main(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: a host ") and "needs fewer than 32768 edges" in err
+
 
 def test_main_builds_its_parser_once(capsys, monkeypatch, tmp_path):
     built = []
@@ -392,5 +409,15 @@ def test_violated_property_exits_1_with_one_line(capsys, monkeypatch):
     monkeypatch.setattr(trees, "greediest_opt", lambda inst, order, mode: Solution(inst.graph, ()))
     rc, out, err = _main(capsys, "advice", "--problem", "cat", "--encode",
                          "--instance", str(DATA / "hub-tree.json"))
+    assert rc == 1 and out == ""
+    assert err == "property failed: the labeled run must accept the canonical optimum\n"
+
+
+def test_violated_lwdpa_property_exits_1_with_one_line(capsys, monkeypatch, tmp_path):
+    # the decoder accepts the unit request whatever the tape says, so its
+    # run cannot match an empty optimum
+    monkeypatch.setattr(lwdpa, "greediest_opt", lambda inst, order, mode: Solution(inst.graph, ()))
+    path = _write(tmp_path / "instance.json", {"graph": _PATH4, "requests": [[0, 1], [1, 3]]})
+    rc, out, err = _main(capsys, "advice", "--problem", "lwdpa", "--encode", "--instance", path)
     assert rc == 1 and out == ""
     assert err == "property failed: the labeled run must accept the canonical optimum\n"

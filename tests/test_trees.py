@@ -10,7 +10,9 @@ from priodpa import (
     Request,
     TreeGraph,
     brute_force_opt,
+    decode_run,
     gain,
+    greediest_opt,
     greedy_cat,
     request_length,
     validate_solution,
@@ -19,13 +21,12 @@ from priodpa.battery import battery
 from priodpa.graphs import edge_mask
 from priodpa.reduction import fig9_tree
 from priodpa.trees import (
+    CatAdviceAlgorithm,
     _sides,
     cat_order,
-    decode_run_cat,
     encode_cat_advice,
     greedy_cat_algorithm,
     pack_s4,
-    peak,
     sigma,
     tree_adversary,
     tree_advice_bound,
@@ -48,16 +49,16 @@ def test_order_presents_deeper_peaks_first():
     reqs = [Request(t, 9, 11), Request(t, 12, 13), Request(t, 6, 8)]
     ordered = cat_order(t).sort(reqs)
     assert [r.key for r in ordered] == [(12, 13), (6, 8), (9, 11)]
-    assert [peak(t, r).vertex for r in ordered] == [7, 2, 1]
-    assert [t.depth[peak(t, r).vertex] for r in ordered] == [3, 2, 1]
+    assert [t.lca(r.x, r.y) for r in ordered] == [7, 2, 1]
+    assert [t.depth[t.lca(r.x, r.y)] for r in ordered] == [3, 2, 1]
 
 
 def test_peak_endpoint_requests_come_before_pass_through_ones():
     t = TreeGraph(HUB_EDGES)
     ends_at_peak = Request(t, 3, 14)
     passes_through = Request(t, 5, 7)
-    assert peak(t, ends_at_peak).is_endpoint
-    assert not peak(t, passes_through).is_endpoint
+    assert t.lca(3, 14) in ends_at_peak.endpoints()
+    assert t.lca(5, 7) not in passes_through.endpoints()
     assert [r.key for r in cat_order(t).sort([passes_through, ends_at_peak])] == [
         (3, 14),
         (5, 7),
@@ -86,7 +87,7 @@ def test_root_path_masks_match_parent_walks(data):
         below_x, below_y = wx[:wx.index(top)], wy[:wy.index(top)]
         assert edge_mask(t, r) == sum(1 << v for v in below_x + below_y)
         assert request_length(t, r) == len(below_x) + len(below_y)
-        assert peak(t, r).vertex == top
+        assert t.lca(r.x, r.y) == top
         if below_x and below_y:
             assert _sides(t, r, top) == tuple(sorted((below_x[-1], below_y[-1])))
 
@@ -158,7 +159,7 @@ def test_hub_tree_codec_is_frozen():
     tape = encode_cat_advice(inst)
     assert tape.bits == "0110001001"
     assert tape.to_json() == {"bits": 10, "hex": "624"}
-    sol = decode_run_cat(inst, tape)
+    sol = decode_run(CatAdviceAlgorithm(), inst, tape).solution
     assert sorted(r.key for r in sol.accepted) == [
         (2, 15),
         (3, 14),
@@ -174,9 +175,8 @@ def test_codec_writes_nothing_when_max_degree_is_three():
     inst = Instance(t, [Request(t, 0, 2), Request(t, 2, 4)])
     tape = encode_cat_advice(inst)
     assert len(tape) == 0
-    assert gain(decode_run_cat(inst, tape), "count") == brute_force_opt(
-        inst, "count"
-    ).optimum
+    sol = decode_run(CatAdviceAlgorithm(), inst, tape).solution
+    assert gain(sol, "count") == brute_force_opt(inst, "count").optimum
 
 
 @given(st.data())
@@ -186,9 +186,10 @@ def test_decode_matches_oracle_on_random_trees(data):
     inst = random_instance(t, 5, rng)
     tape = encode_cat_advice(inst)
     assert len(tape) <= tree_advice_bound(t)
-    sol = decode_run_cat(inst, tape)
+    sol = decode_run(CatAdviceAlgorithm(), inst, tape).solution
     assert validate_solution(inst, sol)
     assert gain(sol, "count") == brute_force_opt(inst, "count").optimum
+    assert set(sol.accepted) == set(greediest_opt(inst, cat_order(t), "count").accepted)
 
 
 def test_advice_bound_formula():
