@@ -31,8 +31,8 @@ _CANONICAL = {
 
 
 def _hash_key(seed, r):
-    digest = hashlib.sha256(f"{seed}:{r.x}:{r.y}".encode()).hexdigest()
-    return (int(digest, 16), r.x, r.y)
+    digest = hashlib.sha256(f"{seed}:{r.x}:{r.y}".encode()).digest()
+    return (int.from_bytes(digest, "big"), r.x, r.y)
 
 
 class RejectAll(PriorityAlgorithm):

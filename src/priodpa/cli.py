@@ -173,6 +173,10 @@ def cmd_reduce(args):
     n = len(args.bits) if args.bits is not None else args.n
     if n is None:
         raise UsageError("reduce needs --bits or --n")
+    if args.bits is not None and args.n is not None:
+        raise UsageError("reduce takes --bits or --n, not both")
+    if args.tree and args.problem != "cat":
+        raise UsageError("--tree is for --problem cat")
     # the path gadget has 3n edges, fig9_tree(n) has 6n + 1, and a tree
     # holding n disjoint 4-stars has at least 4n
     edges = 3 * n if args.problem == "lwdpa" else 4 * n if args.tree else 6 * n + 1

@@ -50,28 +50,23 @@ class PriorityOrder:
     every entry.  Built-in constructors append the lexicographic endpoint
     tie-break so keys are injective on any universe.  ``readapt``, when set,
     maps the decision history to the order used for the next request;
-    returning the same object means the order is unchanged.
-
-    A key must be a pure function of the request: ``max_of`` remembers the
-    keys it computes from its second call on, so a game that asks for the
-    top of a shrinking candidate set evaluates each request's key at most
-    twice.  The first call remembers nothing, because most orders are asked
-    once.  ``sort`` never remembers.
+    returning the same object means the order is unchanged.  ``max_of``
+    and ``sort`` evaluate each request's key once per call and remember
+    nothing.  A key must be a pure function of the request: a caller may
+    rank a set of requests once and keep the ranking for as long as the
+    order object is in force, as the string-guessing games do.
     """
 
     def __init__(self, key, name="order", readapt=None):
         self._key = key
         self.name = name
         self.readapt = readapt
-        self._seen = None  # id(request) -> (request, key) once max_of has run
 
     def max_of(self, requests):
-        """The highest-priority request; ties between distinct requests are
-        an order bug and raise InvalidOrderError."""
-        if self._seen is None:
-            key, self._seen = self._key, {}
-        else:
-            key = self._remembered_key
+        """The highest-priority request, in one pass of one key evaluation
+        each; ties between distinct requests are an order bug and raise
+        InvalidOrderError."""
+        key = self._key
         best = None
         best_key = None
         tied = False
@@ -97,14 +92,6 @@ class PriorityOrder:
             if not keys[a] < keys[b]:
                 raise InvalidOrderError(f"{self.name}: {items[a]} and {items[b]} are not strictly ordered")
         return [items[i] for i in idx]
-
-    def _remembered_key(self, r):
-        # the table holds the request too, so its id is not reused
-        i = id(r)
-        seen = self._seen.get(i)
-        if seen is None:
-            seen = self._seen[i] = (r, self._key(r))
-        return seen[1]
 
     def reversed(self):
         return PriorityOrder(self._negated_key, name=f"reversed-{self.name}")
@@ -265,7 +252,9 @@ class Session:
     """Feed-by-feed harness; adversaries drive it request by request.
 
     The adversary observes the algorithm's current (possibly adaptive)
-    order only through :meth:`max_of`.
+    order, ``session.order``, before each feed: through :meth:`max_of`
+    over candidates it picks, or by ranking a universe fixed in advance
+    with ``order.sort``, as the string-guessing games do.
     """
 
     def __init__(self, algorithm, graph, tape=None):

@@ -10,19 +10,26 @@ lower bounds:
 
 * on paths (length objective), blocks of three edges give ratio 3/(2+eps);
 * on trees (count objective), packed 4-stars give ratio 2/(1+eps).
+
+The gadget requests are fixed before the game starts, so a game ranks
+them once per order object the algorithm puts in force (``order.sort``,
+one key evaluation per request) and finds each next request by walking
+that ranking past the requests already fed or dropped: a game costs
+O(N log N) for N gadget requests, not a search of all that is left in
+every round.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import log2
+from weakref import WeakKeyDictionary
 
 from .graphs import (
     Instance,
     InvalidParameterError,
     InvalidTreeError,
     PathGraph,
-    PropertyViolation,
     Request,
     TreeGraph,
     edge_mask,
@@ -87,70 +94,91 @@ def _parse_bits(bits):
     return out
 
 
-def _drain_and_pick(session, upcoming, queue, served):
-    """Feed queued follow-ups as long as one tops the order; then return the
-    algorithm's top fresh request."""
-    while True:
-        m = session.max_of(list(upcoming) + list(queue))
-        if m in queue:
-            session.feed(m)
-            served.append(m)
-            queue.remove(m)
-        else:
-            return m
+class _RankedPool:
+    """The live gadget requests of one game, indexed 0..N-1, ranked once
+    per order object the session puts in force.
+
+    A request dies when it is fed or left out of its block's follow-ups,
+    and never comes back, so each ranking is the order's presentation
+    sequence of the universe with a cursor that only moves forward."""
+
+    def __init__(self, universe):
+        self.universe = universe
+        self.live = [True] * len(universe)
+        self._index = {id(r): i for i, r in enumerate(universe)}
+        # order -> [indices in presentation order, cursor]; weak, so an
+        # adaptive order that makes a new object per decision frees each
+        # ranking with its order
+        self._rankings = WeakKeyDictionary()
+
+    def top(self, order):
+        """The live index the order presents first, or None if none is live."""
+        ranking = self._rankings.get(order)
+        if ranking is None:
+            seq = [self._index[id(r)] for r in order.sort(self.universe)]
+            ranking = self._rankings[order] = [seq, 0]
+        seq, k = ranking
+        live = self.live
+        while k < len(seq) and not live[seq[k]]:
+            k += 1
+        ranking[1] = k
+        return seq[k] if k < len(seq) else None
 
 
 def _guessing_game(algorithm, graph, blocks, hidden, block_opt, mode, zero_followups):
-    """Play one round per hidden bit over the gadget ``blocks``.
+    """Play one round per hidden bit over the gadget ``blocks``, all of one
+    size s; block b holds the requests numbered b*s .. b*s + s - 1.
 
     Each round the algorithm's top fresh request m is its guess (accept
-    means 1).  A hidden 1 is answered with m's complement, the request of
-    m's block that covers exactly the block edges m leaves free; a hidden
-    0 with ``zero_followups`` of the set of the block's other requests.
+    means 1), and queued follow-ups on top of the order are fed before it.
+    A hidden 1 is answered with m's complement, the request of m's block
+    that covers exactly the block edges m leaves free; a hidden 0 with
+    ``zero_followups(rest, masks)``, indices taken from the block's other
+    requests ``rest`` given the edge masks of all requests.
     """
-    block_of = {}
-    complement = {}
-    for i, block in enumerate(blocks, start=1):
-        masks = {r: edge_mask(graph, r) for r in block}
+    universe = [r for blk in blocks for r in blk]
+    s = len(blocks[0])
+    masks = [edge_mask(graph, r) for r in universe]
+    complement = []
+    for start in range(0, len(universe), s):
+        block = range(start, start + s)
         full = 0
-        for mask in masks.values():
-            full |= mask
-        by_mask = {mask: r for r, mask in masks.items()}
-        for r in block:
-            block_of[r] = i
-            complement[r] = by_mask[full ^ masks[r]]
+        for i in block:
+            full |= masks[i]
+        by_mask = {masks[i]: i for i in block}
+        complement += [by_mask[full ^ masks[i]] for i in block]
 
     session = Session(algorithm, graph)
-    upcoming = {r for blk in blocks for r in blk}
-    queue = set()
+    pool = _RankedPool(universe)
+    live = pool.live
+    played = [False] * len(blocks)
+    per_block = [0] * len(blocks)
     served = []
     meta = []
-    for d in hidden:
-        m = _drain_and_pick(session, upcoming, queue, served)
-        i = block_of[m]
-        upcoming -= set(blocks[i - 1])
+    while (i := pool.top(session.order)) is not None:
+        b, m = i // s, universe[i]
         decision = session.feed(m)
         served.append(m)
-        y = 1 if decision.accept else 0
+        live[i] = False
+        if decision.accept:
+            per_block[b] += 1 if mode == "count" else request_length(graph, m)
+        if played[b]:
+            continue  # a queued follow-up
+        played[b] = True
+        d = hidden[len(meta)]
+        block = range(b * s, b * s + s)
         if d == 1:
-            queue.add(complement[m])
+            followups = {complement[i]}
         else:
-            queue.update(zero_followups(set(blocks[i - 1]) - {m, complement[m]}))
-        meta.append((i, m, y, d))
-    if upcoming:
-        raise PropertyViolation("every block must be played in exactly one round")
-    served.extend(session.drain(queue))
+            followups = set(zero_followups([j for j in block if j not in (i, complement[i])], masks))
+        for j in block:
+            live[j] = j in followups
+        meta.append((b, m, 1 if decision.accept else 0, d))
 
-    sol = session.result().solution
-    per_block = [0] * (len(blocks) + 1)
-    for r in sol.accepted:
-        w = 1 if mode == "count" else request_length(graph, r)
-        per_block[block_of[r]] += w
     records = tuple(
-        BlockRecord(k, m, y, d, y == d, per_block[k], block_opt)
-        for (k, m, y, d) in meta
+        BlockRecord(b + 1, m, y, d, y == d, per_block[b], block_opt) for (b, m, y, d) in meta
     )
-    alg = gain(sol, mode)
+    alg = gain(session.result().solution, mode)
     opt = block_opt * len(hidden)
     wrong = sum(1 for rec in records if not rec.correct)
     return GuessOutcome(Instance(graph, served), records, alg, opt, wrong, ratio(opt, alg), mode)
@@ -175,7 +203,7 @@ def run_guess(algorithm, bits):
         r4 = Request(g, base + 2, base + 3)
         blocks.append((r1, r2, r3, r4))
     # a hidden 0 brings both requests that intersect m
-    return _guessing_game(algorithm, g, blocks, hidden, 3, "length", lambda rest: rest)
+    return _guessing_game(algorithm, g, blocks, hidden, 3, "length", lambda rest, masks: rest)
 
 
 def run_tguess(algorithm, tree, bits):
@@ -195,13 +223,14 @@ def run_tguess(algorithm, tree, bits):
     return _guessing_game(algorithm, tree, blocks, hidden, 2, "count", _first_disjoint_pair)
 
 
-def _first_disjoint_pair(rest):
-    """The lexicographically first pair of disjoint requests in ``rest``,
-    the four leaf pairs of the star that intersect m."""
-    rest = sorted(rest, key=lambda r: r.key)
+def _first_disjoint_pair(rest, masks):
+    """The first pair of edge-disjoint requests in ``rest``, the four leaf
+    pairs of the star that intersect m: a star's leaf pairs are numbered
+    in lexicographic order, and two of them share an edge exactly when
+    they share a leaf."""
     for a_i, a in enumerate(rest):
         for b in rest[a_i + 1:]:
-            if not set(a.endpoints()) & set(b.endpoints()):
+            if not masks[a] & masks[b]:
                 return (a, b)
 
 

@@ -18,6 +18,7 @@ written to the tape.
 
 from __future__ import annotations
 
+import heapq
 from math import ceil, log2
 
 from .graphs import (
@@ -227,24 +228,38 @@ def pack_s4(tree):
     Repeatedly take the smallest-id degree >= 4 vertex with at most one
     degree >= 4 neighbour (a leaf of the induced high-degree forest — one
     always exists), cut floor(deg/4) stars from consecutive groups of its
-    sorted neighbours, then delete the vertex.
+    sorted neighbours, then delete the vertex.  Degrees only fall, so a
+    ready vertex stays ready while its degree is >= 4: a heap of ready
+    vertices and each vertex's count of high neighbours, updated around
+    each deleted centre, find every next centre in one pass.
     """
     adj = {v: set(tree.adj[v]) for v in range(tree.n)}
+    high = {v for v, nb in adj.items() if len(nb) >= 4}
+    high_nbs = {v: sum(1 for w in nb if w in high) for v, nb in adj.items()}
+    ready = [v for v in sorted(high) if high_nbs[v] <= 1]
     copies = []
-    while True:
-        high = {v for v, nb in adj.items() if len(nb) >= 4}
-        if not high:
-            break
-        eligible = [v for v in sorted(high) if sum(1 for w in adj[v] if w in high) <= 1]
-        if not eligible:
+    while high:
+        while ready and ready[0] not in high:
+            heapq.heappop(ready)
+        if not ready:
             raise PropertyViolation("the induced forest of high-degree vertices must have a leaf")
-        u = eligible[0]
+        u = heapq.heappop(ready)
         nbs = sorted(adj[u])
         for j in range(len(nbs) // 4):
             copies.append((u, tuple(nbs[4 * j: 4 * j + 4])))
-        for w in adj[u]:
+        high.discard(u)
+        touched = list(nbs)
+        for w in nbs:
             adj[w].discard(u)
-        adj[u] = set()
+            high_nbs[w] -= 1
+            if w in high and len(adj[w]) < 4:
+                high.discard(w)
+                for x in adj[w]:
+                    high_nbs[x] -= 1
+                touched += adj[w]
+        for v in touched:
+            if v in high and high_nbs[v] <= 1:
+                heapq.heappush(ready, v)
     if len(copies) < sigma(tree):
         raise PropertyViolation(f"{len(copies)} stars fall short of sigma = {sigma(tree)}")
     return tuple(copies)

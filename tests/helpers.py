@@ -2,8 +2,10 @@
 canonical enumeration of small free trees, request sampling, the paths of
 the committed instance files, the walk-based reference geometry that the
 library's edge masks are checked against, the plain subset scans that
-the oracle's canonical witnesses are checked against, and the depth-first
+the oracle's canonical witnesses are checked against, the depth-first
 route enumeration and walk check that the grid's route table is checked
+against, and the round-by-round string-guessing game and pass-by-pass
+4-star packing that the ranked game and the one-pass packing are checked
 against."""
 
 import heapq
@@ -11,8 +13,10 @@ import itertools
 from functools import lru_cache
 from pathlib import Path
 
-from priodpa import Instance, Request, TreeGraph, request_length
-from priodpa.graphs import edge_mask
+from priodpa import Instance, PropertyViolation, Request, Session, TreeGraph, request_length
+from priodpa.graphs import PathGraph, edge_mask, gain, ratio
+from priodpa.reduction import BlockRecord, GuessOutcome, _parse_bits
+from priodpa.trees import sigma
 
 # Instance files under tests/data, found from this file so the suite runs
 # from any working directory. DEMO is the README's 15-edge LWDPA instance;
@@ -219,6 +223,120 @@ def walk_ok(graph, req, walk):
             return False
         vs.append(v)
     return len(set(vs)) == len(vs) and {vs[0], vs[-1]} == {req.x, req.y}
+
+
+def reference_pack_s4(tree):
+    """Reference for ``pack_s4``: every pass recomputes the high-degree set
+    and takes its smallest vertex with at most one high neighbour."""
+    adj = {v: set(tree.adj[v]) for v in range(tree.n)}
+    copies = []
+    while True:
+        high = {v for v, nb in adj.items() if len(nb) >= 4}
+        if not high:
+            break
+        eligible = [v for v in sorted(high) if sum(1 for w in adj[v] if w in high) <= 1]
+        if not eligible:
+            raise PropertyViolation("the induced forest of high-degree vertices must have a leaf")
+        u = eligible[0]
+        nbs = sorted(adj[u])
+        for j in range(len(nbs) // 4):
+            copies.append((u, tuple(nbs[4 * j: 4 * j + 4])))
+        for w in adj[u]:
+            adj[w].discard(u)
+        adj[u] = set()
+    if len(copies) < sigma(tree):
+        raise PropertyViolation(f"{len(copies)} stars fall short of sigma = {sigma(tree)}")
+    return tuple(copies)
+
+
+def _reference_drain_and_pick(session, upcoming, queue, served):
+    while True:
+        m = session.max_of(list(upcoming) + list(queue))
+        if m in queue:
+            session.feed(m)
+            served.append(m)
+            queue.remove(m)
+        else:
+            return m
+
+
+def reference_guessing_game(algorithm, graph, blocks, hidden, block_opt, mode, zero_followups):
+    """Reference for the ranked game: every round asks ``Session.max_of``
+    for the top of all fresh and queued requests, feeds queued ones while
+    they are on top, and drains what is queued at the end."""
+    block_of = {}
+    complement = {}
+    for i, block in enumerate(blocks, start=1):
+        masks = {r: edge_mask(graph, r) for r in block}
+        full = 0
+        for mask in masks.values():
+            full |= mask
+        by_mask = {mask: r for r, mask in masks.items()}
+        for r in block:
+            block_of[r] = i
+            complement[r] = by_mask[full ^ masks[r]]
+
+    session = Session(algorithm, graph)
+    upcoming = {r for blk in blocks for r in blk}
+    queue = set()
+    served = []
+    meta = []
+    for d in hidden:
+        m = _reference_drain_and_pick(session, upcoming, queue, served)
+        i = block_of[m]
+        upcoming -= set(blocks[i - 1])
+        decision = session.feed(m)
+        served.append(m)
+        y = 1 if decision.accept else 0
+        if d == 1:
+            queue.add(complement[m])
+        else:
+            queue.update(zero_followups(set(blocks[i - 1]) - {m, complement[m]}))
+        meta.append((i, m, y, d))
+    served.extend(session.drain(queue))
+
+    sol = session.result().solution
+    per_block = [0] * (len(blocks) + 1)
+    for r in sol.accepted:
+        per_block[block_of[r]] += 1 if mode == "count" else request_length(graph, r)
+    records = tuple(
+        BlockRecord(k, m, y, d, y == d, per_block[k], block_opt) for (k, m, y, d) in meta
+    )
+    alg = gain(sol, mode)
+    opt = block_opt * len(hidden)
+    wrong = sum(1 for rec in records if not rec.correct)
+    return GuessOutcome(Instance(graph, served), records, alg, opt, wrong, ratio(opt, alg), mode)
+
+
+def reference_run_guess(algorithm, bits):
+    """``run_guess`` played by ``reference_guessing_game``."""
+    hidden = _parse_bits(bits)
+    g = PathGraph(3 * len(hidden))
+    blocks = [
+        (Request(g, b, b + 1), Request(g, b, b + 2), Request(g, b + 1, b + 3), Request(g, b + 2, b + 3))
+        for b in range(0, 3 * len(hidden), 3)
+    ]
+    return reference_guessing_game(algorithm, g, blocks, hidden, 3, "length", lambda rest: rest)
+
+
+def _reference_first_disjoint_pair(rest):
+    rest = sorted(rest, key=lambda r: r.key)
+    for a_i, a in enumerate(rest):
+        for b in rest[a_i + 1:]:
+            if not set(a.endpoints()) & set(b.endpoints()):
+                return (a, b)
+
+
+def reference_run_tguess(algorithm, tree, bits):
+    """``run_tguess`` played by ``reference_guessing_game`` on the stars of
+    ``reference_pack_s4``."""
+    hidden = _parse_bits(bits)
+    blocks = [
+        tuple(Request(tree, a, b) for i, a in enumerate(leaves) for b in leaves[i + 1:])
+        for _, leaves in reference_pack_s4(tree)[:len(hidden)]
+    ]
+    return reference_guessing_game(algorithm, tree, blocks, hidden, 2, "count",
+                                   _reference_first_disjoint_pair)
 
 
 # A two-level caterpillar whose request peaks sit at three different depths,

@@ -43,17 +43,17 @@ MUTANTS = {
         "            if False:\n",
         "tests/test_engine.py",
     ),
-    "max-of-never-remembers": (
-        "engine.py",
-        "            key = self._remembered_key\n",
-        "            key = self._key\n",
-        "tests/test_engine.py",
+    "ranking-ignores-order-change": (
+        "reduction.py",
+        "        ranking = self._rankings.get(order)\n",
+        "        ranking = next(iter(self._rankings.values()), None)\n",
+        "tests/test_reduction.py",
     ),
-    "memo-keyed-by-graph": (
-        "engine.py",
-        "        i = id(r)\n",
-        "        i = id(r.graph)\n",
-        "tests/test_engine.py",
+    "pack-s4-skips-neighbour-update": (
+        "trees.py",
+        "                    high_nbs[x] -= 1\n",
+        "                    pass\n",
+        "tests/test_trees.py",
     ),
     "tree-edge-mask-or": (
         "graphs.py",

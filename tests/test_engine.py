@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -18,14 +19,15 @@ from priodpa import (
     PriorityOrder,
     Request,
     Session,
+    TreeGraph,
     decode_run,
     greediest_opt,
     run,
 )
-from priodpa.battery import battery
+from priodpa.battery import _hash_key, battery
 from priodpa.paths import greedy_path_algorithm, right_end_order
 
-from helpers import DEMO, all_pairs, random_instance, random_tree
+from helpers import DEMO, NESTED_EDGES, all_pairs, random_instance, random_tree
 
 
 def _p5_instance():
@@ -161,7 +163,7 @@ def _counting_key(base):
 
 
 @pytest.mark.parametrize("reverse", [False, True])
-def test_max_of_evaluates_only_unseen_requests_from_its_second_call_on(reverse):
+def test_max_of_evaluates_each_candidate_once_per_call(reverse):
     g = PathGraph(30)
     rng = random.Random(6)
     universe = all_pairs(g)
@@ -169,39 +171,27 @@ def test_max_of_evaluates_only_unseen_requests_from_its_second_call_on(reverse):
     order = PriorityOrder(key, name="counted")
     if reverse:
         order = order.reversed()
-    first = rng.sample(universe, 25)
-    order.max_of(first)
-    assert evals[0] == 25
-    seen = set()
-    for size in (25, 10, 30, 18, 40):
-        candidates = set(rng.sample(first, 5) + rng.sample(universe, size))
+    pick = max if reverse else min
+    for size in (25, 10, 30, 18, 40, 25):
+        candidates = rng.sample(universe, size)
         evals[0] = 0
-        order.max_of(candidates)
-        # the first call remembered nothing; later calls pay for new requests only
-        assert evals[0] == len(candidates - seen)
-        seen |= candidates
-    evals[0] = 0
-    order.max_of(seen)
-    assert evals[0] == 0
+        top = order.max_of(candidates)
+        # one pass: a repeated candidate costs as much as a new one
+        assert evals[0] == size
+        assert top is pick(candidates, key=lambda r: (r.y, r.x))
 
 
-def test_a_reversed_order_keeps_its_own_table():
+def test_an_order_and_its_reverse_evaluate_afresh_on_every_call():
     g = PathGraph(12)
     requests = all_pairs(g)
     key, evals = _counting_key(lambda r: (r.y, r.x))
     order = PriorityOrder(key, name="counted")
-    for _ in range(3):
-        order.max_of(requests)
     back = order.reversed()
-    evals[0] = 0
-    lo = order.max_of(requests)
-    assert evals[0] == 0
-    hi, again = back.max_of(requests), back.max_of(requests)
-    assert evals[0] == 2 * len(requests)
-    assert (lo.key, hi.key, again) == ((0, 1), (11, 12), hi)
-    evals[0] = 0
-    assert back.max_of(requests) is hi and order.max_of(requests) is lo
-    assert evals[0] == 0
+    for _ in range(3):
+        evals[0] = 0
+        lo, hi = order.max_of(requests), back.max_of(requests)
+        assert evals[0] == 2 * len(requests)
+        assert (lo.key, hi.key) == ((0, 1), (11, 12))
 
 
 def _answer(order, candidates):
@@ -228,6 +218,14 @@ def test_repeated_max_of_answers_like_a_fresh_order():
                 assert _answer(kept, candidates) is expected
                 tied.add(expected is InvalidOrderError)
     assert tied == {False, True}
+
+
+def test_sha_keys_are_the_hexdigest_integers():
+    for graph in (PathGraph(7), TreeGraph(NESTED_EDGES)):
+        for r in all_pairs(graph):
+            for seed in range(10):
+                hexed = hashlib.sha256(f"{seed}:{r.x}:{r.y}".encode()).hexdigest()
+                assert _hash_key(seed, r) == (int(hexed, 16), r.x, r.y)
 
 
 def test_drain_feeds_a_fixed_order_in_presentation_sequence():

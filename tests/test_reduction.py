@@ -7,10 +7,11 @@ from priodpa import (
     GreedyAlgorithm,
     InvalidParameterError,
     InvalidTreeError,
+    PriorityAlgorithm,
     PriorityOrder,
     TreeGraph,
 )
-from priodpa.battery import battery
+from priodpa.battery import AdaptiveFlip, battery
 from priodpa.lwdpa import greedy_lwdpa_algorithm
 from priodpa.reduction import (
     binary_entropy,
@@ -19,7 +20,9 @@ from priodpa.reduction import (
     run_guess,
     run_tguess,
 )
-from priodpa.trees import greedy_cat_algorithm, sigma
+from priodpa.trees import greedy_cat_algorithm, pack_s4, sigma
+
+from helpers import random_high_degree_tree, reference_run_guess, reference_run_tguess
 
 
 def test_entropy_bound_values():
@@ -148,33 +151,58 @@ def test_hidden_string_validation():
         run_guess(alg, [0, 1, 2])
 
 
-def _counted_greedy(key, mode):
-    """A greedy on a fixed order, with a count of its key evaluations."""
+def _counting(key):
     evals = [0]
 
     def counted(r):
         evals[0] += 1
         return key(r)
 
+    return counted, evals
+
+
+def _counted_greedy(key, mode):
+    """A greedy on a fixed order, with a count of its key evaluations."""
+    counted, evals = _counting(key)
     order = PriorityOrder(counted, name="counted")
     return GreedyAlgorithm(lambda graph: order, "counted-greedy", mode), evals
 
 
 def test_guessing_games_evaluate_each_gadget_key_a_few_times():
-    """Every round asks the order for its top fresh request over all that
-    is left; the order remembers keys, so each gadget request's key is
-    evaluated a bounded number of times, not once per round."""
+    """A game ranks its gadget requests once per order object, so a fixed
+    order evaluates each gadget request's key exactly once."""
     rng = random.Random(10)
     bits = "".join(rng.choice("01") for _ in range(16))
     alg, evals = _counted_greedy(lambda r: (r.x - r.y, r.x), "length")
     out = run_guess(alg, bits)
     assert out.records == run_guess(greedy_lwdpa_algorithm(), bits).records
-    assert evals[0] <= 3 * 4 * 16
+    assert evals[0] == 4 * 16
 
     alg, evals = _counted_greedy(lambda r: r.key, "count")
     out = run_tguess(alg, fig9_tree(12), bits[:12])
     assert len(out.records) == 12
-    assert evals[0] <= 3 * 6 * 12
+    assert evals[0] == 6 * 12
+
+
+def test_an_adaptive_flip_ranks_the_gadget_once_per_direction():
+    rng = random.Random(10)
+    bits = "".join(rng.choice("01") for _ in range(16))
+    counted, evals = _counting(lambda r: (r.x - r.y, r.x))
+    flip = AdaptiveFlip(lambda graph: PriorityOrder(counted, name="counted"), "length")
+    assert len(run_guess(flip, bits).records) == 16
+    # the forward order and its reverse each rank the 64 requests once
+    assert evals[0] == 2 * 4 * 16
+
+
+def test_guessing_games_at_scale_evaluate_each_key_once():
+    rng = random.Random(11)
+    alg, evals = _counted_greedy(lambda r: (r.x - r.y, r.x), "length")
+    out = run_guess(alg, "".join(rng.choice("01") for _ in range(3000)))
+    assert len(out.records) == 3000 and evals[0] == 4 * 3000
+
+    alg, evals = _counted_greedy(lambda r: r.key, "count")
+    out = run_tguess(alg, fig9_tree(1000), "".join(rng.choice("01") for _ in range(1000)))
+    assert len(out.records) == 1000 and evals[0] == 6 * 1000
 
 
 def test_outcome_instances_are_well_formed():
@@ -182,3 +210,73 @@ def test_outcome_instances_are_well_formed():
     assert out.instance.graph.length == 12
     out_t = run_tguess(greedy_cat_algorithm(), fig9_tree(2), "01")
     assert len({rec.block for rec in out_t.records}) == 2
+
+
+class _Watched(PriorityAlgorithm):
+    """``inner``, with every request it is asked about written down."""
+
+    def __init__(self, inner):
+        self.inner, self.name, self.mode = inner, inner.name, inner.mode
+        self.asked = []
+
+    def initial_order(self, graph, advice):
+        return self.inner.initial_order(graph, advice)
+
+    def decide(self, request, state, advice):
+        self.asked.append(request)
+        return self.inner.decide(request, state, advice)
+
+
+def _assert_plays_like_the_reference(play, reference, alg, *args):
+    new, ref = _Watched(alg), _Watched(alg)
+    out, expected = play(new, *args), reference(ref, *args)
+    assert new.asked == ref.asked
+    assert out.records == expected.records
+    assert out.instance == expected.instance
+    assert (out.alg_gain, out.opt_gain, out.wrong, out.ratio, out.mode) == (
+        expected.alg_gain, expected.opt_gain, expected.wrong, expected.ratio, expected.mode)
+
+
+@pytest.mark.parametrize("problem", ["lwdpa", "cat"])
+def test_games_play_like_the_round_by_round_reference(problem):
+    """The ranked game feeds, decides and scores exactly like the game that
+    asks max_of for the top of everything left in every round."""
+    rng = random.Random(12)
+    for alg in battery(problem):
+        for n in (1, 2, 3, 7, 16, 40):
+            bits = "".join(rng.choice("01") for _ in range(n))
+            if problem == "lwdpa":
+                _assert_plays_like_the_reference(run_guess, reference_run_guess, alg, bits)
+            else:
+                _assert_plays_like_the_reference(
+                    run_tguess, reference_run_tguess, alg, fig9_tree(n), bits)
+        if problem == "cat":
+            for _ in range(6):
+                tree = random_high_degree_tree(rng.randint(5, 40), rng)
+                n = rng.randint(1, len(pack_s4(tree)))
+                bits = "".join(rng.choice("01") for _ in range(n))
+                _assert_plays_like_the_reference(
+                    run_tguess, reference_run_tguess, alg, tree, bits)
+
+
+def _made_afresh(key, mode):
+    """A greedy whose readapt builds a new order object at every decision,
+    reversed after every third."""
+
+    def make(history=()):
+        order = PriorityOrder(key, name="fresh")
+        if len(history) % 3 == 1:
+            order = order.reversed()
+        order.readapt = make
+        return order
+
+    return GreedyAlgorithm(lambda graph: make(), "fresh", mode)
+
+
+def test_an_order_made_afresh_every_decision_plays_like_the_reference():
+    rng = random.Random(13)
+    bits = "".join(rng.choice("01") for _ in range(12))
+    _assert_plays_like_the_reference(
+        run_guess, reference_run_guess, _made_afresh(lambda r: (r.x - r.y, r.x), "length"), bits)
+    _assert_plays_like_the_reference(
+        run_tguess, reference_run_tguess, _made_afresh(lambda r: r.key, "count"), fig9_tree(12), bits)

@@ -252,6 +252,17 @@ def test_usage_and_input_errors_exit_2(capsys, tmp_path):
         assert len(err.splitlines()) == 1
         assert err.startswith("error: a host ") and "needs fewer than 32768 edges" in err
 
+    # reduce refuses flags it would otherwise ignore
+    ignored = {
+        "error: reduce takes --bits or --n, not both": [
+            "reduce", "--problem", "lwdpa", "--alg", "greedy", "--bits", "01", "--n", "5"],
+        "error: --tree is for --problem cat": [
+            "reduce", "--problem", "lwdpa", "--alg", "greedy", "--n", "2", "--tree", CATERPILLAR],
+    }
+    for line, argv in ignored.items():
+        rc, out, err = _main(capsys, *argv)
+        assert (rc, out, err) == (2, "", line + "\n")
+
 
 def test_main_builds_its_parser_once(capsys, monkeypatch, tmp_path):
     built = []

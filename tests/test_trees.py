@@ -40,6 +40,7 @@ from helpers import (
     random_high_degree_tree,
     random_instance,
     random_tree,
+    reference_pack_s4,
     root_walk,
 )
 
@@ -234,6 +235,15 @@ def test_no_packing_without_degree_four():
     t = TreeGraph([(0, 1), (1, 2), (1, 3), (3, 4)])
     assert sigma(t) == 0
     assert pack_s4(t) == ()
+
+
+def test_packing_matches_the_pass_by_pass_reference():
+    rng = random.Random(31)
+    trees = [fig9_tree(n) for n in range(1, 31)]
+    trees += [random_tree(rng.randint(2, 60), rng) for _ in range(400)]
+    trees += [random_high_degree_tree(rng.randint(5, 60), rng) for _ in range(100)]
+    for t in trees:
+        assert pack_s4(t) == reference_pack_s4(t)
 
 
 @given(st.data())
