@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import inf
+from types import MappingProxyType
 
 
 class PriodpaError(Exception):
@@ -161,9 +162,18 @@ class TreeGraph:
         return f"TreeGraph({list(self.edges)!r})"
 
 
+# each 3x3 grid vertex mapped to its neighbours: up, down, left, right
+_GRID_NEIGHBORS = {
+    (r, c): tuple((rr, cc) for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))
+                  if 0 <= rr < 3 and 0 <= cc < 3)
+    for r in range(3) for c in range(3)
+}
+
+
 class GridGraph:
     """The 3x3 grid; vertices are (row, col) pairs.  Each instance keeps
-    its own route table, filled as pairs are asked for."""
+    its own route table, filled as pairs are asked for; each pair's table
+    is a read-only mapping."""
 
     kind = "grid"
 
@@ -184,12 +194,7 @@ class GridGraph:
         )
 
     def neighbors(self, v):
-        r, c = v
-        out = []
-        for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            if 0 <= rr < 3 and 0 <= cc < 3:
-                out.append((rr, cc))
-        return tuple(out)
+        return _GRID_NEIGHBORS[v]
 
     def edge_list(self):
         return tuple((v, w) for v in self.vertices() for w in self.neighbors(v) if v < w)
@@ -204,7 +209,8 @@ class GridGraph:
 
     def routes(self, x, y):
         """Every simple x-y route (a tuple of (u, v) edges) mapped to its
-        edge mask, in vertex-sequence order; built per pair on first use."""
+        edge mask, in vertex-sequence order; built per pair on first use
+        and read-only."""
         table = self._routes.get((x, y))
         if table is None:
             found = []
@@ -214,12 +220,12 @@ class GridGraph:
                 if v == y:
                     found.append((tuple(zip(walk, walk[1:])), mask))
                     return
-                for w in self.neighbors(v):
+                for w in _GRID_NEIGHBORS[v]:
                     if w not in walk:
                         extend(walk + [w], mask | self.edge_bit[v, w])
 
             extend([x], 0)
-            table = self._routes[x, y] = dict(sorted(found))
+            table = self._routes[x, y] = MappingProxyType(dict(sorted(found)))
         return table
 
     def route_mask(self, request, route):

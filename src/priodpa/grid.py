@@ -155,7 +155,10 @@ def exhaustive_verify_3x3():
     Asserts the dichotomy (internal corner or center), the per-case
     algorithm caps (1 resp. 2), the follow-up-only optima (2 resp. 3),
     and ratio >= 2 resp. >= 3/2; cross-checks the pair count against the
-    eight grid automorphisms.
+    eight grid automorphisms.  The algorithm's continuation is routed
+    around each routing; the optima, which do not depend on the routing,
+    are computed once per call for each follow-up set and each pair of
+    served request and follow-ups.
     """
     g = grid_3x3()
     pairs = distance3_pairs(g)
@@ -164,6 +167,7 @@ def exhaustive_verify_3x3():
     for phi in grid_automorphisms():
         orbit.add(Request(g, phi(base.x), phi(base.y)))
     cases = []
+    fols, opts = {}, {}  # optima by follow-ups, and by (r, follow-ups)
     for r in pairs:
         corner = r.x if r.x in CORNERS else r.y
         for path, mask in g.routes(corner, r.x if corner == r.y else r.y).items():
@@ -171,8 +175,11 @@ def exhaustive_verify_3x3():
             case, followups = _followups(g, r, vs)
             cont, _, _ = max_allocatable(g, followups, mask)
             alg_total = 1 + cont
-            fol, _, _ = max_allocatable(g, followups)
-            opt, _, _ = max_allocatable(g, (r,) + followups)
+            if followups not in fols:
+                fols[followups], _, _ = max_allocatable(g, followups)
+            if (r, followups) not in opts:
+                opts[r, followups], _, _ = max_allocatable(g, (r,) + followups)
+            fol, opt = fols[followups], opts[r, followups]
             ratio = Fraction(opt, alg_total)
             if case == "corner":
                 ok = alg_total == 1 and fol == 2 and opt >= 2 and ratio >= 2

@@ -19,13 +19,20 @@ into the overall one.  Two rules use the search:
   optimum which keeps each request, in presentation order, whenever the
   requests kept so far and it still extend to an optimum.
 
-On the 3x3 grid ``max_allocatable`` enumerates accepted subsets and searches
-for edge-disjoint routings over the grid's route table.
+On the 3x3 grid ``max_allocatable`` searches for edge-disjoint routings
+over the grid's route table.  Its witness is the smallest routable mask of
+the largest routable size, over the requests sorted by endpoints.  Subsets
+are tried from the largest size down, in increasing mask order within a
+size, and the first that routes is returned.  Every larger subset has
+failed by then, and so has every smaller mask of its size, so this is the
+witness an increasing scan of all masks keeps; and no subset is searched
+that such a scan would skip.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .graphs import (
     InvalidParameterError,
@@ -172,23 +179,27 @@ def max_allocatable(graph, requests, blocked=0):
     the mask ``blocked``.
 
     Returns (count, accepted tuple, allocations dict) with the canonical
-    increasing-bitmask witness over endpoint-sorted requests.
+    witness over endpoint-sorted requests (request i is bit i): the
+    smallest routable mask of the largest routable size, routed by the
+    first routing the depth-first search meets.  Sizes are tried from the
+    number of requests with a free route down, and the masks of one size
+    in increasing order, so the first subset that routes is that witness;
+    a subset holding a request without a free route is never searched.
     """
     reqs = sorted(requests, key=lambda r: r.key)
     if len(reqs) > 12:
         raise InstanceTooLargeError("grid routing search capped at 12 requests")
     lists = [[(p, m) for p, m in graph.routes(r.x, r.y).items() if not m & blocked]
              for r in reqs]
-    best = (0, (), {})
-    for sub in range(1 << len(reqs)):
-        picked = [i for i in range(len(reqs)) if sub >> i & 1]
-        if len(picked) <= best[0]:
-            continue
-        alloc = []
-        if _route([lists[i] for i in picked], 0, 0, alloc):
-            accepted = tuple(reqs[i] for i in picked)
-            best = (len(picked), accepted, dict(zip(accepted, alloc)))
-    return best
+    free = [i for i, routes in enumerate(lists) if routes]
+    for size in range(len(free), 0, -1):
+        # increasing masks: compare the highest bits first
+        for picked in sorted(combinations(free, size), key=lambda c: c[::-1]):
+            alloc = []
+            if _route([lists[i] for i in picked], 0, 0, alloc):
+                accepted = tuple(reqs[i] for i in picked)
+                return size, accepted, dict(zip(accepted, alloc))
+    return 0, (), {}
 
 
 def _grid_opt(instance, mode):

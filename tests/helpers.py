@@ -3,10 +3,10 @@ canonical enumeration of small free trees, request sampling, the paths of
 the committed instance files, the walk-based reference geometry that the
 library's edge masks are checked against, the plain subset scans that
 the oracle's canonical witnesses are checked against, the depth-first
-route enumeration and walk check that the grid's route table is checked
-against, and the round-by-round string-guessing game and pass-by-pass
-4-star packing that the ranked game and the one-pass packing are checked
-against."""
+route enumeration, walk check and subset-and-product routing scan that
+the grid's route table and oracle are checked against, and the
+round-by-round string-guessing game and pass-by-pass 4-star packing that
+the ranked game and the one-pass packing are checked against."""
 
 import heapq
 import itertools
@@ -223,6 +223,40 @@ def walk_ok(graph, req, walk):
             return False
         vs.append(v)
     return len(set(vs)) == len(vs) and {vs[0], vs[-1]} == {req.x, req.y}
+
+
+def reference_max_allocatable(graph, requests, blocked=0):
+    """Reference for ``max_allocatable``: scan every subset of the
+    endpoint-sorted requests (request i is bit i) by increasing mask and
+    keep the first one of each larger size that routes.  A subset routes
+    when the product of its requests' ``simple_paths`` that avoid the edge
+    mask ``blocked`` (bit i is ``edge_list()[i]``) holds an edge-disjoint
+    choice; the first such choice in product order is its routing.  The
+    product is built one request at a time, dropping every partial choice
+    that reuses an edge, so a subset that cannot route stays cheap."""
+    reqs = sorted(requests, key=lambda r: r.key)
+    bit = {frozenset(e): 1 << i for i, e in enumerate(graph.edge_list())}
+    paths = []
+    for r in reqs:
+        free = []
+        for p in simple_paths(graph, r.x, r.y):
+            edges = frozenset(frozenset(e) for e in p)
+            if not any(bit[e] & blocked for e in edges):
+                free.append((p, edges))
+        paths.append(free)
+    best = (0, (), {})
+    for sub in range(1 << len(reqs)):
+        picked = [i for i in range(len(reqs)) if sub >> i & 1]
+        if len(picked) <= best[0]:
+            continue
+        choices = [((), frozenset())]
+        for i in picked:
+            choices = [(c + (p,), used | edges) for c, used in choices
+                       for p, edges in paths[i] if used.isdisjoint(edges)]
+        if choices:
+            accepted = tuple(reqs[i] for i in picked)
+            best = (len(picked), accepted, dict(zip(accepted, choices[0][0])))
+    return best
 
 
 def reference_pack_s4(tree):

@@ -91,6 +91,18 @@ MUTANTS = {
         "if not edges & ms[i]]) > best_w + 1:",
         "tests/test_oracle.py",
     ),
+    "grid-size-scanned-downward": (
+        "oracle.py",
+        "key=lambda c: c[::-1]):",
+        "key=lambda c: c[::-1], reverse=True):",
+        "tests/test_oracle.py",
+    ),
+    "verify-cont-keyed-by-followups": (
+        "grid.py",
+        "            cont, _, _ = max_allocatable(g, followups, mask)\n",
+        "            cont = fols.setdefault((\"cont\", followups), max_allocatable(g, followups, mask)[0])\n",
+        "tests/test_golden.py",
+    ),
     "grid-reverse-direction-bit": (
         "graphs.py",
         "bits[v, w] = bits[w, v] = 1 << i",

@@ -8,11 +8,14 @@ from priodpa import (
     Decision,
     GridGraph,
     IllegalAcceptanceError,
+    Instance,
     PriorityAlgorithm,
     Request,
     Session,
+    run,
     validate_solution,
 )
+from priodpa import grid, oracle
 from priodpa.grid import (
     CENTER,
     CORNERS,
@@ -67,6 +70,31 @@ def test_exhaustive_case_analysis_passes():
     assert rep.pair_count == 8
     assert (rep.corner_cases, rep.center_cases) == (16, 64)
     assert len(rep.cases) == 80
+
+
+def test_the_case_analysis_computes_each_optimum_once(monkeypatch):
+    calls, searches, depth = [0], [0], [0]
+    real_max_allocatable, real_route = grid.max_allocatable, oracle._route
+
+    def counted_max_allocatable(*args):
+        calls[0] += 1
+        return real_max_allocatable(*args)
+
+    def counted_route(*args):
+        searches[0] += depth[0] == 0  # a routing search, not one of its steps
+        depth[0] += 1
+        try:
+            return real_route(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(grid, "max_allocatable", counted_max_allocatable)
+    monkeypatch.setattr(oracle, "_route", counted_route)
+    assert exhaustive_verify_3x3().passed
+    # one call per routing (80), per distinct follow-ups (12) and per
+    # distinct served request and follow-ups (40)
+    assert calls[0] == 132
+    assert searches[0] <= 241
 
 
 def test_every_routing_is_a_corner_or_center_case():
@@ -235,3 +263,33 @@ def test_grid_allocation_that_reuses_an_edge_is_illegal():
     assert session.feed(r).accept
     with pytest.raises(IllegalAcceptanceError, match="reuses an edge"):
         session.feed(r)
+
+
+class _TableWriter(PriorityAlgorithm):
+    """Writes a one-edge route into the route table of its request, then
+    accepts along it."""
+
+    name = "table-writer"
+    ROUTE = (((0, 0), (2, 2)),)
+
+    def __init__(self):
+        self.refused = False
+
+    def initial_order(self, graph, advice):
+        return grid_order(graph)
+
+    def decide(self, request, state, advice):
+        try:
+            state.graph.routes(request.x, request.y)[self.ROUTE] = 1
+        except TypeError:
+            self.refused = True
+        return Decision(request, True, self.ROUTE)
+
+
+def test_an_algorithm_cannot_write_its_own_route_into_the_table():
+    g = grid_3x3()
+    cheat = _TableWriter()
+    with pytest.raises(IllegalAcceptanceError, match="simple route"):
+        run(cheat, Instance(g, (Request(g, (0, 0), (2, 2)),)))
+    assert cheat.refused
+    assert list(g.routes((0, 0), (2, 2))) == simple_paths(g, (0, 0), (2, 2))

@@ -29,6 +29,7 @@ from helpers import (
     prefix_walk_greediest,
     random_instance,
     random_tree,
+    reference_max_allocatable,
     scan_opt,
 )
 
@@ -300,3 +301,32 @@ def test_grid_allocation_search():
     assert len(thirteen) == 13
     with pytest.raises(InstanceTooLargeError):
         max_allocatable(gg, thirteen)
+
+
+def test_grid_oracle_matches_the_subset_and_product_reference():
+    from priodpa import GridGraph
+
+    gg = GridGraph()
+    vs = gg.vertices()
+    every_edge = (1 << len(gg.edge_list())) - 1
+    rng = random.Random(13)
+    cases = [((), 0), ((), every_edge)]
+    for k in range(2000):
+        reqs = tuple(Request(gg, *rng.sample(vs, 2)) for _ in range(rng.randint(0, 8)))
+        if k % 100 == 0:
+            blocked = every_edge
+        elif k % 2:
+            blocked = 0
+        else:
+            blocked = sum(1 << e for e in rng.sample(range(12), rng.randint(1, 6)))
+        cases.append((reqs, blocked))
+    routed = set()
+    for reqs, blocked in cases:
+        count, accepted, alloc = max_allocatable(gg, reqs, blocked)
+        ref_count, ref_accepted, ref_alloc = reference_max_allocatable(gg, reqs, blocked)
+        assert (count, accepted) == (ref_count, ref_accepted), (reqs, blocked)
+        assert list(alloc.items()) == list(ref_alloc.items()), (reqs, blocked)
+        if blocked == every_edge:
+            assert count == 0
+        routed.add(count)
+    assert routed >= set(range(7))
