@@ -77,7 +77,6 @@ from .reduction import (
 from .grid import (
     distance3_pairs,
     exhaustive_verify_3x3,
-    grid_3x3,
     grid_adversary,
     grid_battery,
 )

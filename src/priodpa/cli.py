@@ -126,7 +126,15 @@ def cmd_run(args):
     return _run_and_report(args, _canonical_algorithm(args.alg, inst.graph), inst)
 
 
+# the family-specific flags each adversary family reads
+_FAMILY_FLAGS = {"pab": ("a", "b"), "tree": ("tree",), "grid": ()}
+
+
 def cmd_adversary(args):
+    unread = [f"--{f}" for f in ("a", "b", "tree")
+              if getattr(args, f) is not None and f not in _FAMILY_FLAGS[args.family]]
+    if unread:
+        raise UsageError(f"--family {args.family} takes no {' or '.join(unread)}")
     t0 = time.monotonic()
     if args.family == "pab":
         if args.a is None or args.b is None:
@@ -139,11 +147,9 @@ def cmd_adversary(args):
         tree = _load_tree(args.tree)
         alg = _battery_algorithm(args.alg, "cat")
         outcome = tree_adversary(alg, tree)
-    elif args.family == "grid":
+    else:
         alg = _by_name(grid_battery(), args.alg, f"grid algorithm {args.alg!r}")
         outcome = grid_adversary(alg)
-    else:
-        raise UsageError(f"unknown adversary family {args.family!r}")
     ms = int((time.monotonic() - t0) * 1000)
     row = _report_row(args, outcome.instance, args.alg, outcome.alg_gain,
                       outcome.opt_gain, 0, ms)
@@ -217,6 +223,8 @@ def cmd_reduce(args):
 
 
 def cmd_verify(args):
+    if args.grid_3x3 and (args.instance or args.mode):
+        raise UsageError("verify --grid-3x3 takes no --instance or --mode")
     if args.grid_3x3:
         report = exhaustive_verify_3x3()
         lines = ["request,path,case,alg_total,followups_only,opt,ratio,ok"]
@@ -235,7 +243,7 @@ def cmd_verify(args):
     if not args.instance:
         raise UsageError("verify needs --instance FILE or --grid-3x3")
     inst = load_instance(args.instance)
-    res = brute_force_opt(inst, mode=args.mode)
+    res = brute_force_opt(inst, mode=args.mode or "count")
     lines = [f"optimum {res.optimum}"]
     for r in res.witness.accepted:
         lines.append(f"accept {r.x}-{r.y}")
@@ -270,8 +278,9 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="priodpa")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+    def common(p, rows=False):
+        if rows:  # only report rows come in both formats
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out")
         p.add_argument("--seed", type=int, default=None,
                        help="fix all randomness; also zeroes the ms column")
@@ -279,7 +288,7 @@ def build_parser():
     p = sub.add_parser("run", help="run one algorithm on an instance file")
     p.add_argument("--instance", required=True)
     p.add_argument("--alg", required=True)
-    common(p)
+    common(p, rows=True)
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("adversary", help="play a lower-bound construction")
@@ -288,7 +297,7 @@ def build_parser():
     p.add_argument("--a", type=int)
     p.add_argument("--b", type=int)
     p.add_argument("--tree")
-    common(p)
+    common(p, rows=True)
     p.set_defaults(fn=cmd_adversary)
 
     p = sub.add_parser("advice", help="encode or decode an advice tape")
@@ -298,7 +307,7 @@ def build_parser():
     mode.add_argument("--decode", action="store_true")
     p.add_argument("--instance", required=True)
     p.add_argument("--tape")
-    common(p)
+    common(p, rows=True)
     p.set_defaults(fn=cmd_advice)
 
     p = sub.add_parser("reduce", help="run a string-guessing reduction")
@@ -312,7 +321,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="brute-force an instance or the 3x3 grid")
     p.add_argument("--instance")
-    p.add_argument("--mode", choices=("count", "length"), default="count")
+    p.add_argument("--mode", choices=("count", "length"))
     p.add_argument("--grid-3x3", dest="grid_3x3", action="store_true")
     common(p)
     p.set_defaults(fn=cmd_verify)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from string import hexdigits
+from weakref import WeakKeyDictionary
 
 from .graphs import (
     Instance,
@@ -50,11 +51,11 @@ class PriorityOrder:
     every entry.  Built-in constructors append the lexicographic endpoint
     tie-break so keys are injective on any universe.  ``readapt``, when set,
     maps the decision history to the order used for the next request;
-    returning the same object means the order is unchanged.  ``max_of``
-    and ``sort`` evaluate each request's key once per call and remember
-    nothing.  A key must be a pure function of the request: a caller may
-    rank a set of requests once and keep the ranking for as long as the
-    order object is in force, as the string-guessing games do.
+    returning the same object means the order is unchanged.  ``max_of``,
+    ``rank`` and ``sort`` evaluate each request's key once per call and
+    remember nothing.  A key must be a pure function of the request:
+    ``Session.drain`` ranks the live requests once per order object and
+    keeps that ranking for as long as the object lives.
     """
 
     def __init__(self, key, name="order", readapt=None):
@@ -82,16 +83,20 @@ class PriorityOrder:
             raise InvalidOrderError(f"{self.name}: tie at the top of the order")
         return best
 
-    def sort(self, requests):
-        """The requests in presentation order, one key evaluation each; a
-        tie anywhere raises InvalidOrderError."""
-        items = list(requests)
+    def rank(self, items):
+        """The indices of the list ``items`` in presentation order, one key
+        evaluation each; a tie anywhere raises InvalidOrderError."""
         keys = [self._key(r) for r in items]
         idx = sorted(range(len(items)), key=keys.__getitem__)
         for a, b in zip(idx, idx[1:]):
             if not keys[a] < keys[b]:
                 raise InvalidOrderError(f"{self.name}: {items[a]} and {items[b]} are not strictly ordered")
-        return [items[i] for i in idx]
+        return idx
+
+    def sort(self, requests):
+        """The requests in presentation order (see ``rank``)."""
+        items = list(requests)
+        return [items[i] for i in self.rank(items)]
 
     def reversed(self):
         return PriorityOrder(self._negated_key, name=f"reversed-{self.name}")
@@ -249,12 +254,13 @@ class RunResult:
 
 
 class Session:
-    """Feed-by-feed harness; adversaries drive it request by request.
+    """Feed-by-feed harness; runs and games drive it request by request.
 
-    The adversary observes the algorithm's current (possibly adaptive)
-    order, ``session.order``, before each feed: through :meth:`max_of`
-    over candidates it picks, or by ranking a universe fixed in advance
-    with ``order.sort``, as the string-guessing games do.
+    An adversary observes the algorithm's current (possibly adaptive)
+    order, ``session.order``, through :meth:`max_of` over candidates it
+    picks, and :meth:`drain` presents a set of requests top-first in the
+    order in force, as ``run``, the adversaries' follow-ups and the
+    string-guessing games do.
     """
 
     def __init__(self, algorithm, graph, tape=None):
@@ -267,21 +273,50 @@ class Session:
     def max_of(self, candidates):
         return self.order.max_of(candidates)
 
-    def drain(self, requests):
-        """Feed ``requests`` in the order in force, sorting what is left
-        again whenever a feed changes the order; return them as fed."""
-        remaining = list(requests)
-        fed = []
-        while remaining:
+    def drain(self, requests, answer=None):
+        """Feed ``requests`` top-first in the order in force and return
+        them as fed.
+
+        ``answer(i, decision)``, if given, is called after the feed of
+        ``requests[i]`` and returns the indices of requests to withdraw;
+        a withdrawn request is never fed.  A request that is fed or
+        withdrawn never comes back, so each order object ranks the live
+        requests once, the first time it is in force, and a cursor walks
+        that ranking past dead requests.  When the order changes, a new
+        object ranks only the live tail of the current ranking; an object
+        seen before resumes its own ranking, held weakly so that an order
+        made afresh at every decision is freed with its ranking.
+        """
+        items = list(requests)
+        live = [True] * len(items)
+        order = self.order
+        seq, k = order.rank(items), 0
+        seen = None  # order object -> (ranking, cursor) when it was left
+        fed, feed = [], self.feed
+        while True:
+            for k in range(k, len(seq)):
+                i = seq[k]
+                if live[i]:
+                    live[i] = False
+                    r = items[i]
+                    decision = feed(r)
+                    fed.append(r)
+                    if answer is not None:
+                        for j in answer(i, decision):
+                            live[j] = False
+                    if self.order is not order:
+                        break
+            else:
+                return fed
+            if seen is None:
+                seen = WeakKeyDictionary()
+            seen[order] = (seq, k)
             order = self.order
-            seq = order.sort(remaining)
-            for i, r in enumerate(seq):
-                self.feed(r)
-                fed.append(r)
-                if self.order is not order:
-                    break
-            remaining = seq[i + 1:]
-        return fed
+            if order in seen:
+                seq, k = seen[order]
+            else:
+                tail = [j for j in seq[k + 1:] if live[j]]
+                seq, k = [tail[t] for t in order.rank([items[j] for j in tail])], 0
 
     def feed(self, request):
         state = self.state
@@ -348,10 +383,17 @@ class AdversaryOutcome:
     opt_witness: Solution
 
 
-def adversary_outcome(session, instance, case, witness, mode="count"):
-    """Score a finished adversary game: the algorithm's gain from the
-    session against the optimum of ``witness``, which must be a valid
-    solution of the ``instance`` the adversary served."""
+def adversary_game(algorithm, graph, candidates, answer, mode="count"):
+    """Play one adversary round: serve the algorithm's top ``candidates``
+    request r, ask ``answer(r, decision)`` for (case, follow-ups,
+    witness), drain the follow-ups, and score the algorithm's gain against
+    the optimum of ``witness``, which must be a valid solution of the
+    instance served."""
+    session = Session(algorithm, graph)
+    r = session.max_of(candidates)
+    case, followups, witness = answer(r, session.feed(r))
+    session.drain(followups)
+    instance = Instance(graph, (r, *followups))
     if not validate_solution(instance, witness):
         raise PropertyViolation(f"{case}: the adversary's witness is not a valid solution")
     alg = gain(session.result().solution, mode)

@@ -279,9 +279,6 @@ class Request:
         """Canonical lexicographic sort key (the Szpilrajn tie-break)."""
         return (self.x, self.y)
 
-    def endpoints(self):
-        return (self.x, self.y)
-
     def __repr__(self):
         return f"Request({self.x!r}, {self.y!r})"
 

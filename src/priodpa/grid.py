@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import GridGraph, Instance, PropertyViolation, Request, Solution
-from .engine import Decision, PriorityAlgorithm, PriorityOrder, RejectFirst, Session, adversary_outcome
+from .engine import Decision, PriorityAlgorithm, PriorityOrder, RejectFirst, adversary_game
 from .oracle import max_allocatable
 
 CENTER = (1, 1)
@@ -32,10 +32,6 @@ MIDPOINTS = ((0, 1), (1, 0), (1, 2), (2, 1))
 
 def antipode(v):
     return (2 - v[0], 2 - v[1])
-
-
-def grid_3x3():
-    return GridGraph()
 
 
 def distance3_pairs(graph):
@@ -104,23 +100,17 @@ def _followups(graph, req, path_vertices):
 def grid_adversary(algorithm):
     """Play the 3x3 construction; ratio >= 2 (corner case) or >= 3/2
     (center case), infinity if the first request is rejected."""
-    g = grid_3x3()
-    pairs = distance3_pairs(g)
-    session = Session(algorithm, g)
-    r = session.max_of(pairs)
-    first = session.feed(r)
-    if not first.accept:
-        alloc = {r: next(iter(g.routes(r.x, r.y)))}
-        return adversary_outcome(session, Instance(g, (r,)), "rejected-first",
-                                 Solution(g, (r,), alloc))
+    g = GridGraph()
 
-    corner = r.x if r.x in CORNERS else r.y
-    vs = _walk_vertices(first.allocation, corner)
-    case, followups = _followups(g, r, vs)
-    session.drain(followups)
-    instance = Instance(g, (r,) + followups)
-    _, accepted, alloc = max_allocatable(g, instance.requests)
-    return adversary_outcome(session, instance, case, Solution(g, accepted, alloc))
+    def answer(r, first):
+        if not first.accept:
+            return "rejected-first", (), Solution(g, (r,), {r: next(iter(g.routes(r.x, r.y)))})
+        corner = r.x if r.x in CORNERS else r.y
+        case, followups = _followups(g, r, _walk_vertices(first.allocation, corner))
+        _, accepted, alloc = max_allocatable(g, Instance(g, (r, *followups)).requests)
+        return case, followups, Solution(g, accepted, alloc)
+
+    return adversary_game(algorithm, g, distance3_pairs(g), answer)
 
 
 # --------------------------------------------------------------------------
@@ -160,7 +150,7 @@ def exhaustive_verify_3x3():
     are computed once per call for each follow-up set and each pair of
     served request and follow-ups.
     """
-    g = grid_3x3()
+    g = GridGraph()
     pairs = distance3_pairs(g)
     base = pairs[0]
     orbit = set()

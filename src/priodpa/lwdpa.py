@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import (
-    Instance,
     InvalidParameterError,
     Request,
     PathGraph,
@@ -31,8 +30,7 @@ from .engine import (
     GreedyAlgorithm,
     PriorityAlgorithm,
     PriorityOrder,
-    Session,
-    adversary_outcome,
+    adversary_game,
     encode_run,
     run,
 )
@@ -107,45 +105,30 @@ def adversary_play_lwdpa(algorithm, params):
     case-specific follow-ups.  Rejecting r* ends the game at ratio infinity.
     """
     g, longs, units = build_pab(params)
-    universe = list(longs) + list(units)
-    session = Session(algorithm, g)
-    r_star = session.max_of(universe)
-    first = session.feed(r_star)
-    if not first.accept:
-        return adversary_outcome(session, Instance(g, (r_star,)), "rejected-first",
-                                 Solution(g, (r_star,)), "length")
-
     b = params.b
-    if request_length(g, r_star) == 1 and r_star not in longs:
-        # unit request: pair it with the lowest-index long containing it
-        i = next(i for i in range(1, 2 * b)
-                 if longs[i - 1].x <= r_star.x and r_star.y <= longs[i - 1].y)
-        follow = longs[i - 1]
-        session.feed(follow)
-        return adversary_outcome(session, Instance(g, (r_star, follow)), "unit",
-                                 Solution(g, (follow,)), "length")
 
-    i = longs.index(r_star) + 1
-    if i in (1, 2 * b - 1):
-        # outermost long: its free edges plus the single neighbour
-        nb = longs[1] if i == 1 else longs[2 * b - 3]
-        shared = set(range(nb.x, nb.y))
+    def answer(r_star, first):
+        if not first.accept:
+            return "rejected-first", (), Solution(g, (r_star,))
+        if request_length(g, r_star) == 1 and r_star not in longs:
+            # unit request: pair it with the lowest-index long containing it
+            follow = next(p for p in longs if p.x <= r_star.x and r_star.y <= p.y)
+            return "unit", (follow,), Solution(g, (follow,))
+        i = longs.index(r_star) + 1
+        if i in (1, 2 * b - 1):
+            # outermost long: its free edges plus the single neighbour
+            neighbours = [longs[1] if i == 1 else longs[2 * b - 3]]
+            case = "outer"
+        else:
+            neighbours = [longs[i - 2], longs[i]]
+            case = "middle" if i != b else "peak"
+        shared = {e for nb in neighbours for e in range(nb.x, nb.y)}
         frees = [u for u in units
                  if r_star.x <= u.x and u.y <= r_star.y and u.x not in shared]
-        followups = [nb] + frees
-        case = "outer"
-        opt_req = frees + [nb]
-    else:
-        left, right = longs[i - 2], longs[i]
-        shared = set(range(left.x, left.y)) | set(range(right.x, right.y))
-        frees = [u for u in units
-                 if r_star.x <= u.x and u.y <= r_star.y and u.x not in shared]
-        followups = [left, right] + frees
-        case = "middle" if i != b else "peak"
-        opt_req = [left, right] + frees
-    session.drain(followups)
-    return adversary_outcome(session, Instance(g, [r_star] + followups), case,
-                             Solution(g, tuple(opt_req)), "length")
+        followups = tuple(neighbours + frees)
+        return case, followups, Solution(g, followups)
+
+    return adversary_game(algorithm, g, list(longs) + list(units), answer, "length")
 
 
 # --------------------------------------------------------------------------

@@ -11,19 +11,18 @@ lower bounds:
 * on paths (length objective), blocks of three edges give ratio 3/(2+eps);
 * on trees (count objective), packed 4-stars give ratio 2/(1+eps).
 
-The gadget requests are fixed before the game starts, so a game ranks
-them once per order object the algorithm puts in force (``order.sort``,
-one key evaluation per request) and finds each next request by walking
-that ranking past the requests already fed or dropped: a game costs
-O(N log N) for N gadget requests, not a search of all that is left in
-every round.
+The gadget requests are fixed before the game starts, so a game is one
+``Session.drain`` of all of them: each round's answer withdraws the
+block's requests that are not follow-ups, and the drain ranks the live
+requests once per order object the algorithm puts in force.  A game
+costs O(N log N) for N gadget requests under a fixed order, not a search
+of all that is left in every round.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import log2
-from weakref import WeakKeyDictionary
 
 from .graphs import (
     Instance,
@@ -94,37 +93,6 @@ def _parse_bits(bits):
     return out
 
 
-class _RankedPool:
-    """The live gadget requests of one game, indexed 0..N-1, ranked once
-    per order object the session puts in force.
-
-    A request dies when it is fed or left out of its block's follow-ups,
-    and never comes back, so each ranking is the order's presentation
-    sequence of the universe with a cursor that only moves forward."""
-
-    def __init__(self, universe):
-        self.universe = universe
-        self.live = [True] * len(universe)
-        self._index = {id(r): i for i, r in enumerate(universe)}
-        # order -> [indices in presentation order, cursor]; weak, so an
-        # adaptive order that makes a new object per decision frees each
-        # ranking with its order
-        self._rankings = WeakKeyDictionary()
-
-    def top(self, order):
-        """The live index the order presents first, or None if none is live."""
-        ranking = self._rankings.get(order)
-        if ranking is None:
-            seq = [self._index[id(r)] for r in order.sort(self.universe)]
-            ranking = self._rankings[order] = [seq, 0]
-        seq, k = ranking
-        live = self.live
-        while k < len(seq) and not live[seq[k]]:
-            k += 1
-        ranking[1] = k
-        return seq[k] if k < len(seq) else None
-
-
 def _guessing_game(algorithm, graph, blocks, hidden, block_opt, mode, zero_followups):
     """Play one round per hidden bit over the gadget ``blocks``, all of one
     size s; block b holds the requests numbered b*s .. b*s + s - 1.
@@ -148,22 +116,16 @@ def _guessing_game(algorithm, graph, blocks, hidden, block_opt, mode, zero_follo
         by_mask = {masks[i]: i for i in block}
         complement += [by_mask[full ^ masks[i]] for i in block]
 
-    session = Session(algorithm, graph)
-    pool = _RankedPool(universe)
-    live = pool.live
     played = [False] * len(blocks)
     per_block = [0] * len(blocks)
-    served = []
     meta = []
-    while (i := pool.top(session.order)) is not None:
+
+    def answer(i, decision):
         b, m = i // s, universe[i]
-        decision = session.feed(m)
-        served.append(m)
-        live[i] = False
         if decision.accept:
             per_block[b] += 1 if mode == "count" else request_length(graph, m)
         if played[b]:
-            continue  # a queued follow-up
+            return ()  # a queued follow-up
         played[b] = True
         d = hidden[len(meta)]
         block = range(b * s, b * s + s)
@@ -171,10 +133,11 @@ def _guessing_game(algorithm, graph, blocks, hidden, block_opt, mode, zero_follo
             followups = {complement[i]}
         else:
             followups = set(zero_followups([j for j in block if j not in (i, complement[i])], masks))
-        for j in block:
-            live[j] = j in followups
         meta.append((b, m, 1 if decision.accept else 0, d))
+        return [j for j in block if j not in followups]
 
+    session = Session(algorithm, graph)
+    served = session.drain(universe, answer)
     records = tuple(
         BlockRecord(b + 1, m, y, d, y == d, per_block[b], block_opt) for (b, m, y, d) in meta
     )

@@ -22,7 +22,6 @@ import heapq
 from math import ceil, log2
 
 from .graphs import (
-    Instance,
     InvalidParameterError,
     InvalidTreeError,
     PropertyViolation,
@@ -36,8 +35,7 @@ from .engine import (
     GreedyAlgorithm,
     PriorityAlgorithm,
     PriorityOrder,
-    Session,
-    adversary_outcome,
+    adversary_game,
     encode_run,
     run,
 )
@@ -81,18 +79,15 @@ def tree_adversary(algorithm, tree):
     v0 = min(hubs)
     nb = list(tree.adj[v0])[:4]
     pairs = [Request(tree, a, b) for i, a in enumerate(nb) for b in nb[i + 1:]]
-    session = Session(algorithm, tree)
-    r = session.max_of(pairs)
-    first = session.feed(r)
-    if not first.accept:
-        return adversary_outcome(session, Instance(tree, (r,)), "rejected-first",
-                                 Solution(tree, (r,)))
-    p1, p2 = r.x, r.y
-    x, y = sorted(set(nb) - {p1, p2})
-    followups = (Request(tree, p1, x), Request(tree, p2, y))
-    session.drain(followups)
-    return adversary_outcome(session, Instance(tree, (r,) + followups), "hub",
-                             Solution(tree, followups))
+
+    def answer(r, first):
+        if not first.accept:
+            return "rejected-first", (), Solution(tree, (r,))
+        x, y = sorted(set(nb) - {r.x, r.y})
+        followups = (Request(tree, r.x, x), Request(tree, r.y, y))
+        return "hub", followups, Solution(tree, followups)
+
+    return adversary_game(algorithm, tree, pairs, answer)
 
 
 # --------------------------------------------------------------------------

@@ -357,7 +357,7 @@ def _reference_first_disjoint_pair(rest):
     rest = sorted(rest, key=lambda r: r.key)
     for a_i, a in enumerate(rest):
         for b in rest[a_i + 1:]:
-            if not set(a.endpoints()) & set(b.endpoints()):
+            if not set(a.key) & set(b.key):
                 return (a, b)
 
 

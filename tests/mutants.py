@@ -27,8 +27,14 @@ ROOT = Path(__file__).resolve().parent.parent
 MUTANTS = {
     "drain-never-resorts": (
         "engine.py",
-        "                if self.order is not order:\n",
-        "                if False:\n",
+        "                    if self.order is not order:\n",
+        "                    if False:\n",
+        "tests/test_engine.py",
+    ),
+    "drain-forgets-seen-orders": (
+        "engine.py",
+        "            if order in seen:\n",
+        "            if False:\n",
         "tests/test_engine.py",
     ),
     "reversed-keeps-base-key": (
@@ -44,9 +50,9 @@ MUTANTS = {
         "tests/test_engine.py",
     ),
     "ranking-ignores-order-change": (
-        "reduction.py",
-        "        ranking = self._rankings.get(order)\n",
-        "        ranking = next(iter(self._rankings.values()), None)\n",
+        "engine.py",
+        "seq, k = [tail[t] for t in order.rank([items[j] for j in tail])], 0",
+        "seq, k = tail, 0",
         "tests/test_reduction.py",
     ),
     "pack-s4-skips-neighbour-update": (
@@ -126,6 +132,12 @@ MUTANTS = {
         "4 * blk <= s",
         "4 * blk < s",
         "tests/test_lwdpa.py",
+    ),
+    "adversary-skips-witness-check": (
+        "engine.py",
+        "    if not validate_solution(instance, witness):\n",
+        "    if False:\n",
+        "tests/test_engine.py",
     ),
     "encode-run-skips-check": (
         "engine.py",

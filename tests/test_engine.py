@@ -17,14 +17,17 @@ from priodpa import (
     PathGraph,
     PriorityAlgorithm,
     PriorityOrder,
+    PropertyViolation,
     Request,
     Session,
+    Solution,
     TreeGraph,
     decode_run,
     greediest_opt,
     run,
 )
 from priodpa.battery import _hash_key, battery
+from priodpa.engine import adversary_game
 from priodpa.paths import greedy_path_algorithm, right_end_order
 
 from helpers import DEMO, NESTED_EDGES, all_pairs, random_instance, random_tree
@@ -126,8 +129,9 @@ def test_adaptive_presented_request_is_stepwise_maximum():
 
 def test_key_evaluations_are_one_per_request():
     """A fixed order is sorted once, ``sort`` decorates once, and a reversed
-    order's ``max_of`` is one pass; an adaptive order pays one evaluation
-    per request left at each decision."""
+    order's ``max_of`` is one pass; the adaptive flipper's two order
+    objects each rank what is live once: n, then the n - 1 left after the
+    first decision."""
     g = PathGraph(30)
     inst = Instance(g, random.Random(4).sample(all_pairs(g), 40))
     evals = [0]
@@ -149,7 +153,7 @@ def test_key_evaluations_are_one_per_request():
     assert counted(set(inst.requests), order.reversed().max_of) == n
     flip = [a for a in battery("dpa-path") if a.name == "adaptive-flip"][0]
     flip.order_factory = lambda graph: PriorityOrder(key, name="counted")
-    assert counted(inst, lambda i: run(flip, i)) == n * (n + 1) // 2
+    assert counted(inst, lambda i: run(flip, i)) == 2 * n - 1
 
 
 def _counting_key(base):
@@ -250,6 +254,83 @@ def test_drain_follows_an_adaptive_order_like_run():
     assert session.result().log == log
     # the flip really reorders: a fixed right-end order would differ
     assert fed != right_end_order(g).sort(inst.requests)
+
+
+def _fresh_every_decision(key):
+    """A greedy whose readapt builds a new order object at every decision."""
+
+    def make(history=()):
+        return PriorityOrder(key, name="fresh", readapt=make)
+
+    return GreedyAlgorithm(lambda graph: make(), "fresh")
+
+
+def test_an_order_made_afresh_every_decision_ranks_only_live_requests():
+    g = PathGraph(30)
+    requests = random.Random(8).sample(all_pairs(g), 40)
+    dead = set()
+    evals = [0]
+
+    def key(r):
+        assert r not in dead, "a fed or withdrawn request was ranked"
+        evals[0] += 1
+        return (r.y, r.x)
+
+    def answer(i, decision):
+        # withdraw the two requests listed after the one fed
+        dead.update(requests[i:i + 3])
+        return range(i + 1, min(i + 3, len(requests)))
+
+    fed = Session(_fresh_every_decision(key), g).drain(requests, answer)
+    # the first object ranks all 40, and each later one only what is live
+    gone, expected = set(), len(requests)
+    for r in fed:
+        i = requests.index(r)
+        gone.update(requests[i:i + 3])
+        expected += len(requests) - len(gone)
+    assert len(gone) == len(requests)
+    # ranking all 40 at each of the 21 decisions would cost 40 + 21 * 40
+    assert (len(fed), evals[0]) == (21, expected) == (21, 346)
+
+
+def test_a_withdrawn_request_is_never_fed():
+    g = PathGraph(30)
+    requests = random.Random(9).sample(all_pairs(g), 40)
+    for alg in battery("dpa-path"):
+        fed_so_far, withdrawn = set(), set()
+
+        def answer(i, decision):
+            # withdraw the request listed next, fed already or not
+            fed_so_far.add(requests[i])
+            j = (i + 1) % len(requests)
+            if requests[j] not in fed_so_far:
+                withdrawn.add(requests[j])
+            return [j]
+
+        session = Session(alg, g)
+        fed = session.drain(requests, answer)
+        assert [d.request for d in session.result().log] == fed
+        assert not set(fed) & withdrawn, alg.name
+        assert set(fed) | withdrawn == set(requests)
+
+
+def test_adversary_game_rejects_an_invalid_witness():
+    g = PathGraph(4)
+    candidates = [Request(g, 0, 2), Request(g, 1, 3)]
+    followups = (Request(g, 1, 3), Request(g, 2, 4))
+
+    def play(*witness):
+        # the greedy serves (0, 2), the smaller right end, and accepts (2, 4)
+        answer = lambda r, decision: ("case", followups, Solution(g, witness))
+        return adversary_game(greedy_path_algorithm(), g, candidates, answer)
+
+    out = play(Request(g, 0, 2), Request(g, 2, 4))
+    assert (out.case, out.alg_gain, out.opt_gain, len(out.instance)) == ("case", 2, 2, 3)
+    overlapping = (Request(g, 0, 2), Request(g, 1, 3))
+    not_served = (Request(g, 0, 1),)
+    for witness in (overlapping, not_served):
+        with pytest.raises(PropertyViolation):
+            play(*witness)
 
 
 def test_greedy_accepts_exactly_the_fitting_requests():

@@ -23,7 +23,6 @@ from priodpa.grid import (
     antipode,
     distance3_pairs,
     exhaustive_verify_3x3,
-    grid_3x3,
     grid_adversary,
     grid_automorphisms,
     grid_battery,
@@ -34,15 +33,14 @@ from helpers import simple_paths, walk_ok
 
 
 def test_grid_shape():
-    g = grid_3x3()
-    assert isinstance(g, GridGraph)
+    g = GridGraph()
     assert len(g.vertices()) == 9
     assert sum(len(g.neighbors(v)) for v in g.vertices()) // 2 == 12
     assert set(CORNERS) | set(MIDPOINTS) | {CENTER} == set(g.vertices())
 
 
 def test_distance3_pairs_join_corners_to_far_midpoints():
-    g = grid_3x3()
+    g = GridGraph()
     pairs = distance3_pairs(g)
     assert len(pairs) == 8
     for r in pairs:
@@ -55,7 +53,7 @@ def test_distance3_pairs_join_corners_to_far_midpoints():
 
 
 def test_automorphisms_act_transitively_on_the_pairs():
-    g = grid_3x3()
+    g = GridGraph()
     pairs = set(distance3_pairs(g))
     base = next(iter(pairs))
     autos = grid_automorphisms()
@@ -155,7 +153,7 @@ def _reverse(route):
 
 
 def test_route_masks_match_edge_sets_on_every_simple_routing():
-    g = grid_3x3()
+    g = GridGraph()
     vs = g.vertices()
     routes = [(Request(g, a, b), p) for i, a in enumerate(vs) for b in vs[i + 1:]
               for p in simple_paths(g, a, b)]
@@ -170,7 +168,7 @@ def test_route_masks_match_edge_sets_on_every_simple_routing():
 
 
 def test_route_table_matches_the_reference_enumeration():
-    g = grid_3x3()
+    g = GridGraph()
     bit = {frozenset(e): 1 << i for i, e in enumerate(g.edge_list())}
     pairs = [(x, y) for x in g.vertices() for y in g.vertices() if x != y]
     assert len(pairs) == 72
@@ -185,7 +183,7 @@ def test_route_table_matches_the_reference_enumeration():
 
 
 def test_route_mask_accepts_exactly_the_walks_the_reference_accepts():
-    g = grid_3x3()
+    g = GridGraph()
     rng = random.Random(8)
     vs = g.vertices()
     requests = [Request(g, a, b) for i, a in enumerate(vs) for b in vs[i + 1:]]
@@ -234,7 +232,7 @@ _REVISIT = ((0, 0), (1, 0), (1, 1), (0, 1), (0, 2), (1, 2), (1, 1), (2, 1), (2, 
 
 
 def test_grid_accept_without_an_allocation_is_illegal():
-    g = grid_3x3()
+    g = GridGraph()
     session = Session(_FixedRoute(None), g)
     with pytest.raises(IllegalAcceptanceError, match="without allocation"):
         session.feed(Request(g, (0, 0), (0, 1)))
@@ -247,7 +245,7 @@ def test_grid_accept_without_an_allocation_is_illegal():
     [((0, 0), (0, 1)), ((0, 1), (0, 2)), ((0, 2), (1, 2)), ((1, 2), (2, 2))],
 ], ids=["empty", "one-edge", "revisits-the-center", "a-list-not-a-tuple"])
 def test_grid_acceptance_must_route_its_request(route):
-    g = grid_3x3()
+    g = GridGraph()
     session = Session(_FixedRoute(route), g)
     with pytest.raises(IllegalAcceptanceError, match="route"):
         session.feed(Request(g, (0, 0), (2, 2)))
@@ -257,7 +255,7 @@ def test_grid_acceptance_must_route_its_request(route):
 
 
 def test_grid_allocation_that_reuses_an_edge_is_illegal():
-    g = grid_3x3()
+    g = GridGraph()
     r = Request(g, (0, 0), (0, 1))
     session = Session(_FixedRoute((((0, 1), (0, 0)),)), g)
     assert session.feed(r).accept
@@ -287,7 +285,7 @@ class _TableWriter(PriorityAlgorithm):
 
 
 def test_an_algorithm_cannot_write_its_own_route_into_the_table():
-    g = grid_3x3()
+    g = GridGraph()
     cheat = _TableWriter()
     with pytest.raises(IllegalAcceptanceError, match="simple route"):
         run(cheat, Instance(g, (Request(g, (0, 0), (2, 2)),)))

@@ -190,8 +190,11 @@ def test_an_adaptive_flip_ranks_the_gadget_once_per_direction():
     counted, evals = _counting(lambda r: (r.x - r.y, r.x))
     flip = AdaptiveFlip(lambda graph: PriorityOrder(counted, name="counted"), "length")
     assert len(run_guess(flip, bits).records) == 16
-    # the forward order and its reverse each rank the 64 requests once
-    assert evals[0] == 2 * 4 * 16
+    # the forward order ranks the 64 requests once, and its reverse the 62
+    # left live after the first round, whose hidden 0 withdraws m's
+    # complement
+    assert bits[0] == "0"
+    assert evals[0] == 64 + 62
 
 
 def test_guessing_games_at_scale_evaluate_each_key_once():
@@ -280,3 +283,32 @@ def test_an_order_made_afresh_every_decision_plays_like_the_reference():
         run_guess, reference_run_guess, _made_afresh(lambda r: (r.x - r.y, r.x), "length"), bits)
     _assert_plays_like_the_reference(
         run_tguess, reference_run_tguess, _made_afresh(lambda r: r.key, "count"), fig9_tree(12), bits)
+
+
+def test_an_order_made_afresh_every_decision_ranks_only_live_requests():
+    rng = random.Random(13)
+    bits = "".join(rng.choice("01") for _ in range(12))
+    evals = [0]
+
+    def key(r):
+        assert r not in alg.asked, "a fed request was ranked"
+        evals[0] += 1
+        return (r.x - r.y, r.x)
+
+    alg = _Watched(_made_afresh(key, "length"))
+    out = run_guess(alg, bits)
+    # the first object ranks all 48 gadget requests; each later one ranks
+    # only what is live: a round kills its block but for m's follow-ups
+    # (one for a hidden 1, two for a hidden 0), a follow-up kills itself
+    hidden = iter(bits)
+    played, dead, expected = set(), 0, 48
+    for r in alg.asked:
+        block = r.x // 3
+        if block in played:
+            dead += 1
+        else:
+            played.add(block)
+            dead += 4 - (1 if next(hidden) == "1" else 2)
+        expected += 48 - dead
+    assert dead == 48 and len(out.records) == 12
+    assert evals[0] == expected < 48 * len(alg.asked)

@@ -264,6 +264,41 @@ def test_usage_and_input_errors_exit_2(capsys, tmp_path):
         assert (rc, out, err) == (2, "", line + "\n")
 
 
+def test_flags_a_command_would_ignore_exit_2(capsys):
+    hub = str(DATA / "hub-tree.json")
+    # --format chooses between CSV and JSON report rows, which only run,
+    # adversary and advice print
+    for argv in (
+        ["verify", "--instance", DEMO, "--format", "json"],
+        ["reduce", "--problem", "lwdpa", "--alg", "greedy", "--n", "2", "--format", "json"],
+        ["pack-s4", "--tree", CATERPILLAR, "--format", "json"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+    ignored = {
+        "error: --family grid takes no --a": [
+            "adversary", "--family", "grid", "--alg", "grid-first", "--a", "3"],
+        "error: --family grid takes no --b": [
+            "adversary", "--family", "grid", "--alg", "grid-first", "--b", "8"],
+        "error: --family grid takes no --tree": [
+            "adversary", "--family", "grid", "--alg", "grid-first", "--tree", hub],
+        "error: --family pab takes no --tree": [
+            "adversary", "--family", "pab", "--alg", "greedy", "--a", "3", "--b", "8",
+            "--tree", hub],
+        "error: --family tree takes no --a or --b": [
+            "adversary", "--family", "tree", "--alg", "greedy", "--tree", hub, "--a", "3",
+            "--b", "8"],
+        "error: verify --grid-3x3 takes no --instance or --mode": [
+            "verify", "--grid-3x3", "--instance", DEMO],
+    }
+    for line, argv in ignored.items():
+        assert _main(capsys, *argv) == (2, "", line + "\n")
+    rc, _, err = _main(capsys, "verify", "--grid-3x3", "--mode", "length")
+    assert rc == 2 and err.startswith("error: verify --grid-3x3 takes no")
+
+
 def test_main_builds_its_parser_once(capsys, monkeypatch, tmp_path):
     built = []
     init = argparse.ArgumentParser.__init__

@@ -58,8 +58,8 @@ def test_peak_endpoint_requests_come_before_pass_through_ones():
     t = TreeGraph(HUB_EDGES)
     ends_at_peak = Request(t, 3, 14)
     passes_through = Request(t, 5, 7)
-    assert t.lca(3, 14) in ends_at_peak.endpoints()
-    assert t.lca(5, 7) not in passes_through.endpoints()
+    assert t.lca(3, 14) in ends_at_peak.key
+    assert t.lca(5, 7) not in passes_through.key
     assert [r.key for r in cat_order(t).sort([passes_through, ends_at_peak])] == [
         (3, 14),
         (5, 7),
