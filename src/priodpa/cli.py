@@ -166,12 +166,16 @@ def cmd_advice(args):
     else:
         raise UsageError(f"unknown advice problem {args.problem!r}")
     if args.encode:
+        unread = [f"--{f}" for f in ("tape", "format") if getattr(args, f) is not None]
+        if unread:
+            raise UsageError(f"advice --encode takes no {' or '.join(unread)}")
         tape = encode(inst)
         _emit(json.dumps(tape.to_json(), sort_keys=True) + "\n", args.out)
         return 0
     if not args.tape:
         raise UsageError("--decode needs --tape FILE")
     tape = AdviceTape.from_json(read_json(args.tape))
+    args.format = args.format or "csv"
     return _run_and_report(args, decoder(), inst, tape)
 
 
@@ -278,9 +282,9 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="priodpa")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, rows=False):
+    def common(p, rows=False, fmt="csv"):
         if rows:  # only report rows come in both formats
-            p.add_argument("--format", choices=("csv", "json"), default="csv")
+            p.add_argument("--format", choices=("csv", "json"), default=fmt)
         p.add_argument("--out")
         p.add_argument("--seed", type=int, default=None,
                        help="fix all randomness; also zeroes the ms column")
@@ -307,7 +311,7 @@ def build_parser():
     mode.add_argument("--decode", action="store_true")
     p.add_argument("--instance", required=True)
     p.add_argument("--tape")
-    common(p, rows=True)
+    common(p, rows=True, fmt=None)  # --encode prints a tape, in no --format
     p.set_defaults(fn=cmd_advice)
 
     p = sub.add_parser("reduce", help="run a string-guessing reduction")

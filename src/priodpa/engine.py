@@ -269,6 +269,7 @@ class Session:
         self.tape = tape if tape is not None else AdviceTape("")
         self.order = algorithm.initial_order(graph, self.tape)
         self.state = RunState(graph)
+        self._grid = graph.kind == "grid"
 
     def max_of(self, candidates):
         return self.order.max_of(candidates)
@@ -322,7 +323,7 @@ class Session:
         state = self.state
         decision = self.algorithm.decide(request, state, self.tape)
         if decision.accept:
-            if self.graph.kind == "grid":
+            if self._grid:
                 mask = self.graph.route_mask(request, decision.allocation)
                 if not mask:
                     raise IllegalAcceptanceError(
@@ -331,7 +332,7 @@ class Session:
                     raise IllegalAcceptanceError(f"{self.algorithm.name}: allocation reuses an edge")
                 state.allocations[request] = decision.allocation
             else:
-                mask = edge_mask(self.graph, request)
+                mask = request.mask
                 if mask & state.blocked_mask:
                     raise IllegalAcceptanceError(f"{self.algorithm.name}: accepted a blocked request")
             state.blocked_mask |= mask
@@ -343,7 +344,7 @@ class Session:
 
     def result(self):
         state = self.state
-        alloc = dict(state.allocations) if self.graph.kind == "grid" else None
+        alloc = dict(state.allocations) if self._grid else None
         sol = Solution(self.graph, tuple(state.accepted), alloc)
         return RunResult(sol, tuple(state.log), self.tape.consumed)
 

@@ -10,7 +10,9 @@ Three host graph families are supported:
 
 A request is an unordered pair of distinct vertices, normalized so that the
 smaller endpoint comes first.  On cycle-free hosts a request is identified
-with the unique path between its endpoints.  Every edge set is an int
+with the unique path between its endpoints, and its path's edge mask is
+built once, when the ``Request`` is constructed, and stored as
+``Request.mask`` (``edge_mask`` reads it).  Every edge set is an int
 bitmask, built only here:
 
 * paths: bit i is the edge {i, i+1};
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import inf
+from operator import attrgetter
 from types import MappingProxyType
 
 
@@ -79,7 +82,7 @@ class PathGraph:
         return f"path:{self.length}"
 
     def __eq__(self, other):
-        return isinstance(other, PathGraph) and other.length == self.length
+        return other is self or (isinstance(other, PathGraph) and other.length == self.length)
 
     def __hash__(self):
         return hash(("path", self.length))
@@ -100,36 +103,40 @@ class TreeGraph:
     def __init__(self, edges):
         if any(type(u) is not int or type(v) is not int for u, v in edges):
             raise InvalidTreeError("tree vertices must be integers")
-        edges = [(u, v) if u < v else (v, u) for u, v in edges]
         n = len(edges) + 1
+        if n == 1:
+            raise InvalidTreeError("a tree needs at least one edge here")
         seen = set()
-        adj = {v: [] for v in range(n)}
         for u, v in edges:
-            if u == v or not (0 <= u < n and 0 <= v < n):
+            if v < u:
+                u, v = v, u
+            if u == v or u < 0 or v >= n:
                 raise InvalidTreeError(f"bad edge ({u}, {v}) for {n} vertices")
             if (u, v) in seen:
                 raise InvalidTreeError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
+        self.n = n
+        self.edges = edges = tuple(sorted(seen))
+        self._hash = hash(("tree", edges))
+        # in sorted edge order each vertex meets its smaller neighbours
+        # first, then its larger ones, each in increasing order
+        adj = [[] for _ in range(n)]
+        for u, v in edges:
             adj[u].append(v)
             adj[v].append(u)
-        self.n = n
-        self.edges = tuple(sorted(seen))
-        self._hash = hash(("tree", self.edges))
-        self.adj = {v: tuple(sorted(nb)) for v, nb in adj.items()}
-        self.degree = {v: len(self.adj[v]) for v in range(n)}
-        if n == 1:
-            raise InvalidTreeError("a tree needs at least one edge here")
-        leaves = [v for v in range(n) if self.degree[v] == 1]
-        if not leaves:
+        self.adj = {v: tuple(nb) for v, nb in enumerate(adj)}
+        self.degree = {v: len(nb) for v, nb in enumerate(adj)}
+        root = next((v for v, nb in enumerate(adj) if len(nb) == 1), None)
+        if root is None:
             raise InvalidTreeError("edge list contains a cycle")
-        self.root = min(leaves)
+        self.root = root
         # BFS from the root; a tree must reach every vertex exactly once.
-        parent = {self.root: None}
-        depth = {self.root: 0}
+        parent = {root: None}
+        depth = {root: 0}
         up = [0] * n
-        order = [self.root]
+        order = [root]
         for v in order:
-            for w in self.adj[v]:
+            for w in adj[v]:
                 if w not in parent:
                     parent[w] = v
                     depth[w] = depth[v] + 1
@@ -141,7 +148,12 @@ class TreeGraph:
         self.depth = depth
         self.up = up
         self._vertex_of_up = {mask: v for v, mask in enumerate(up)}
-        self.children = {v: tuple(w for w in self.adj[v] if parent[w] == v) for v in range(n)}
+
+    @cached_property
+    def children(self):
+        """Each vertex's children, in increasing order."""
+        parent = self.parent
+        return {v: tuple(w for w in nb if parent[w] == v) for v, nb in self.adj.items()}
 
     def has_vertex(self, v):
         return type(v) is int and 0 <= v < self.n
@@ -153,7 +165,7 @@ class TreeGraph:
         return f"tree:{self.n}"
 
     def __eq__(self, other):
-        return isinstance(other, TreeGraph) and other.edges == self.edges
+        return other is self or (isinstance(other, TreeGraph) and other.edges == self.edges)
 
     def __hash__(self):
         return self._hash
@@ -255,24 +267,52 @@ class GridGraph:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Request:
-    """An unordered pair of distinct host vertices, stored as x < y."""
+    """An unordered pair of distinct host vertices, stored as x < y.
 
-    graph: object
-    x: object
-    y: object
+    ``mask`` is the edge mask of the request's path on a cycle-free host,
+    built here once, and None on the grid.  A request is immutable: every
+    attribute assignment raises AttributeError.
+    """
 
-    def __post_init__(self):
-        g = self.graph
-        if not (g.has_vertex(self.x) and g.has_vertex(self.y)):
-            raise InvalidRequestError(f"({self.x}, {self.y}) are not vertices of {g.descriptor()}")
-        if self.x == self.y:
+    __slots__ = ("graph", "x", "y", "mask")
+
+    def __init__(self, graph, x, y):
+        if not (graph.has_vertex(x) and graph.has_vertex(y)):
+            raise InvalidRequestError(f"({x}, {y}) are not vertices of {graph.descriptor()}")
+        if x == y:
             raise InvalidRequestError("request endpoints must be distinct")
-        if self.y < self.x:
-            lo, hi = self.y, self.x
-            object.__setattr__(self, "x", lo)
-            object.__setattr__(self, "y", hi)
+        if y < x:
+            x, y = y, x
+        kind = graph.kind
+        if kind == "path":
+            mask = ((1 << y) - 1) ^ ((1 << x) - 1)
+        elif kind == "tree":
+            mask = graph.up[x] ^ graph.up[y]
+        else:
+            mask = None
+        _set_graph(self, graph)
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_mask(self, mask)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.x == other.x and self.y == other.y
+                and (self.graph is other.graph or self.graph == other.graph))
+
+    def __hash__(self):
+        return hash((self.graph, self.x, self.y))
+
+    def __reduce__(self):
+        return Request, (self.graph, self.x, self.y)
 
     @property
     def key(self):
@@ -283,13 +323,21 @@ class Request:
         return f"Request({self.x!r}, {self.y!r})"
 
 
+_endpoints = attrgetter("x", "y")  # Request.key, read in one call
+
+# the slots' own setters, which bypass Request.__setattr__
+_set_graph = Request.graph.__set__
+_set_x = Request.x.__set__
+_set_y = Request.y.__set__
+_set_mask = Request.mask.__set__
+
+
 def edge_mask(graph, req):
-    """Bitmask of the request's path edges (cycle-free hosts only)."""
-    if graph.kind == "path":
-        return ((1 << req.y) - 1) ^ ((1 << req.x) - 1)
-    if graph.kind == "tree":
-        return graph.up[req.x] ^ graph.up[req.y]
-    raise InvalidRequestError("edge masks are only defined on cycle-free hosts")
+    """Bitmask of the request's path edges (cycle-free hosts only), the
+    ``mask`` built with the request on ``graph``."""
+    if req.mask is None:
+        raise InvalidRequestError("edge masks are only defined on cycle-free hosts")
+    return req.mask
 
 
 def request_length(graph, req):
@@ -309,12 +357,12 @@ class Instance:
     def __init__(self, graph, requests):
         requests = tuple(requests)
         for r in requests:
-            if r.graph != graph:
+            if r.graph is not graph and r.graph != graph:
                 raise InvalidRequestError("instance mixes host graphs")
         if len(set(requests)) != len(requests):
             raise InvalidRequestError("duplicate request in instance")
         self.graph = graph
-        self.requests = tuple(sorted(requests, key=lambda r: r.key))
+        self.requests = tuple(sorted(requests, key=_endpoints))
 
     def __len__(self):
         return len(self.requests)
@@ -383,7 +431,7 @@ def validate_solution(instance, solution):
         return False
     mask = 0
     for r in solution.accepted:
-        m = g.route_mask(r, solution.allocations.get(r)) if grid else edge_mask(g, r)
+        m = g.route_mask(r, solution.allocations.get(r)) if grid else r.mask
         if not m or mask & m:
             return False
         mask |= m

@@ -38,7 +38,6 @@ from .graphs import (
     InvalidParameterError,
     PriodpaError,
     Solution,
-    edge_mask,
 )
 from .engine import InvalidOrderError
 
@@ -58,42 +57,39 @@ class OracleResult:
 
 
 def _components(masks):
-    """Indices of requests grouped by conflict-graph component."""
-    n = len(masks)
-    seen = [False] * n
-    comps = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        stack = [i]
-        seen[i] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in range(n):
-                if not seen[w] and masks[v] & masks[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
+    """Indices of requests grouped by conflict-graph component, each group
+    in increasing order.  A request joins every group whose union mask it
+    meets, so it is tested once per group, not once per request."""
+    groups = []  # (union mask, indices)
+    for i, m in enumerate(masks):
+        union, members, apart = m, [i], []
+        for group in groups:
+            if group[0] & m:
+                union |= group[0]
+                members += group[1]
+            else:
+                apart.append(group)
+        apart.append((union, members))
+        groups = apart
+    return [sorted(members) for _, members in groups]
 
 
 def _component_best(indices, masks, weights, largest):
     """Best weight of one component and its smallest (or ``largest``)
-    optimal local mask; local bit j is request indices[j]."""
+    optimal set, as a mask over all requests (request i is bit i)."""
     ms = [masks[i] for i in indices]
     ws = [weights[i] for i in indices]
+    bits = [1 << i for i in indices]
     best_w, best_sub = -1, 0
     branches = (1, 0) if largest else (0, 1)
 
     def walk(j, used, w, sub):
-        # decide bit j; the bits above it are decided, with edges ``used``
+        # decide the component's request j; those above it are decided, with edges ``used``
         nonlocal best_w, best_sub
         for take in branches:
             if take and used & ms[j]:
                 continue
-            edges, gain, mask = (used | ms[j], w + ws[j], sub | 1 << j) if take else (used, w, sub)
+            edges, gain, mask = (used | ms[j], w + ws[j], sub | bits[j]) if take else (used, w, sub)
             if not j:
                 if gain > best_w:
                     best_w, best_sub = gain, mask
@@ -111,21 +107,25 @@ def _check_cap(instance):
 
 
 def _extreme_opt(graph, ranked, mode, largest):
-    """Optimum over ``ranked`` (request i is bit i) and its extreme witness."""
-    masks = [edge_mask(graph, r) for r in ranked]
+    """Optimum over ``ranked`` (request i is bit i) and its extreme witness,
+    listed by endpoints; ``ranked`` is already in that order unless
+    ``largest`` (then it is a presentation order)."""
+    masks = [r.mask for r in ranked]
     if mode == "count":
         weights = [1] * len(ranked)
     elif mode == "length":
         weights = [m.bit_count() for m in masks]
     else:
         raise InvalidParameterError(f"unknown gain mode {mode!r}")
-    total = 0
-    chosen = []
+    total = chosen = 0
     for comp in _components(masks):
-        w, local_mask = _component_best(comp, masks, weights, largest)
+        w, bits = _component_best(comp, masks, weights, largest)
         total += w
-        chosen.extend(ranked[i] for j, i in enumerate(comp) if local_mask >> j & 1)
-    return OracleResult(total, Solution(graph, tuple(sorted(chosen, key=lambda r: r.key))))
+        chosen |= bits
+    witness = [r for i, r in enumerate(ranked) if chosen >> i & 1]
+    if largest:
+        witness.sort(key=lambda r: r.key)
+    return OracleResult(total, Solution(graph, tuple(witness)))
 
 
 def brute_force_opt(instance, mode="count"):

@@ -31,10 +31,8 @@ from .graphs import (
     PathGraph,
     Request,
     TreeGraph,
-    edge_mask,
     gain,
     ratio,
-    request_length,
 )
 from .engine import Session
 from .trees import pack_s4
@@ -106,7 +104,7 @@ def _guessing_game(algorithm, graph, blocks, hidden, block_opt, mode, zero_follo
     """
     universe = [r for blk in blocks for r in blk]
     s = len(blocks[0])
-    masks = [edge_mask(graph, r) for r in universe]
+    masks = [r.mask for r in universe]
     complement = []
     for start in range(0, len(universe), s):
         block = range(start, start + s)
@@ -123,7 +121,7 @@ def _guessing_game(algorithm, graph, blocks, hidden, block_opt, mode, zero_follo
     def answer(i, decision):
         b, m = i // s, universe[i]
         if decision.accept:
-            per_block[b] += 1 if mode == "count" else request_length(graph, m)
+            per_block[b] += 1 if mode == "count" else masks[i].bit_count()
         if played[b]:
             return ()  # a queued follow-up
         played[b] = True

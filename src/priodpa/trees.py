@@ -27,7 +27,6 @@ from .graphs import (
     PropertyViolation,
     Request,
     Solution,
-    edge_mask,
 )
 from .engine import (
     AdviceWriter,
@@ -103,7 +102,7 @@ def _field_width(deg):
 def _sides(tree, req, v):
     """The two child edges of v used by a pass-through request, as the
     child vertices below v on each side, smaller first."""
-    mask = edge_mask(tree, req)
+    mask = req.mask
     cx, cy = (c for c in tree.children[v] if mask >> c & 1)
     return cx, cy
 

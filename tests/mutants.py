@@ -63,9 +63,15 @@ MUTANTS = {
     ),
     "tree-edge-mask-or": (
         "graphs.py",
-        "return graph.up[req.x] ^ graph.up[req.y]",
-        "return graph.up[req.x] | graph.up[req.y]",
+        "mask = graph.up[x] ^ graph.up[y]",
+        "mask = graph.up[x] | graph.up[y]",
         "tests/test_trees.py",
+    ),
+    "path-mask-off-by-one": (
+        "graphs.py",
+        "mask = ((1 << y) - 1) ^ ((1 << x) - 1)",
+        "mask = ((1 << y + 1) - 1) ^ ((1 << x) - 1)",
+        "tests/test_graphs.py",
     ),
     "tree-up-bit-of-parent": (
         "graphs.py",

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import inf
@@ -24,9 +26,10 @@ from priodpa import (
     request_length,
     validate_solution,
 )
+from priodpa.engine import RunState
 from priodpa.graphs import edge_mask, graph_from_json, graph_to_json
 
-from helpers import NESTED_EDGES, all_pairs, edge_set, path_edges, random_tree
+from helpers import NESTED_EDGES, all_pairs, canonical_trees, edge_set, path_edges, random_tree
 
 
 def test_request_normalizes_endpoint_order():
@@ -45,6 +48,65 @@ def test_request_rejects_unknown_vertex():
     g = PathGraph(5)
     with pytest.raises(InvalidRequestError):
         Request(g, 0, 6)
+
+
+def _walk_mask(graph, req):
+    """The request's edge mask from the parent walk: bit i is the path edge
+    {i, i+1}, bit v the tree edge from v to its parent."""
+    if graph.kind == "path":
+        return sum(1 << min(e) for e in edge_set(graph, req))
+    return sum(1 << (a if graph.parent[a] == b else b) for a, b in edge_set(graph, req))
+
+
+def test_stored_mask_matches_the_walk_on_every_small_host():
+    hosts = [PathGraph(length) for length in range(1, 9)]
+    hosts += [TreeGraph(edges) for n in range(2, 8) for edges in canonical_trees(n)]
+    for g in hosts:
+        for r in all_pairs(g):
+            expect = _walk_mask(g, r)
+            assert r.mask == expect == edge_mask(g, r)
+            assert Request(g, r.y, r.x).mask == expect
+            assert request_length(g, r) == len(path_edges(g, r))
+
+
+def test_a_grid_request_has_no_mask():
+    grid = GridGraph()
+    r = Request(grid, (0, 0), (1, 2))
+    assert r.mask is None
+    with pytest.raises(InvalidRequestError):
+        edge_mask(grid, r)
+    with pytest.raises(InvalidRequestError):
+        RunState(grid).fits(r)
+    with pytest.raises(InvalidRequestError):
+        request_length(grid, r)
+
+
+def test_requests_are_immutable():
+    g = PathGraph(5)
+    r = Request(g, 1, 3)
+    for name, value in (("x", 0), ("y", 4), ("mask", 0), ("graph", PathGraph(6)), ("z", 1)):
+        with pytest.raises(AttributeError):
+            setattr(r, name, value)
+    with pytest.raises(AttributeError):
+        del r.x
+    assert (r.graph, r.x, r.y, r.mask) == (g, 1, 3, 0b110)
+    # copies are built through the constructor, as for the frozen dataclass
+    for twin in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+        assert twin == r and twin.mask == r.mask
+
+
+def test_requests_compare_by_host_value_and_hash_as_before():
+    for make in (lambda: PathGraph(6), lambda: TreeGraph(NESTED_EDGES)):
+        g, h = make(), make()
+        assert g is not h
+        r, s = Request(g, 4, 2), Request(h, 2, 4)
+        assert r == s and not r != s and hash(r) == hash(s) == hash((g, 2, 4))
+        assert len({r, s}) == 1
+        assert r != Request(g, 2, 5)
+    assert Request(PathGraph(6), 1, 3) != Request(PathGraph(7), 1, 3)
+    assert Request(PathGraph(6), 1, 3) != Request(TreeGraph(NESTED_EDGES), 1, 3)
+    assert Request(PathGraph(6), 1, 3) != (PathGraph(6), 1, 3)
+    assert repr(Request(PathGraph(6), 3, 1)) == "Request(1, 3)"
 
 
 def _intersects(r1, r2):
@@ -205,6 +267,33 @@ def test_tree_graph_rejects_cycles_and_forests():
         TreeGraph([(0, 1), (1, 2), (2, 0)])
     with pytest.raises(InvalidTreeError):
         TreeGraph([(0, 1), (2, 3)])
+
+
+def test_tree_graph_reports_the_first_fault_as_before():
+    # the integer check covers the whole list first; then each edge is
+    # checked in input order, for range before repetition
+    faults = {
+        "bad edge (0, 5) for 4 vertices": [(0, 5), (1, 2), (2, 1)],
+        "duplicate edge (1, 2)": [(1, 2), (2, 1), (0, 9)],
+        "tree vertices must be integers": [(0, 9), (1, "a"), (1, 2)],
+        "bad edge (1, 1) for 3 vertices": [(1, 1), (0, 1)],
+        "a tree needs at least one edge here": [],
+    }
+    for message, edges in faults.items():
+        with pytest.raises(InvalidTreeError) as exc:
+            TreeGraph(edges)
+        assert str(exc.value) == message
+
+
+def test_tree_children_follow_the_parents():
+    rng = random.Random(11)
+    for _ in range(40):
+        t = random_tree(rng.randint(2, 25), rng)
+        assert t.children == {v: tuple(w for w in range(t.n) if t.parent[w] == v)
+                              for v in range(t.n)}
+        assert t.adj == {v: tuple(sorted(w for e in t.edges if v in e for w in e if w != v))
+                         for v in range(t.n)}
+        assert all(type(a) is dict for a in (t.adj, t.degree, t.parent, t.depth))
 
 
 def test_grid_graph_shape():

@@ -263,6 +263,18 @@ def test_usage_and_input_errors_exit_2(capsys, tmp_path):
         rc, out, err = _main(capsys, *argv)
         assert (rc, out, err) == (2, "", line + "\n")
 
+    # advice --encode prints a tape: it reads no tape and has no row format
+    encode = ["advice", "--problem", "lwdpa", "--encode", "--instance", DEMO]
+    refused = {
+        "error: advice --encode takes no --tape": ["--tape", str(tmp_path / "nope.json")],
+        "error: advice --encode takes no --format": ["--format", "csv"],
+        "error: advice --encode takes no --tape or --format": [
+            "--format", "json", "--tape", str(tmp_path / "nope.json"), "--seed", "3"],
+    }
+    for line, extra in refused.items():
+        assert _main(capsys, *encode, *extra) == (2, "", line + "\n")
+    assert _main(capsys, *encode, "--seed", "3") == (0, '{"bits": 12, "hex": "488"}\n', "")
+
 
 def test_flags_a_command_would_ignore_exit_2(capsys):
     hub = str(DATA / "hub-tree.json")
