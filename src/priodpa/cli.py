@@ -198,18 +198,16 @@ def cmd_reduce(args):
     if args.problem == "lwdpa":
         alg = _battery_algorithm(args.alg, "lwdpa")
         outcome = run_guess(alg, bits)
-        right_gain, wrong_gain = 3, 2
     elif args.problem == "cat":
         alg = _battery_algorithm(args.alg, "cat")
         tree = _load_tree(args.tree) if args.tree else fig9_tree(len(bits))
         outcome = run_tguess(alg, tree, bits)
-        right_gain, wrong_gain = 2, 1
     else:
         raise UsageError(f"unknown reduction problem {args.problem!r}")
     lines = ["block,m,guess,hidden,correct,alg_gain,opt_gain"]
     violated = False
     for rec in outcome.records:
-        cap = right_gain if rec.correct else wrong_gain
+        cap = rec.opt_gain if rec.correct else rec.opt_gain - 1  # a wrong guess costs one
         if rec.alg_gain > cap:
             violated = True
         lines.append(
@@ -286,8 +284,6 @@ def build_parser():
         if rows:  # only report rows come in both formats
             p.add_argument("--format", choices=("csv", "json"), default=fmt)
         p.add_argument("--out")
-        p.add_argument("--seed", type=int, default=None,
-                       help="fix all randomness; also zeroes the ms column")
 
     p = sub.add_parser("run", help="run one algorithm on an instance file")
     p.add_argument("--instance", required=True)
@@ -335,6 +331,10 @@ def build_parser():
     common(p)
     p.set_defaults(fn=cmd_pack_s4)
 
+    # verify and pack-s4 draw nothing at random and print no ms column
+    for name in ("run", "adversary", "advice", "reduce"):
+        sub.choices[name].add_argument("--seed", type=int, default=None,
+                                       help="fix all randomness; also zeroes the ms column")
     return parser
 
 

@@ -192,8 +192,6 @@ class RunState:
 
     graph: object
     blocked_mask: int = 0  # edges of everything accepted, on every host
-    accepted: list = field(default_factory=list)
-    allocations: dict = field(default_factory=dict)
     log: list = field(default_factory=list)  # every Decision, in order
 
     def fits(self, request):
@@ -330,23 +328,23 @@ class Session:
                         f"{self.algorithm.name}: accept without allocation of a simple route")
                 if mask & state.blocked_mask:
                     raise IllegalAcceptanceError(f"{self.algorithm.name}: allocation reuses an edge")
-                state.allocations[request] = decision.allocation
             else:
                 mask = request.mask
                 if mask & state.blocked_mask:
                     raise IllegalAcceptanceError(f"{self.algorithm.name}: accepted a blocked request")
             state.blocked_mask |= mask
-            state.accepted.append(request)
         state.log.append(decision)
         if self.order.readapt is not None:
             self.order = self.order.readapt(tuple(state.log))
         return decision
 
     def result(self):
-        state = self.state
-        alloc = dict(state.allocations) if self._grid else None
-        sol = Solution(self.graph, tuple(state.accepted), alloc)
-        return RunResult(sol, tuple(state.log), self.tape.consumed)
+        """The run so far, read off the log: the accepted requests (and,
+        on a grid, their routes) in feed order."""
+        log = self.state.log
+        alloc = {d.request: d.allocation for d in log if d.accept} if self._grid else None
+        sol = Solution(self.graph, tuple([d.request for d in log if d.accept]), alloc)
+        return RunResult(sol, tuple(log), self.tape.consumed)
 
 
 def run(algorithm, instance, tape=None):
@@ -386,13 +384,24 @@ class AdversaryOutcome:
 
 def adversary_game(algorithm, graph, candidates, answer, mode="count"):
     """Play one adversary round: serve the algorithm's top ``candidates``
-    request r, ask ``answer(r, decision)`` for (case, follow-ups,
-    witness), drain the follow-ups, and score the algorithm's gain against
-    the optimum of ``witness``, which must be a valid solution of the
-    instance served."""
+    request r, then score the algorithm's gain against the optimum of a
+    witness, which must be a valid solution of the instance served.
+
+    A rejected r ends the game here, at ratio infinity: the case is
+    ``"rejected-first"``, there are no follow-ups, and the witness is r
+    alone (on a grid, routed by the first route in its table).  An
+    accepted r is answered by ``answer(r, decision)`` with (case,
+    follow-ups, witness), and the follow-ups are drained; so each
+    adversary holds only its analysis of an accepted first pick.
+    """
     session = Session(algorithm, graph)
     r = session.max_of(candidates)
-    case, followups, witness = answer(r, session.feed(r))
+    first = session.feed(r)
+    if first.accept:
+        case, followups, witness = answer(r, first)
+    else:
+        route = {r: next(iter(graph.routes(r.x, r.y)))} if graph.kind == "grid" else None
+        case, followups, witness = "rejected-first", (), Solution(graph, (r,), route)
     session.drain(followups)
     instance = Instance(graph, (r, *followups))
     if not validate_solution(instance, witness):

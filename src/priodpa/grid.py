@@ -12,8 +12,10 @@ and answers the chosen routing p with follow-ups:
   preceding the center and its neighbour corner t' are squeezed through a
   single free edge (algorithm total at most 2, optimum 3).
 
-``exhaustive_verify_3x3`` replays this scheme over every pair and every
-simple path and checks the whole case analysis against the routing oracle.
+``_served_case`` holds this analysis of an accepted first request (a
+rejected one ends in ``engine.adversary_game``).  ``exhaustive_verify_3x3``
+replays it over every pair and every simple path and checks the whole case
+analysis against the routing oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import GridGraph, Instance, PropertyViolation, Request, Solution
+from .graphs import GridGraph, Instance, PropertyViolation, Request, ratio
 from .engine import Decision, PriorityAlgorithm, PriorityOrder, RejectFirst, adversary_game
 from .oracle import max_allocatable
 
@@ -63,38 +65,32 @@ def grid_automorphisms():
     return tuple(maps)
 
 
-def _walk_vertices(allocation, start):
-    vs = [allocation[0][0]] + [e[1] for e in allocation]
-    if vs[0] != start:
+def _served_case(graph, req, route):
+    """The walk of a served ``route`` of ``req`` from its corner endpoint,
+    the case tag, and the follow-up requests that answer it."""
+    corner = req.x if req.x in CORNERS else req.y
+    vs = [route[0][0]] + [e[1] for e in route]
+    if vs[0] != corner:
         vs.reverse()
-    if vs[0] != start:
-        raise PropertyViolation(f"the routing does not run from {start}")
-    return vs
-
-
-def _followups(graph, req, path_vertices):
-    """Case tag and follow-up requests for a served routing of ``req``.
-
-    ``path_vertices`` must be oriented to start at the corner endpoint.
-    """
-    v = path_vertices[0]
-    if CENTER in path_vertices:
-        i = path_vertices.index(CENTER)
-        t = path_vertices[i - 1]
-        u = path_vertices[i - 2]
+    if vs[0] != corner:
+        raise PropertyViolation(f"the routing does not run from {corner}")
+    if CENTER in vs:
+        i = vs.index(CENTER)
+        t = vs[i - 1]
+        u = vs[i - 2]
         t_prime = next(c for c in CORNERS if c in graph.neighbors(t) and c != u)
         other_mid = next(m for m in MIDPOINTS if m in graph.neighbors(u) and m != t)
-        return "center", (
+        return vs, "center", (
             Request(graph, t, antipode(t_prime)),
             Request(graph, t, antipode(u)),
             Request(graph, t_prime, other_mid),
         )
-    inner = [c for c in path_vertices[1:-1] if c in CORNERS]
+    inner = [c for c in vs[1:-1] if c in CORNERS]
     if not inner:
         raise PropertyViolation("a center-free routing must pass an internal corner")
-    c = next(c for c in inner if abs(v[0] - c[0]) + abs(v[1] - c[1]) == 2)
+    c = next(c for c in inner if abs(corner[0] - c[0]) + abs(corner[1] - c[1]) == 2)
     x, y = (m for m in MIDPOINTS if m in graph.neighbors(antipode(c)))
-    return "corner", (Request(graph, c, x), Request(graph, c, y))
+    return vs, "corner", (Request(graph, c, x), Request(graph, c, y))
 
 
 def grid_adversary(algorithm):
@@ -103,12 +99,8 @@ def grid_adversary(algorithm):
     g = GridGraph()
 
     def answer(r, first):
-        if not first.accept:
-            return "rejected-first", (), Solution(g, (r,), {r: next(iter(g.routes(r.x, r.y)))})
-        corner = r.x if r.x in CORNERS else r.y
-        case, followups = _followups(g, r, _walk_vertices(first.allocation, corner))
-        _, accepted, alloc = max_allocatable(g, Instance(g, (r, *followups)).requests)
-        return case, followups, Solution(g, accepted, alloc)
+        _, case, followups = _served_case(g, r, first.allocation)
+        return case, followups, max_allocatable(g, Instance(g, (r, *followups)).requests).witness
 
     return adversary_game(algorithm, g, distance3_pairs(g), answer)
 
@@ -161,21 +153,19 @@ def exhaustive_verify_3x3():
     for r in pairs:
         corner = r.x if r.x in CORNERS else r.y
         for path, mask in g.routes(corner, r.x if corner == r.y else r.y).items():
-            vs = _walk_vertices(path, corner)
-            case, followups = _followups(g, r, vs)
-            cont, _, _ = max_allocatable(g, followups, mask)
-            alg_total = 1 + cont
+            vs, case, followups = _served_case(g, r, path)
+            alg_total = 1 + max_allocatable(g, followups, mask).optimum
             if followups not in fols:
-                fols[followups], _, _ = max_allocatable(g, followups)
+                fols[followups] = max_allocatable(g, followups).optimum
             if (r, followups) not in opts:
-                opts[r, followups], _, _ = max_allocatable(g, (r,) + followups)
+                opts[r, followups] = max_allocatable(g, (r,) + followups).optimum
             fol, opt = fols[followups], opts[r, followups]
-            ratio = Fraction(opt, alg_total)
+            rho = ratio(opt, alg_total)
             if case == "corner":
-                ok = alg_total == 1 and fol == 2 and opt >= 2 and ratio >= 2
+                ok = alg_total == 1 and fol == 2 and opt >= 2 and rho >= 2
             else:
-                ok = alg_total <= 2 and fol == 3 and opt >= 3 and ratio >= Fraction(3, 2)
-            cases.append(GridCase(r, tuple(vs), case, alg_total, fol, opt, ratio, ok))
+                ok = alg_total <= 2 and fol == 3 and opt >= 3 and rho >= Fraction(3, 2)
+            cases.append(GridCase(r, tuple(vs), case, alg_total, fol, opt, rho, ok))
     report = Grid3x3Report(
         cases=tuple(cases),
         pair_count=len(pairs),

@@ -101,15 +101,14 @@ def adversary_play_lwdpa(algorithm, params):
     """Play P_{a,b} against a priority algorithm (length objective).
 
     The universe is every long and every unit request; the adversary reads
-    off the algorithm's top request r*, serves it, and continues with the
-    case-specific follow-ups.  Rejecting r* ends the game at ratio infinity.
+    off the algorithm's top request r*, serves it, and answers an accepted
+    r* with the case-specific follow-ups (``adversary_game`` ends a
+    rejected one at ratio infinity).
     """
     g, longs, units = build_pab(params)
     b = params.b
 
     def answer(r_star, first):
-        if not first.accept:
-            return "rejected-first", (), Solution(g, (r_star,))
         if request_length(g, r_star) == 1 and r_star not in longs:
             # unit request: pair it with the lowest-index long containing it
             follow = next(p for p in longs if p.x <= r_star.x and r_star.y <= p.y)

@@ -138,7 +138,9 @@ def brute_force_opt(instance, mode="count"):
     """
     _check_cap(instance)
     if instance.graph.kind == "grid":
-        return _grid_opt(instance, mode)
+        if mode != "count":
+            raise InvalidParameterError("grid oracle supports count gain only")
+        return max_allocatable(instance.graph, instance.requests)
     return _extreme_opt(instance.graph, instance.requests, mode, largest=False)
 
 
@@ -178,13 +180,14 @@ def max_allocatable(graph, requests, blocked=0):
     """Largest routable subset of ``requests`` on the grid's edges outside
     the mask ``blocked``.
 
-    Returns (count, accepted tuple, allocations dict) with the canonical
-    witness over endpoint-sorted requests (request i is bit i): the
-    smallest routable mask of the largest routable size, routed by the
-    first routing the depth-first search meets.  Sizes are tried from the
-    number of requests with a free route down, and the masks of one size
-    in increasing order, so the first subset that routes is that witness;
-    a subset holding a request without a free route is never searched.
+    Returns an OracleResult, as ``brute_force_opt`` does, whose witness
+    holds the routes.  Over endpoint-sorted requests (request i is bit i)
+    it is the smallest routable mask of the largest routable size, routed
+    by the first routing the depth-first search meets.  Sizes are tried
+    from the number of requests with a free route down, and the masks of
+    one size in increasing order, so the first subset that routes is that
+    witness; a subset holding a request without a free route is never
+    searched.
     """
     reqs = sorted(requests, key=lambda r: r.key)
     if len(reqs) > 12:
@@ -198,13 +201,5 @@ def max_allocatable(graph, requests, blocked=0):
             alloc = []
             if _route([lists[i] for i in picked], 0, 0, alloc):
                 accepted = tuple(reqs[i] for i in picked)
-                return size, accepted, dict(zip(accepted, alloc))
-    return 0, (), {}
-
-
-def _grid_opt(instance, mode):
-    g = instance.graph
-    if mode != "count":
-        raise InvalidParameterError("grid oracle supports count gain only")
-    count, accepted, alloc = max_allocatable(g, instance.requests)
-    return OracleResult(count, Solution(g, accepted, alloc))
+                return OracleResult(size, Solution(graph, accepted, dict(zip(accepted, alloc))))
+    return OracleResult(0, Solution(graph, (), {}))

@@ -80,8 +80,6 @@ def tree_adversary(algorithm, tree):
     pairs = [Request(tree, a, b) for i, a in enumerate(nb) for b in nb[i + 1:]]
 
     def answer(r, first):
-        if not first.accept:
-            return "rejected-first", (), Solution(tree, (r,))
         x, y = sorted(set(nb) - {r.x, r.y})
         followups = (Request(tree, r.x, x), Request(tree, r.y, y))
         return "hub", followups, Solution(tree, followups)

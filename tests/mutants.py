@@ -111,8 +111,8 @@ MUTANTS = {
     ),
     "verify-cont-keyed-by-followups": (
         "grid.py",
-        "            cont, _, _ = max_allocatable(g, followups, mask)\n",
-        "            cont = fols.setdefault((\"cont\", followups), max_allocatable(g, followups, mask)[0])\n",
+        "            alg_total = 1 + max_allocatable(g, followups, mask).optimum\n",
+        "            alg_total = 1 + fols.setdefault((\"cont\", followups), max_allocatable(g, followups, mask).optimum)\n",
         "tests/test_golden.py",
     ),
     "grid-reverse-direction-bit": (
@@ -144,6 +144,24 @@ MUTANTS = {
         "    if not validate_solution(instance, witness):\n",
         "    if False:\n",
         "tests/test_engine.py",
+    ),
+    "adversary-answers-a-rejection": (
+        "engine.py",
+        "    if first.accept:\n",
+        "    if True:\n",
+        "tests/test_grid.py",
+    ),
+    "read-field-rejects-zero-width": (
+        "engine.py",
+        "        if width < 0:\n",
+        "        if width <= 0:\n",
+        "tests/test_engine.py",
+    ),
+    "components-merge-by-or": (
+        "oracle.py",
+        "            if group[0] & m:\n",
+        "            if group[0] | m:\n",
+        "tests/test_oracle.py",
     ),
     "encode-run-skips-check": (
         "engine.py",

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 
 import pytest
@@ -27,7 +28,7 @@ from priodpa import (
     run,
 )
 from priodpa.battery import _hash_key, battery
-from priodpa.engine import adversary_game
+from priodpa.engine import RejectFirst, adversary_game
 from priodpa.paths import greedy_path_algorithm, right_end_order
 
 from helpers import DEMO, NESTED_EDGES, all_pairs, random_instance, random_tree
@@ -333,6 +334,19 @@ def test_adversary_game_rejects_an_invalid_witness():
             play(*witness)
 
 
+def test_adversary_game_ends_a_rejected_first_pick():
+    g = PathGraph(4)
+    candidates = [Request(g, 0, 2), Request(g, 1, 3)]
+
+    def answer(r, decision):
+        raise AssertionError("answer is asked only about an accepted pick")
+
+    out = adversary_game(RejectFirst(greedy_path_algorithm()), g, candidates, answer)
+    assert (out.case, out.alg_gain, out.opt_gain, out.ratio) == ("rejected-first", 0, 1, math.inf)
+    assert out.instance.requests == (Request(g, 0, 2),)
+    assert out.opt_witness == Solution(g, (Request(g, 0, 2),))
+
+
 def test_greedy_accepts_exactly_the_fitting_requests():
     g, inst = _p5_instance()
     result = run(greedy_path_algorithm(), inst)
@@ -368,6 +382,15 @@ def test_advice_tape_reads_msb_first():
     assert tape.read_field(3) == 5
     assert tape.read_bit() == 0
     assert tape.consumed == 4
+
+
+def test_a_zero_width_field_reads_nothing():
+    tape = AdviceTape("10")
+    assert tape.read_field(0) == 0 and tape.consumed == 0
+    assert tape.read_field(2) == 2 and tape.consumed == 2
+    assert tape.read_field(0) == 0 and tape.consumed == 2
+    with pytest.raises(InvalidParameterError):
+        tape.read_field(-1)
 
 
 def test_advice_tape_exhaustion():

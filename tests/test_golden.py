@@ -2,8 +2,8 @@
 
 ``data/golden/cases.json`` lists each command line (with ``{data}`` standing
 for ``tests/data``) and its exit code; ``data/golden/<name>.out`` holds the
-exact stdout it printed.  Every command passes ``--seed`` so the ``ms``
-column is 0 and the output is deterministic.
+exact stdout it printed.  Every command that takes ``--seed`` passes it, so
+the ``ms`` column is 0 and the output is deterministic.
 """
 
 import json

@@ -19,6 +19,7 @@ from priodpa import (
 )
 from priodpa.battery import battery
 from priodpa.lwdpa import lwdpa_order
+from priodpa.oracle import _components
 from priodpa.paths import right_end_order
 from priodpa.trees import cat_order
 
@@ -205,6 +206,14 @@ def test_conflict_components_solved_independently():
     )
 
 
+def test_components_group_requests_that_meet_through_any_chain():
+    # disjoint masks stay apart, a chain joins, and a bridge merges two groups
+    assert _components([0b11, 0b1100, 0b110000]) == [[0], [1], [2]]
+    assert _components([0b11, 0b110, 0b1100]) == [[0, 1, 2]]
+    assert _components([0b1, 0b1000, 0b100000, 0b1001]) == [[2], [0, 1, 3]]
+    assert _components([]) == []
+
+
 def test_greediest_keeps_the_highest_priority_optimum():
     g = PathGraph(3)
     inst = Instance(
@@ -230,20 +239,13 @@ def test_greediest_of_empty_instance_is_empty():
     assert not sol.accepted
 
 
-def test_greediest_matches_optimum_exhaustively():
+def test_greediest_matches_optimum_exhaustively(path_sweep):
     """Every path instance with l <= 6 and at most 5 requests."""
-    for l in range(1, 7):
-        g = PathGraph(l)
-        order = right_end_order(g)
-        pairs = all_pairs(g)
-        for k in range(0, 6):
-            for combo in itertools.combinations(pairs, k):
-                inst = Instance(g, list(combo))
-                sol = greediest_opt(inst, order, "count")
-                assert validate_solution(inst, sol)
-                assert (
-                    gain(sol, "count") == brute_force_opt(inst, "count").optimum
-                )
+    orders = {l: right_end_order(PathGraph(l)) for l in range(1, 7)}
+    for l, inst, opt, _ in path_sweep:
+        sol = greediest_opt(inst, orders[l], "count")
+        assert validate_solution(inst, sol)
+        assert gain(sol, "count") == opt
 
 
 def _pairwise_disjoint(graph, requests):
@@ -292,9 +294,9 @@ def test_grid_allocation_search():
         Request(gg, (0, 1), (0, 2)),
         Request(gg, (1, 1), (2, 0)),
     ]
-    count, accepted, alloc = max_allocatable(gg, reqs)
-    assert count == 3 and len(accepted) == 3
-    used = [e for path in alloc.values() for e in path]
+    res = max_allocatable(gg, reqs)
+    assert res.optimum == 3 and len(res.witness.accepted) == 3
+    used = [e for path in res.witness.allocations.values() for e in path]
     assert len(used) == len({frozenset(e) for e in used})
 
     thirteen = [Request(gg, (0, 0), (r, c)) for r in range(3) for c in range(3) if (r, c) != (0, 0)] + [Request(gg, (0, 1), (1, c)) for c in range(3)] + [Request(gg, (0, 1), (2, 0)), Request(gg, (0, 1), (2, 1))]
@@ -322,10 +324,11 @@ def test_grid_oracle_matches_the_subset_and_product_reference():
         cases.append((reqs, blocked))
     routed = set()
     for reqs, blocked in cases:
-        count, accepted, alloc = max_allocatable(gg, reqs, blocked)
+        res = max_allocatable(gg, reqs, blocked)
+        count, witness = res.optimum, res.witness
         ref_count, ref_accepted, ref_alloc = reference_max_allocatable(gg, reqs, blocked)
-        assert (count, accepted) == (ref_count, ref_accepted), (reqs, blocked)
-        assert list(alloc.items()) == list(ref_alloc.items()), (reqs, blocked)
+        assert (count, witness.accepted) == (ref_count, ref_accepted), (reqs, blocked)
+        assert list(witness.allocations.items()) == list(ref_alloc.items()), (reqs, blocked)
         if blocked == every_edge:
             assert count == 0
         routed.add(count)

@@ -279,16 +279,20 @@ def test_usage_and_input_errors_exit_2(capsys, tmp_path):
 def test_flags_a_command_would_ignore_exit_2(capsys):
     hub = str(DATA / "hub-tree.json")
     # --format chooses between CSV and JSON report rows, which only run,
-    # adversary and advice print
+    # adversary and advice print; --seed fixes randomness and zeroes the ms
+    # column, and verify and pack-s4 have neither
     for argv in (
         ["verify", "--instance", DEMO, "--format", "json"],
         ["reduce", "--problem", "lwdpa", "--alg", "greedy", "--n", "2", "--format", "json"],
         ["pack-s4", "--tree", CATERPILLAR, "--format", "json"],
+        ["verify", "--instance", DEMO, "--seed", "0"],
+        ["verify", "--grid-3x3", "--seed", "0"],
+        ["pack-s4", "--tree", CATERPILLAR, "--seed", "0"],
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
-        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
     ignored = {
         "error: --family grid takes no --a": [
             "adversary", "--family", "grid", "--alg", "grid-first", "--a", "3"],
