@@ -44,7 +44,7 @@ class RejectAll(PriorityAlgorithm):
     def initial_order(self, graph, advice):
         return self.order_factory(graph)
 
-    def decide(self, request, state, advice):
+    def decide(self, request, state):
         return Decision(request, False)
 
 

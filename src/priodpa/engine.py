@@ -14,17 +14,17 @@ fields it would read, and must accept the optimum it encodes (``encode_run``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from string import hexdigits
 from weakref import WeakKeyDictionary
 
 from .graphs import (
     Instance,
     InvalidParameterError,
+    InvalidRequestError,
     PriodpaError,
     PropertyViolation,
     Solution,
-    edge_mask,
     gain,
     ratio,
     validate_solution,
@@ -186,21 +186,9 @@ class Decision:
     allocation: object = None  # grids only: tuple of directed edges
 
 
-@dataclass
-class RunState:
-    """Mutable view an algorithm sees while deciding."""
-
-    graph: object
-    blocked_mask: int = 0  # edges of everything accepted, on every host
-    log: list = field(default_factory=list)  # every Decision, in order
-
-    def fits(self, request):
-        """Unique-path hosts: is the request's path fully unblocked?"""
-        return not (edge_mask(self.graph, request) & self.blocked_mask)
-
-
 class PriorityAlgorithm:
-    """Interface: a priority order plus an irrevocable decision rule."""
+    """Interface: a priority order, fixed from host and advice before any
+    request, plus an irrevocable decision rule; ``state`` is the Session."""
 
     name = "algorithm"
     mode = "count"
@@ -208,7 +196,7 @@ class PriorityAlgorithm:
     def initial_order(self, graph, advice):
         raise NotImplementedError
 
-    def decide(self, request, state, advice):
+    def decide(self, request, state):
         raise NotImplementedError
 
 
@@ -223,7 +211,7 @@ class GreedyAlgorithm(PriorityAlgorithm):
     def initial_order(self, graph, advice):
         return self.order_factory(graph)
 
-    def decide(self, request, state, advice):
+    def decide(self, request, state):
         return Decision(request, state.fits(request))
 
 
@@ -238,10 +226,10 @@ class RejectFirst(PriorityAlgorithm):
     def initial_order(self, graph, advice):
         return self.inner.initial_order(graph, advice)
 
-    def decide(self, request, state, advice):
+    def decide(self, request, state):
         if not state.log:
             return Decision(request, False)
-        return self.inner.decide(request, state, advice)
+        return self.inner.decide(request, state)
 
 
 @dataclass
@@ -259,15 +247,27 @@ class Session:
     picks, and :meth:`drain` presents a set of requests top-first in the
     order in force, as ``run``, the adversaries' follow-ups and the
     string-guessing games do.
+
+    The session is the state each ``decide`` receives: ``graph``, ``tape``,
+    ``blocked_mask`` (the edges of everything accepted), ``log`` (every
+    Decision, in order) and :meth:`fits`.
     """
 
     def __init__(self, algorithm, graph, tape=None):
         self.algorithm = algorithm
         self.graph = graph
         self.tape = tape if tape is not None else AdviceTape("")
-        self.order = algorithm.initial_order(graph, self.tape)
-        self.state = RunState(graph)
+        self.blocked_mask = 0
+        self.log = []
         self._grid = graph.kind == "grid"
+        self.order = algorithm.initial_order(graph, self.tape)
+
+    def fits(self, request):
+        """Cycle-free hosts: is the request's path fully unblocked?"""
+        mask = request.mask
+        if mask is None:
+            raise InvalidRequestError("edge masks are only defined on cycle-free hosts")
+        return not mask & self.blocked_mask
 
     def max_of(self, candidates):
         return self.order.max_of(candidates)
@@ -318,30 +318,29 @@ class Session:
                 seq, k = [tail[t] for t in order.rank([items[j] for j in tail])], 0
 
     def feed(self, request):
-        state = self.state
-        decision = self.algorithm.decide(request, state, self.tape)
+        decision = self.algorithm.decide(request, self)
         if decision.accept:
             if self._grid:
                 mask = self.graph.route_mask(request, decision.allocation)
                 if not mask:
                     raise IllegalAcceptanceError(
                         f"{self.algorithm.name}: accept without allocation of a simple route")
-                if mask & state.blocked_mask:
+                if mask & self.blocked_mask:
                     raise IllegalAcceptanceError(f"{self.algorithm.name}: allocation reuses an edge")
             else:
                 mask = request.mask
-                if mask & state.blocked_mask:
+                if mask & self.blocked_mask:
                     raise IllegalAcceptanceError(f"{self.algorithm.name}: accepted a blocked request")
-            state.blocked_mask |= mask
-        state.log.append(decision)
+            self.blocked_mask |= mask
+        self.log.append(decision)
         if self.order.readapt is not None:
-            self.order = self.order.readapt(tuple(state.log))
+            self.order = self.order.readapt(tuple(self.log))
         return decision
 
     def result(self):
         """The run so far, read off the log: the accepted requests (and,
         on a grid, their routes) in feed order."""
-        log = self.state.log
+        log = self.log
         alloc = {d.request: d.allocation for d in log if d.accept} if self._grid else None
         sol = Solution(self.graph, tuple([d.request for d in log if d.accept]), alloc)
         return RunResult(sol, tuple(log), self.tape.consumed)
@@ -400,7 +399,7 @@ def adversary_game(algorithm, graph, candidates, answer, mode="count"):
     if first.accept:
         case, followups, witness = answer(r, first)
     else:
-        route = {r: next(iter(graph.routes(r.x, r.y)))} if graph.kind == "grid" else None
+        route = {r: next(iter(graph.routes(r.x, r.y)))} if session._grid else None
         case, followups, witness = "rejected-first", (), Solution(graph, (r,), route)
     session.drain(followups)
     instance = Instance(graph, (r, *followups))

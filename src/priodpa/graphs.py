@@ -12,8 +12,9 @@ A request is an unordered pair of distinct vertices, normalized so that the
 smaller endpoint comes first.  On cycle-free hosts a request is identified
 with the unique path between its endpoints, and its path's edge mask is
 built once, when the ``Request`` is constructed, and stored as
-``Request.mask`` (``edge_mask`` reads it).  Every edge set is an int
-bitmask, built only here:
+``Request.mask``, which every reader uses; it is ``None`` on the grid,
+where the routing is not fixed, and ``request_length(request)`` counts its
+bits.  Every edge set is an int bitmask, built only here:
 
 * paths: bit i is the edge {i, i+1};
 * trees: bit v is the edge from vertex v to its parent.  ``up[v]`` is the
@@ -332,18 +333,11 @@ _set_y = Request.y.__set__
 _set_mask = Request.mask.__set__
 
 
-def edge_mask(graph, req):
-    """Bitmask of the request's path edges (cycle-free hosts only), the
-    ``mask`` built with the request on ``graph``."""
+def request_length(req):
+    """The number of edges on the request's path (cycle-free hosts only)."""
     if req.mask is None:
-        raise InvalidRequestError("edge masks are only defined on cycle-free hosts")
-    return req.mask
-
-
-def request_length(graph, req):
-    if graph.kind == "grid":
         raise InvalidRequestError("length on a grid depends on the chosen routing")
-    return edge_mask(graph, req).bit_count()
+    return req.mask.bit_count()
 
 
 # --------------------------------------------------------------------------
@@ -405,7 +399,7 @@ def gain(solution, mode="count"):
     g = solution.graph
     if g.kind == "grid":
         return sum(len(solution.allocations[r]) for r in solution.accepted)
-    return sum(request_length(g, r) for r in solution.accepted)
+    return sum(request_length(r) for r in solution.accepted)
 
 
 def ratio(opt, alg):

@@ -199,7 +199,7 @@ class GridRouter(PriorityAlgorithm):
     def initial_order(self, graph, advice):
         return grid_order(graph)
 
-    def decide(self, request, state, advice):
+    def decide(self, request, state):
         routes = state.graph.routes(request.x, request.y).items()
         feasible = [p for p, m in routes if not m & state.blocked_mask]
         if not feasible:

@@ -109,7 +109,7 @@ def adversary_play_lwdpa(algorithm, params):
     b = params.b
 
     def answer(r_star, first):
-        if request_length(g, r_star) == 1 and r_star not in longs:
+        if request_length(r_star) == 1 and r_star not in longs:
             # unit request: pair it with the lowest-index long containing it
             follow = next(p for p in longs if p.x <= r_star.x and r_star.y <= p.y)
             return "unit", (follow,), Solution(g, (follow,))
@@ -184,10 +184,10 @@ class LwdpaAdviceAlgorithm(PriorityAlgorithm):
         """The code of block ``blk``, a 3-bit field of the tape."""
         return advice.read_field(3)
 
-    def decide(self, request, state, advice):
+    def decide(self, request, state):
         if not state.fits(request):
             return Decision(request, False)
-        if request_length(state.graph, request) == 1:
+        if request_length(request) == 1:
             return Decision(request, True)
         if request.x not in self.starts:
             return Decision(request, False)
@@ -202,7 +202,7 @@ class _LwdpaAdviceEncoder(LwdpaAdviceAlgorithm):
 
     def __init__(self, optimum):
         self.writer = AdviceWriter()
-        self.long_starts = sorted(r.x for r in optimum if request_length(r.graph, r) >= 2)
+        self.long_starts = sorted(r.x for r in optimum if request_length(r) >= 2)
 
     def block_code(self, blk, advice):
         offsets = tuple(s - 4 * blk for s in self.long_starts if 4 * blk <= s < 4 * blk + 4)

@@ -152,7 +152,7 @@ class CatAdviceAlgorithm(PriorityAlgorithm):
         self.peak = self.labels = None
         return cat_order(graph)
 
-    def decide(self, request, state, advice):
+    def decide(self, request, state):
         tree = state.graph
         v = tree.lca(request.x, request.y)
         if self.peak != v:
@@ -162,7 +162,7 @@ class CatAdviceAlgorithm(PriorityAlgorithm):
             return Decision(request, fits)
         if self.labels is None:
             remaining = _remaining_children(tree, v, state.blocked_mask)
-            fields = self.phase_fields(remaining, _field_width(tree.degree[v]), advice)
+            fields = self.phase_fields(remaining, _field_width(tree.degree[v]), state.tape)
             self.labels = dict(zip(remaining, _infer_last(fields, len(remaining))))
         cx, cy = _sides(tree, request, v)
         lab = self.labels.get(cx, 0)

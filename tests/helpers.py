@@ -14,7 +14,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from priodpa import Instance, PropertyViolation, Request, Session, TreeGraph, request_length
-from priodpa.graphs import PathGraph, edge_mask, gain, ratio
+from priodpa.graphs import PathGraph, gain, ratio
 from priodpa.reduction import BlockRecord, GuessOutcome, _parse_bits
 from priodpa.trees import sigma
 
@@ -147,16 +147,16 @@ def random_instance(graph, max_requests, rng):
     return Instance(graph, rng.sample(pairs, k))
 
 
-def scan_opt(graph, requests, mode, blocked_mask=0):
+def scan_opt(requests, mode):
     """Reference oracle: scan every subset of ``requests`` (request i is
-    bit i) by increasing mask, skipping requests that meet ``blocked_mask``;
-    return the optimum and the first, so smallest, optimal subset."""
-    reqs = [r for r in requests if not edge_mask(graph, r) & blocked_mask]
-    masks = [edge_mask(graph, r) for r in reqs]
-    weights = [1 if mode == "count" else request_length(graph, r) for r in reqs]
+    bit i) by increasing mask; return the optimum and every optimal subset
+    as such a mask, in increasing order, so the first is the smallest."""
+    reqs = list(requests)
+    masks = [r.mask for r in reqs]
+    weights = [1 if mode == "count" else request_length(r) for r in reqs]
     used = [0] * (1 << len(reqs))   # edges of each subset, or -1 on a conflict
     total = [0] * (1 << len(reqs))
-    best, best_sub = 0, 0
+    best, optima = 0, [0]
     for sub in range(1, 1 << len(reqs)):
         j = (sub & -sub).bit_length() - 1
         rest = sub & (sub - 1)
@@ -166,27 +166,25 @@ def scan_opt(graph, requests, mode, blocked_mask=0):
         used[sub] = used[rest] | masks[j]
         total[sub] = total[rest] + weights[j]
         if total[sub] > best:
-            best, best_sub = total[sub], sub
-    return best, [r for i, r in enumerate(reqs) if best_sub >> i & 1]
+            best, optima = total[sub], [sub]
+        elif total[sub] == best:
+            optima.append(sub)
+    return best, optima
 
 
-def prefix_walk_greediest(instance, order, mode):
+def prefix_walk_greediest(requests, order, optima):
     """Reference for greediest_opt: walk the presentation sequence and keep
-    a request when the kept requests and it still extend to an optimum,
-    with each completion taken from ``scan_opt``."""
-    g = instance.graph
-    opt = scan_opt(g, instance.requests, mode)[0]
-    seq = order.sort(instance.requests)
-    chosen, chosen_gain, mask = [], 0, 0
-    for i, r in enumerate(seq):
-        m = edge_mask(g, r)
-        if mask & m:
-            continue
-        w = 1 if mode == "count" else request_length(g, r)
-        if chosen_gain + w + scan_opt(g, seq[i + 1:], mode, mask | m)[0] == opt:
+    a request when some optimal subset contains it and every kept request.
+    ``optima`` is the list of optimal subsets ``scan_opt(requests, mode)``
+    returns, and the walk filters it down to the subsets that stay."""
+    index = {r: i for i, r in enumerate(requests)}
+    chosen = []
+    for r in order.sort(requests):
+        bit = 1 << index[r]
+        kept = [sub for sub in optima if sub & bit]
+        if kept:
+            optima = kept
             chosen.append(r)
-            chosen_gain += w
-            mask |= m
     return sorted(chosen, key=lambda r: r.key)
 
 
@@ -301,7 +299,7 @@ def reference_guessing_game(algorithm, graph, blocks, hidden, block_opt, mode, z
     block_of = {}
     complement = {}
     for i, block in enumerate(blocks, start=1):
-        masks = {r: edge_mask(graph, r) for r in block}
+        masks = {r: r.mask for r in block}
         full = 0
         for mask in masks.values():
             full |= mask
@@ -332,7 +330,7 @@ def reference_guessing_game(algorithm, graph, blocks, hidden, block_opt, mode, z
     sol = session.result().solution
     per_block = [0] * (len(blocks) + 1)
     for r in sol.accepted:
-        per_block[block_of[r]] += 1 if mode == "count" else request_length(graph, r)
+        per_block[block_of[r]] += 1 if mode == "count" else request_length(r)
     records = tuple(
         BlockRecord(k, m, y, d, y == d, per_block[k], block_opt) for (k, m, y, d) in meta
     )

@@ -163,6 +163,21 @@ MUTANTS = {
         "            if group[0] | m:\n",
         "tests/test_oracle.py",
     ),
+    "feed-accepts-a-blocked-request": (
+        "engine.py",
+        "                if mask & self.blocked_mask:\n"
+        "                    raise IllegalAcceptanceError(f\"{self.algorithm.name}: accepted a blocked request\")\n",
+        "                if False:\n"
+        "                    raise IllegalAcceptanceError(f\"{self.algorithm.name}: accepted a blocked request\")\n",
+        "tests/test_engine.py",
+    ),
+    "fits-measures-a-grid-request": (
+        "engine.py",
+        "        if mask is None:\n"
+        "            raise InvalidRequestError(\"edge masks are only defined on cycle-free hosts\")\n",
+        "",
+        "tests/test_graphs.py",
+    ),
     "encode-run-skips-check": (
         "engine.py",
         "    if set(accepted) != set(optimum):\n",

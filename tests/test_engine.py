@@ -121,7 +121,7 @@ def test_adaptive_presented_request_is_stepwise_maximum():
                     reference.feed(r)
                     remaining.remove(r)
                     if order.readapt is not None:
-                        order = order.readapt(tuple(reference.state.log))
+                        order = order.readapt(tuple(reference.log))
                 log = reference.result().log
                 assert result.log == log, (problem, alg.name, inst.requests)
                 fed = Session(alg, g).drain(reversed(inst.requests))
@@ -362,12 +362,36 @@ def test_illegal_acceptance_is_detected():
         def initial_order(self, graph, advice):
             return right_end_order(graph)
 
-        def decide(self, request, state, advice):
+        def decide(self, request, state):
             return Decision(request, True)
 
     g, inst = _p5_instance()
     with pytest.raises(IllegalAcceptanceError):
         run(Blind(), inst)
+
+
+def test_decide_receives_the_session_and_its_tape():
+    class Reader(PriorityAlgorithm):
+        name = "reader"
+
+        def initial_order(self, graph, advice):
+            self.seen = []
+            return right_end_order(graph)
+
+        def decide(self, request, state):
+            self.seen.append((state, state.tape))
+            return Decision(request, state.tape.read_bit() == 1 and state.fits(request))
+
+    g, inst = _p5_instance()
+    alg, tape = Reader(), AdviceTape("101")
+    session = Session(alg, g, tape)
+    session.drain(inst.requests)
+    assert len(alg.seen) == 3 and all(s is session and t is tape for s, t in alg.seen)
+    tape = AdviceTape("110")
+    result = decode_run(alg, inst, tape)
+    (state, _), = set(alg.seen)
+    assert state.tape is tape and result.bits_consumed == 3
+    assert state.log == list(result.log)
 
 
 def test_session_refeeds_are_decided_against_current_state():

@@ -16,6 +16,7 @@ from priodpa import (
     PathGraph,
     PriodpaError,
     Request,
+    Session,
     Solution,
     TreeGraph,
     gain,
@@ -26,8 +27,8 @@ from priodpa import (
     request_length,
     validate_solution,
 )
-from priodpa.engine import RunState
-from priodpa.graphs import edge_mask, graph_from_json, graph_to_json
+from priodpa.graphs import graph_from_json, graph_to_json
+from priodpa.grid import GridRouter
 
 from helpers import NESTED_EDGES, all_pairs, canonical_trees, edge_set, path_edges, random_tree
 
@@ -64,9 +65,9 @@ def test_stored_mask_matches_the_walk_on_every_small_host():
     for g in hosts:
         for r in all_pairs(g):
             expect = _walk_mask(g, r)
-            assert r.mask == expect == edge_mask(g, r)
+            assert r.mask == expect
             assert Request(g, r.y, r.x).mask == expect
-            assert request_length(g, r) == len(path_edges(g, r))
+            assert request_length(r) == len(path_edges(g, r))
 
 
 def test_a_grid_request_has_no_mask():
@@ -74,11 +75,9 @@ def test_a_grid_request_has_no_mask():
     r = Request(grid, (0, 0), (1, 2))
     assert r.mask is None
     with pytest.raises(InvalidRequestError):
-        edge_mask(grid, r)
+        Session(GridRouter(), grid).fits(r)
     with pytest.raises(InvalidRequestError):
-        RunState(grid).fits(r)
-    with pytest.raises(InvalidRequestError):
-        request_length(grid, r)
+        request_length(r)
 
 
 def test_requests_are_immutable():
@@ -110,19 +109,19 @@ def test_requests_compare_by_host_value_and_hash_as_before():
 
 
 def _intersects(r1, r2):
-    return bool(edge_mask(r1.graph, r1) & edge_mask(r2.graph, r2))
+    return bool(r1.mask & r2.mask)
 
 
 def test_unique_path_on_path_graph():
     g = PathGraph(5)
     assert path_edges(g, Request(g, 2, 5)) == ((2, 3), (3, 4), (4, 5))
-    assert request_length(g, Request(g, 2, 5)) == 3
+    assert request_length(Request(g, 2, 5)) == 3
 
 
 def test_unique_path_on_tree():
     t = TreeGraph(NESTED_EDGES)
     assert path_edges(t, Request(t, 12, 13)) == ((12, 7), (7, 13))
-    assert request_length(t, Request(t, 12, 13)) == 2
+    assert request_length(Request(t, 12, 13)) == 2
 
 
 def test_intersects_on_path():
@@ -159,7 +158,7 @@ def test_unique_path_is_connected_and_has_distance_length(data):
     assert walk[0][0] == r.x and walk[-1][1] == r.y
     for (a, b), (c, d) in zip(walk, walk[1:]):
         assert b == c
-    assert len(walk) == request_length(t, r)
+    assert len(walk) == request_length(r)
     assert len({v for e in walk for v in e}) == len(walk) + 1
 
 

@@ -223,7 +223,7 @@ class _FixedRoute(PriorityAlgorithm):
     def initial_order(self, graph, advice):
         return grid_order(graph)
 
-    def decide(self, request, state, advice):
+    def decide(self, request, state):
         return Decision(request, True, self.route)
 
 
@@ -276,7 +276,7 @@ class _TableWriter(PriorityAlgorithm):
     def initial_order(self, graph, advice):
         return grid_order(graph)
 
-    def decide(self, request, state, advice):
+    def decide(self, request, state):
         try:
             state.graph.routes(request.x, request.y)[self.ROUTE] = 1
         except TypeError:

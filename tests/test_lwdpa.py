@@ -93,7 +93,7 @@ def test_layer_geometry():
         shared = set(range(a.x, a.y)) & set(range(b.x, b.y))
         assert len(shared) == 1  # consecutive long requests overlap in one edge
     for u in units:
-        assert request_length(g, u) == 1
+        assert request_length(u) == 1
 
 
 def test_adversary_traps_greedy_at_the_peak():

@@ -49,7 +49,7 @@ def _direct_optimum(instance, mode):
                 w = (
                     len(combo)
                     if mode == "count"
-                    else sum(request_length(g, r) for r in combo)
+                    else sum(request_length(r) for r in combo)
                 )
                 best = max(best, w)
     return best
@@ -186,11 +186,12 @@ def test_witnesses_match_the_reference_scans():
         orders = _fixed_battery_orders(graph)
         for mode in ("count", "length"):
             res = brute_force_opt(inst, mode)
-            expected = scan_opt(graph, inst.requests, mode)
-            assert (res.optimum, list(res.witness.accepted)) == expected
+            best, optima = scan_opt(inst.requests, mode)
+            smallest = [r for i, r in enumerate(inst.requests) if optima[0] >> i & 1]
+            assert (res.optimum, list(res.witness.accepted)) == (best, smallest)
             for order in orders:
                 sol = greediest_opt(inst, order, mode)
-                assert list(sol.accepted) == prefix_walk_greediest(inst, order, mode)
+                assert list(sol.accepted) == prefix_walk_greediest(inst.requests, order, optima)
             compared += 1 + len(orders)
     assert compared > 8000
 

@@ -225,9 +225,9 @@ class _Watched(PriorityAlgorithm):
     def initial_order(self, graph, advice):
         return self.inner.initial_order(graph, advice)
 
-    def decide(self, request, state, advice):
+    def decide(self, request, state):
         self.asked.append(request)
-        return self.inner.decide(request, state, advice)
+        return self.inner.decide(request, state)
 
 
 def _assert_plays_like_the_reference(play, reference, alg, *args):

@@ -18,7 +18,6 @@ from priodpa import (
     validate_solution,
 )
 from priodpa.battery import battery
-from priodpa.graphs import edge_mask
 from priodpa.reduction import fig9_tree
 from priodpa.trees import (
     CatAdviceAlgorithm,
@@ -86,8 +85,8 @@ def test_root_path_masks_match_parent_walks(data):
         wx, wy = root_walk(t, r.x), root_walk(t, r.y)
         top = next(v for v in wx if v in wy)
         below_x, below_y = wx[:wx.index(top)], wy[:wy.index(top)]
-        assert edge_mask(t, r) == sum(1 << v for v in below_x + below_y)
-        assert request_length(t, r) == len(below_x) + len(below_y)
+        assert r.mask == sum(1 << v for v in below_x + below_y)
+        assert request_length(r) == len(below_x) + len(below_y)
         assert t.lca(r.x, r.y) == top
         if below_x and below_y:
             assert _sides(t, r, top) == tuple(sorted((below_x[-1], below_y[-1])))
