@@ -179,7 +179,7 @@ class AdviceWriter:
 # --------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Decision:
     request: object
     accept: bool
@@ -232,7 +232,7 @@ class RejectFirst(PriorityAlgorithm):
         return self.inner.decide(request, state)
 
 
-@dataclass
+@dataclass(slots=True)
 class RunResult:
     solution: Solution
     log: tuple

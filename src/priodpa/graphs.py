@@ -183,6 +183,18 @@ _GRID_NEIGHBORS = {
 }
 
 
+def _fill_routes(walk, mask, y, edge_bit, found):
+    """Append every simple route that extends ``walk`` (of edge mask
+    ``mask``) to ``y`` to ``found``, as a (route, mask) pair."""
+    v = walk[-1]
+    if v == y:
+        found.append((tuple(zip(walk, walk[1:])), mask))
+        return
+    for w in _GRID_NEIGHBORS[v]:
+        if w not in walk:
+            _fill_routes(walk + [w], mask | edge_bit[v, w], y, edge_bit, found)
+
+
 class GridGraph:
     """The 3x3 grid; vertices are (row, col) pairs.  Each instance keeps
     its own route table, filled as pairs are asked for; each pair's table
@@ -227,17 +239,7 @@ class GridGraph:
         table = self._routes.get((x, y))
         if table is None:
             found = []
-
-            def extend(walk, mask):
-                v = walk[-1]
-                if v == y:
-                    found.append((tuple(zip(walk, walk[1:])), mask))
-                    return
-                for w in _GRID_NEIGHBORS[v]:
-                    if w not in walk:
-                        extend(walk + [w], mask | self.edge_bit[v, w])
-
-            extend([x], 0)
+            _fill_routes([x], 0, y, self.edge_bit, found)
             table = self._routes[x, y] = MappingProxyType(dict(sorted(found)))
         return table
 
@@ -378,7 +380,7 @@ class Instance:
         return f"Instance({self.graph!r}, {len(self.requests)} requests)"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Solution:
     """An accepted subset; on grids, explicit edge-disjoint allocations."""
 

@@ -27,6 +27,14 @@ size, and the first that routes is returned.  Every larger subset has
 failed by then, and so has every smaller mask of its size, so this is the
 witness an increasing scan of all masks keeps; and no subset is searched
 that such a scan would skip.
+
+The searches leave no cyclic garbage: each recursion is a module-level
+function that is handed all of its state, so nothing it builds refers
+back to itself and reference counting frees it all.  The grid's route
+fill, ``graphs._fill_routes``, works the same way.
+``test_searches_and_route_fill_leave_no_cyclic_garbage`` pins this: with
+the collector off, a collection after the searches, the greedy runs, the
+route fills and a 3x3 verify finds nothing.
 """
 
 from __future__ import annotations
@@ -50,7 +58,7 @@ class InstanceTooLargeError(PriodpaError, RuntimeError):
 CAP = 22
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class OracleResult:
     optimum: int
     witness: Solution
@@ -74,31 +82,33 @@ def _components(masks):
     return [sorted(members) for _, members in groups]
 
 
+def _walk(j, used, w, sub, ms, ws, bits, branches, best):
+    """Decide the component's request j; those above it are decided, with
+    edges ``used``, weight ``w`` and mask ``sub``.  ``best`` holds the best
+    weight so far and its mask.  Every piece of state is passed in, so the
+    search makes no reference cycle for the collector to find."""
+    for take in branches:
+        if take and used & ms[j]:
+            continue
+        edges, gain, mask = (used | ms[j], w + ws[j], sub | bits[j]) if take else (used, w, sub)
+        if not j:
+            if gain > best[0]:
+                best[0], best[1] = gain, mask
+        # go on only while the requests below that still fit could beat the best
+        elif gain + sum([ws[i] for i in range(j) if not edges & ms[i]]) > best[0]:
+            _walk(j - 1, edges, gain, mask, ms, ws, bits, branches, best)
+
+
 def _component_best(indices, masks, weights, largest):
     """Best weight of one component and its smallest (or ``largest``)
     optimal set, as a mask over all requests (request i is bit i)."""
     ms = [masks[i] for i in indices]
     ws = [weights[i] for i in indices]
     bits = [1 << i for i in indices]
-    best_w, best_sub = -1, 0
     branches = (1, 0) if largest else (0, 1)
-
-    def walk(j, used, w, sub):
-        # decide the component's request j; those above it are decided, with edges ``used``
-        nonlocal best_w, best_sub
-        for take in branches:
-            if take and used & ms[j]:
-                continue
-            edges, gain, mask = (used | ms[j], w + ws[j], sub | bits[j]) if take else (used, w, sub)
-            if not j:
-                if gain > best_w:
-                    best_w, best_sub = gain, mask
-            # go on only while the requests below that still fit could beat the best
-            elif gain + sum([ws[i] for i in range(j) if not edges & ms[i]]) > best_w:
-                walk(j - 1, edges, gain, mask)
-
-    walk(len(ms) - 1, 0, 0, 0)
-    return best_w, best_sub
+    best = [-1, 0]
+    _walk(len(ms) - 1, 0, 0, 0, ms, ws, bits, branches, best)
+    return best[0], best[1]
 
 
 def _check_cap(instance):

@@ -99,8 +99,14 @@ MUTANTS = {
     ),
     "bound-prunes-at-best-plus-one": (
         "oracle.py",
-        "if not edges & ms[i]]) > best_w:",
-        "if not edges & ms[i]]) > best_w + 1:",
+        "if not edges & ms[i]]) > best[0]:",
+        "if not edges & ms[i]]) > best[0] + 1:",
+        "tests/test_oracle.py",
+    ),
+    "best-keeps-weight-not-mask": (
+        "oracle.py",
+        "                best[0], best[1] = gain, mask\n",
+        "                best[0] = gain\n",
         "tests/test_oracle.py",
     ),
     "grid-size-scanned-downward": (

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -5,13 +6,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from priodpa import (
+    GridGraph,
     Instance,
     InstanceTooLargeError,
+    OracleResult,
     PathGraph,
     Request,
+    Solution,
     TreeGraph,
     brute_force_opt,
+    exhaustive_verify_3x3,
     gain,
+    greedy_cat,
+    greedy_lwdpa,
+    greedy_paths,
     greediest_opt,
     max_allocatable,
     request_length,
@@ -213,6 +221,63 @@ def test_components_group_requests_that_meet_through_any_chain():
     assert _components([0b11, 0b110, 0b1100]) == [[0, 1, 2]]
     assert _components([0b1, 0b1000, 0b100000, 0b1001]) == [[2], [0, 1, 3]]
     assert _components([]) == []
+
+
+def test_searches_and_route_fill_leave_no_cyclic_garbage():
+    """The exact searches, the greedy runs, the grid route fill and the 3x3
+    verify free everything they build by reference counting alone: with
+    the collector off, a collection afterwards finds nothing."""
+    rng = random.Random(18)
+    paths = [random_instance(PathGraph(l), 6, rng) for l in (3, 5, 8)]
+    trees = [random_instance(random_tree(n, rng), 6, rng) for n in (4, 6, 9)]
+    gc.collect()
+    gc.disable()
+    try:
+        for inst in paths + trees:
+            for mode in ("count", "length"):
+                brute_force_opt(inst, mode)
+        for inst in paths:
+            greediest_opt(inst, right_end_order(inst.graph))
+            greediest_opt(inst, lwdpa_order(inst.graph), "length")
+            greedy_paths(inst)
+            greedy_lwdpa(inst)
+        for inst in trees:
+            greediest_opt(inst, cat_order(inst.graph))
+            greedy_cat(inst)
+        vertices = GridGraph().vertices()
+        for x in vertices:
+            for y in vertices:
+                if x != y:
+                    GridGraph().routes(x, y)
+        exhaustive_verify_3x3()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_value_types_compare_and_hash_by_fields_and_are_not_frozen():
+    """``Solution`` and ``OracleResult`` are plain ``__slots__`` dataclasses:
+    equal and hash equal by fields, their fields can be assigned, and no
+    other attribute can be added."""
+    g = PathGraph(4)
+    a, b = Request(g, 0, 2), Request(g, 2, 4)
+    sol, twin = Solution(g, (a, b)), Solution(PathGraph(4), (a, b))
+    assert sol == twin and hash(sol) == hash(twin) == hash((g, (a, b), None))
+    assert sol != Solution(g, (a,)) and len(sol) == 2
+    res, res_twin = OracleResult(2, sol), OracleResult(2, twin)
+    assert res == res_twin and hash(res) == hash(res_twin) == hash((2, sol))
+    assert res != OracleResult(1, sol)
+    assert brute_force_opt(Instance(g, [a, b])) == res
+    for obj, field, value in ((sol, "accepted", (a,)), (res, "optimum", 1)):
+        setattr(obj, field, value)
+        assert getattr(obj, field) == value
+        with pytest.raises(AttributeError):
+            obj.extra = 0
+        assert not hasattr(obj, "__dict__")
+    assert sol == Solution(g, (a,)) and res == OracleResult(1, sol)
+    # grid allocations are a dict, so a grid witness does not hash
+    with pytest.raises(TypeError):
+        hash(Solution(GridGraph(), (), {}))
 
 
 def test_greediest_keeps_the_highest_priority_optimum():
