@@ -67,7 +67,7 @@ def grid_automorphisms():
 
 def _served_case(graph, req, route):
     """The walk of a served ``route`` of ``req`` from its corner endpoint,
-    the case tag, and the follow-up requests that answer it."""
+    the case tag, and the endpoint pairs of the follow-ups that answer it."""
     corner = req.x if req.x in CORNERS else req.y
     vs = [route[0][0]] + [e[1] for e in route]
     if vs[0] != corner:
@@ -80,17 +80,13 @@ def _served_case(graph, req, route):
         u = vs[i - 2]
         t_prime = next(c for c in CORNERS if c in graph.neighbors(t) and c != u)
         other_mid = next(m for m in MIDPOINTS if m in graph.neighbors(u) and m != t)
-        return vs, "center", (
-            Request(graph, t, antipode(t_prime)),
-            Request(graph, t, antipode(u)),
-            Request(graph, t_prime, other_mid),
-        )
+        return vs, "center", ((t, antipode(t_prime)), (t, antipode(u)), (t_prime, other_mid))
     inner = [c for c in vs[1:-1] if c in CORNERS]
     if not inner:
         raise PropertyViolation("a center-free routing must pass an internal corner")
     c = next(c for c in inner if abs(corner[0] - c[0]) + abs(corner[1] - c[1]) == 2)
     x, y = (m for m in MIDPOINTS if m in graph.neighbors(antipode(c)))
-    return vs, "corner", (Request(graph, c, x), Request(graph, c, y))
+    return vs, "corner", ((c, x), (c, y))
 
 
 def grid_adversary(algorithm):
@@ -99,7 +95,8 @@ def grid_adversary(algorithm):
     g = GridGraph()
 
     def answer(r, first):
-        _, case, followups = _served_case(g, r, first.allocation)
+        _, case, ends = _served_case(g, r, first.allocation)
+        followups = tuple(Request(g, x, y) for x, y in ends)
         return case, followups, max_allocatable(g, Instance(g, (r, *followups)).requests).witness
 
     return adversary_game(algorithm, g, distance3_pairs(g), answer)
@@ -140,7 +137,8 @@ def exhaustive_verify_3x3():
     eight grid automorphisms.  The algorithm's continuation is routed
     around each routing; the optima, which do not depend on the routing,
     are computed once per call for each follow-up set and each pair of
-    served request and follow-ups.
+    served request and follow-ups, and each follow-up set is built once
+    per call, keyed by its endpoint pairs.
     """
     g = GridGraph()
     pairs = distance3_pairs(g)
@@ -149,11 +147,15 @@ def exhaustive_verify_3x3():
     for phi in grid_automorphisms():
         orbit.add(Request(g, phi(base.x), phi(base.y)))
     cases = []
+    built = {}  # follow-up requests by their endpoint pairs
     fols, opts = {}, {}  # optima by follow-ups, and by (r, follow-ups)
     for r in pairs:
         corner = r.x if r.x in CORNERS else r.y
         for path, mask in g.routes(corner, r.x if corner == r.y else r.y).items():
-            vs, case, followups = _served_case(g, r, path)
+            vs, case, ends = _served_case(g, r, path)
+            if ends not in built:
+                built[ends] = tuple(Request(g, x, y) for x, y in ends)
+            followups = built[ends]
             alg_total = 1 + max_allocatable(g, followups, mask).optimum
             if followups not in fols:
                 fols[followups] = max_allocatable(g, followups).optimum

@@ -2,15 +2,22 @@
 
 On cycle-free hosts a set of requests is read as a bitmask over a ranking
 of the requests (request i is bit i), and the witness is the smallest or
-the largest optimal mask.  The conflict graph is split into connected
-components, and each component is searched depth-first over its
-conflict-free subsets, deciding the highest bit first.  Leaving a request
-out before taking it meets the subsets in increasing mask order; taking it
-first meets them in decreasing order.  The first strict maximizer wins,
-and a branch stops once its weight plus the weight of every undecided
-request that still fits cannot beat the best so far.  Bit positions of
-different components are disjoint, so the per-component extremes combine
-into the overall one.  Two rules use the search:
+the largest optimal mask.  One pass over the pairs of requests builds the
+conflict table: ``meets[i]`` is the mask of the requests whose edges meet
+request i's, i itself included.  A flood fill over the table splits the
+requests into conflict components, and each component is searched
+depth-first over its conflict-free subsets.  The search holds the
+undecided requests that still fit beside the taken ones and decides the
+highest of them: taking it drops every request it meets, leaving it out
+drops only itself, so a request that no longer fits is never visited.
+Leaving a request out before taking it meets the subsets in increasing
+mask order; taking it first meets them in decreasing order.  The first
+strict maximizer wins, and a branch stops once its weight plus the
+weight of the requests that still fit, kept as they are dropped, cannot
+beat the best so far.  A bound only prunes: a leaf counts only when it
+beats the best strictly, so any valid bound gives the same witness.  Bit
+positions of different components are disjoint, so the per-component
+extremes combine into the overall one.  Two rules use the search:
 
 * ``brute_force_opt`` ranks requests by normalized endpoints and keeps the
   smallest optimal mask;
@@ -64,51 +71,73 @@ class OracleResult:
     witness: Solution
 
 
-def _components(masks):
-    """Indices of requests grouped by conflict-graph component, each group
-    in increasing order.  A request joins every group whose union mask it
-    meets, so it is tested once per group, not once per request."""
-    groups = []  # (union mask, indices)
+def _conflicts(masks):
+    """The conflict table: ``meets[i]`` is the mask of the requests whose
+    edges meet request i's, with i itself included.  Each pair is tested
+    once."""
+    meets = []
     for i, m in enumerate(masks):
-        union, members, apart = m, [i], []
-        for group in groups:
-            if group[0] & m:
-                union |= group[0]
-                members += group[1]
-            else:
-                apart.append(group)
-        apart.append((union, members))
-        groups = apart
-    return [sorted(members) for _, members in groups]
+        row = 1 << i
+        for j in range(i):
+            if masks[j] & m:
+                row |= 1 << j
+                meets[j] |= 1 << i
+        meets.append(row)
+    return meets
 
 
-def _walk(j, used, w, sub, ms, ws, bits, branches, best):
-    """Decide the component's request j; those above it are decided, with
-    edges ``used``, weight ``w`` and mask ``sub``.  ``best`` holds the best
-    weight so far and its mask.  Every piece of state is passed in, so the
-    search makes no reference cycle for the collector to find."""
+def _components(meets):
+    """The conflict graph's components as request masks, by flood fill over
+    the table, in increasing order of their lowest request."""
+    comps = []
+    left = (1 << len(meets)) - 1
+    while left:
+        comp = grow = left & -left
+        while grow:
+            low = grow & -grow
+            new = meets[low.bit_length() - 1] & ~comp
+            comp |= new
+            grow ^= low | new
+        comps.append(comp)
+        left ^= comp
+    return comps
+
+
+def _length(cut, ws):
+    """The weight of the requests in the mask ``cut``, by length."""
+    w = 0
+    while cut:
+        low = cut & -cut
+        w += ws[low.bit_length() - 1]
+        cut ^= low
+    return w
+
+
+def _count(cut, ws):
+    """The weight of the requests in the mask ``cut``, by count."""
+    return cut.bit_count()
+
+
+def _walk(avail, gain, sub, rest, meets, ws, weigh, branches, best):
+    """Decide the highest request of ``avail``, the mask of the undecided
+    requests that still fit beside the taken ones.  The taken requests
+    form the mask ``sub`` and weigh ``gain``; those of ``avail`` weigh
+    ``rest``.  ``best`` holds the best weight so far and its mask.  Every
+    piece of state is passed in, so the search makes no reference cycle
+    for the collector to find."""
+    j = avail.bit_length() - 1
     for take in branches:
-        if take and used & ms[j]:
-            continue
-        edges, gain, mask = (used | ms[j], w + ws[j], sub | bits[j]) if take else (used, w, sub)
-        if not j:
-            if gain > best[0]:
-                best[0], best[1] = gain, mask
-        # go on only while the requests below that still fit could beat the best
-        elif gain + sum([ws[i] for i in range(j) if not edges & ms[i]]) > best[0]:
-            _walk(j - 1, edges, gain, mask, ms, ws, bits, branches, best)
-
-
-def _component_best(indices, masks, weights, largest):
-    """Best weight of one component and its smallest (or ``largest``)
-    optimal set, as a mask over all requests (request i is bit i)."""
-    ms = [masks[i] for i in indices]
-    ws = [weights[i] for i in indices]
-    bits = [1 << i for i in indices]
-    branches = (1, 0) if largest else (0, 1)
-    best = [-1, 0]
-    _walk(len(ms) - 1, 0, 0, 0, ms, ws, bits, branches, best)
-    return best[0], best[1]
+        if take:
+            cut = avail & meets[j]
+            left, g, s, r = avail ^ cut, gain + ws[j], sub | 1 << j, rest - weigh(cut, ws)
+        else:
+            left, g, s, r = avail ^ 1 << j, gain, sub, rest - ws[j]
+        if not left:
+            if g > best[0]:
+                best[0], best[1] = g, s
+        # go on only while the requests that still fit could beat the best
+        elif g + r > best[0]:
+            _walk(left, g, s, r, meets, ws, weigh, branches, best)
 
 
 def _check_cap(instance):
@@ -122,16 +151,19 @@ def _extreme_opt(graph, ranked, mode, largest):
     ``largest`` (then it is a presentation order)."""
     masks = [r.mask for r in ranked]
     if mode == "count":
-        weights = [1] * len(ranked)
+        ws, weigh = [1] * len(ranked), _count
     elif mode == "length":
-        weights = [m.bit_count() for m in masks]
+        ws, weigh = [m.bit_count() for m in masks], _length
     else:
         raise InvalidParameterError(f"unknown gain mode {mode!r}")
+    meets = _conflicts(masks)
+    branches = (1, 0) if largest else (0, 1)
     total = chosen = 0
-    for comp in _components(masks):
-        w, bits = _component_best(comp, masks, weights, largest)
-        total += w
-        chosen |= bits
+    for comp in _components(meets):
+        best = [-1, 0]
+        _walk(comp, 0, 0, weigh(comp, ws), meets, ws, weigh, branches, best)
+        total += best[0]
+        chosen |= best[1]
     witness = [r for i, r in enumerate(ranked) if chosen >> i & 1]
     if largest:
         witness.sort(key=lambda r: r.key)

@@ -99,14 +99,14 @@ MUTANTS = {
     ),
     "bound-prunes-at-best-plus-one": (
         "oracle.py",
-        "if not edges & ms[i]]) > best[0]:",
-        "if not edges & ms[i]]) > best[0] + 1:",
+        "        elif g + r > best[0]:\n",
+        "        elif g + r > best[0] + 1:\n",
         "tests/test_oracle.py",
     ),
     "best-keeps-weight-not-mask": (
         "oracle.py",
-        "                best[0], best[1] = gain, mask\n",
-        "                best[0] = gain\n",
+        "                best[0], best[1] = g, s\n",
+        "                best[0] = g\n",
         "tests/test_oracle.py",
     ),
     "grid-size-scanned-downward": (
@@ -165,8 +165,20 @@ MUTANTS = {
     ),
     "components-merge-by-or": (
         "oracle.py",
-        "            if group[0] & m:\n",
-        "            if group[0] | m:\n",
+        "            if masks[j] & m:\n",
+        "            if masks[j] | m:\n",
+        "tests/test_oracle.py",
+    ),
+    "request-does-not-meet-itself": (
+        "oracle.py",
+        "        row = 1 << i\n",
+        "        row = 0\n",
+        "tests/test_oracle.py",
+    ),
+    "leave-subtracts-weight-twice": (
+        "oracle.py",
+        "gain, sub, rest - ws[j]\n",
+        "gain, sub, rest - 2 * ws[j]\n",
         "tests/test_oracle.py",
     ),
     "feed-accepts-a-blocked-request": (

@@ -27,7 +27,8 @@ from priodpa import (
 )
 from priodpa.battery import battery
 from priodpa.lwdpa import lwdpa_order
-from priodpa.oracle import _components
+from priodpa import oracle
+from priodpa.oracle import _components, _conflicts
 from priodpa.paths import right_end_order
 from priodpa.trees import cat_order
 
@@ -217,10 +218,48 @@ def test_conflict_components_solved_independently():
 
 def test_components_group_requests_that_meet_through_any_chain():
     # disjoint masks stay apart, a chain joins, and a bridge merges two groups
-    assert _components([0b11, 0b1100, 0b110000]) == [[0], [1], [2]]
-    assert _components([0b11, 0b110, 0b1100]) == [[0, 1, 2]]
-    assert _components([0b1, 0b1000, 0b100000, 0b1001]) == [[2], [0, 1, 3]]
-    assert _components([]) == []
+    assert _components(_conflicts([0b11, 0b1100, 0b110000])) == [0b1, 0b10, 0b100]
+    assert _components(_conflicts([0b11, 0b110, 0b1100])) == [0b111]
+    assert _components(_conflicts([0b1, 0b1000, 0b100000, 0b1001])) == [0b1011, 0b100]
+    assert _components(_conflicts([])) == []
+
+
+def test_conflict_table_holds_each_request_and_those_it_meets():
+    assert _conflicts([0b11, 0b110, 0b1000, 0b1001]) == [0b1011, 0b11, 0b1100, 0b1101]
+    rng = random.Random(19)
+    for g in (PathGraph(9), random_tree(10, rng), random_tree(12, rng)):
+        reqs = random_instance(g, 12, rng).requests
+        meets = _conflicts([r.mask for r in reqs])
+        for i, a in enumerate(reqs):
+            for j, b in enumerate(reqs):
+                assert meets[i] >> j & 1 == (i == j or bool(edge_set(g, a) & edge_set(g, b)))
+
+
+def test_walk_decides_only_requests_that_still_fit(monkeypatch):
+    """A deterministic work count: ``_walk`` recurses through the module
+    name, so wrapping ``oracle._walk`` counts every node of the searches.
+    A walk that decides every request, fitting or not, and sums its bound
+    afresh at each node makes 231, 40 and 3,068 nodes here."""
+    calls = []
+    walk = oracle._walk
+
+    def counted(*args):
+        calls.append(1)
+        return walk(*args)
+
+    def nodes(search):
+        calls.clear()
+        search()
+        return len(calls)
+
+    monkeypatch.setattr(oracle, "_walk", counted)
+    g = PathGraph(22)
+    fan = Instance(g, [Request(g, 0, i) for i in range(1, 22)])
+    assert nodes(lambda: brute_force_opt(fan, "length")) <= 21
+    assert nodes(lambda: greediest_opt(fan, right_end_order(g))) <= 21
+    steps = Instance(g, [Request(g, i, i + 2) for i in range(20)])
+    for mode in ("count", "length"):
+        assert nodes(lambda: brute_force_opt(steps, mode)) <= 2046
 
 
 def test_searches_and_route_fill_leave_no_cyclic_garbage():
