@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 
 from .graphs import InvalidParameterError
-from .engine import Decision, GreedyAlgorithm, PriorityAlgorithm, PriorityOrder, RejectFirst
+from .engine import Decision, GreedyAlgorithm, PriorityOrder, RejectFirst
 from .paths import right_end_order
 from .lwdpa import lwdpa_order
 from .trees import cat_order
@@ -35,34 +35,26 @@ def _hash_key(seed, r):
     return (int.from_bytes(digest, "big"), r.x, r.y)
 
 
-class RejectAll(PriorityAlgorithm):
-    def __init__(self, order_factory, mode):
-        self.order_factory = order_factory
-        self.mode = mode
-        self.name = "reject-all"
-
-    def initial_order(self, graph, advice):
-        return self.order_factory(graph)
-
+class RejectAll(GreedyAlgorithm):
     def decide(self, request, state):
         return Decision(request, False)
 
 
 class AdaptiveFlip(GreedyAlgorithm):
-    """Greedy whose order flips direction after every decision."""
+    """Greedy whose order flips direction after every decision.  It holds
+    both orders for the run, so ``Session.drain`` resumes each one's
+    ranking instead of ranking afresh."""
 
     def __init__(self, order_factory, mode):
         super().__init__(order_factory, "adaptive-flip", mode)
 
     def initial_order(self, graph, advice):
-        forward = self.order_factory(graph)
-        backward = forward.reversed()
+        self.forward = self.order_factory(graph)
+        self.backward = self.forward.reversed()
+        return self.forward
 
-        def readapt(history):
-            return backward if len(history) % 2 else forward
-
-        forward.readapt = backward.readapt = readapt
-        return forward
+    def readapt(self, state):
+        return self.backward if len(state.log) % 2 else self.forward
 
 
 def battery(problem):
@@ -74,7 +66,7 @@ def battery(problem):
         GreedyAlgorithm(order_factory, "greedy", mode),
         GreedyAlgorithm(lambda g: order_factory(g).reversed(), "greedy-reversed", mode),
         RejectFirst(GreedyAlgorithm(order_factory, "greedy", mode)),
-        RejectAll(order_factory, mode),
+        RejectAll(order_factory, "reject-all", mode),
         AdaptiveFlip(order_factory, mode),
     ]
     for seed in range(10):

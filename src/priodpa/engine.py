@@ -2,8 +2,9 @@
 
 A priority order ranks the *universe* of requests before any are seen; the
 request with the smallest key is presented first.  Algorithms are pairs
-(order, decision rule); decisions are irrevocable.  Adaptive algorithms
-swap in a new order after every decision via the order's ``readapt`` hook.
+(order, decision rule); decisions are irrevocable.  An adaptive algorithm
+picks the order for the next request after every decision, in its
+``readapt(state)`` hook; an order itself only ranks.
 
 Advice is a finite bit tape made available before the order is chosen.
 Bits are consumed MSB-first in fixed-width fields; the number of consumed
@@ -49,39 +50,25 @@ class PriorityOrder:
     A key is a flat tuple of ints, and the request with the smaller key is
     presented first (it has the higher priority), so ``reversed`` negates
     every entry.  Built-in constructors append the lexicographic endpoint
-    tie-break so keys are injective on any universe.  ``readapt``, when set,
-    maps the decision history to the order used for the next request;
-    returning the same object means the order is unchanged.  ``max_of``,
-    ``rank`` and ``sort`` evaluate each request's key once per call and
-    remember nothing.  A key must be a pure function of the request:
-    ``Session.drain`` ranks the live requests once per order object and
-    keeps that ranking for as long as the object lives.
+    tie-break so keys are injective on any universe.  ``rank`` is the one
+    place where keys are compared: ``max_of`` and ``sort`` read its
+    ranking, and a tie anywhere raises InvalidOrderError.  Each call
+    evaluates each request's key once and remembers nothing.  A key must
+    be a pure function of the request: ``Session.drain`` ranks the live
+    requests once per order object and keeps that ranking for as long as
+    the object lives.
     """
 
-    def __init__(self, key, name="order", readapt=None):
+    def __init__(self, key, name="order"):
         self._key = key
         self.name = name
-        self.readapt = readapt
 
     def max_of(self, requests):
-        """The highest-priority request, in one pass of one key evaluation
-        each; ties between distinct requests are an order bug and raise
-        InvalidOrderError."""
-        key = self._key
-        best = None
-        best_key = None
-        tied = False
-        for r in requests:
-            k = key(r)
-            if best is None or k < best_key:
-                best, best_key, tied = r, k, False
-            elif not (best_key < k) and r != best:
-                tied = True
-        if best is None:
+        """The highest-priority request (see ``rank``)."""
+        items = list(requests)
+        if not items:
             raise InvalidParameterError("max_of on an empty set")
-        if tied:
-            raise InvalidOrderError(f"{self.name}: tie at the top of the order")
-        return best
+        return items[self.rank(items)[0]]
 
     def rank(self, items):
         """The indices of the list ``items`` in presentation order, one key
@@ -188,10 +175,18 @@ class Decision:
 
 class PriorityAlgorithm:
     """Interface: a priority order, fixed from host and advice before any
-    request, plus an irrevocable decision rule; ``state`` is the Session."""
+    request, plus an irrevocable decision rule; ``state`` is the Session.
+
+    An adaptive algorithm defines ``readapt(state)``: called after every
+    decision, it returns the order for the next request, and returning
+    the same object means the order is unchanged.  An algorithm object
+    plays one session at a time; ``initial_order`` starts a run, so it may
+    keep per-run state on itself.
+    """
 
     name = "algorithm"
     mode = "count"
+    readapt = None
 
     def initial_order(self, graph, advice):
         raise NotImplementedError
@@ -222,6 +217,7 @@ class RejectFirst(PriorityAlgorithm):
         self.inner = inner
         self.name = name
         self.mode = inner.mode
+        self.readapt = inner.readapt
 
     def initial_order(self, graph, advice):
         return self.inner.initial_order(graph, advice)
@@ -248,9 +244,9 @@ class Session:
     order in force, as ``run``, the adversaries' follow-ups and the
     string-guessing games do.
 
-    The session is the state each ``decide`` receives: ``graph``, ``tape``,
-    ``blocked_mask`` (the edges of everything accepted), ``log`` (every
-    Decision, in order) and :meth:`fits`.
+    The session is the state each ``decide`` and ``readapt`` receives:
+    ``graph``, ``tape``, ``blocked_mask`` (the edges of everything
+    accepted), ``log`` (every Decision, in order) and :meth:`fits`.
     """
 
     def __init__(self, algorithm, graph, tape=None):
@@ -260,6 +256,7 @@ class Session:
         self.blocked_mask = 0
         self.log = []
         self._grid = graph.kind == "grid"
+        self._readapt = algorithm.readapt
         self.order = algorithm.initial_order(graph, self.tape)
 
     def fits(self, request):
@@ -333,8 +330,8 @@ class Session:
                     raise IllegalAcceptanceError(f"{self.algorithm.name}: accepted a blocked request")
             self.blocked_mask |= mask
         self.log.append(decision)
-        if self.order.readapt is not None:
-            self.order = self.order.readapt(tuple(self.log))
+        if self._readapt is not None:
+            self.order = self._readapt(self)
         return decision
 
     def result(self):

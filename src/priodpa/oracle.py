@@ -54,7 +54,6 @@ from .graphs import (
     PriodpaError,
     Solution,
 )
-from .engine import InvalidOrderError
 
 
 class InstanceTooLargeError(PriodpaError, RuntimeError):
@@ -187,10 +186,8 @@ def brute_force_opt(instance, mode="count"):
 
 
 def greediest_opt(instance, order, mode="count"):
-    """The canonical optimum of a fixed priority order: the largest optimal
+    """The canonical optimum of a priority order: the largest optimal
     mask when the first-presented request is the highest bit."""
-    if order.readapt is not None:
-        raise InvalidOrderError("greediest_opt needs a fixed (non-adaptive) order")
     g = instance.graph
     if g.kind == "grid":
         raise InvalidParameterError("greediest_opt is only defined on cycle-free hosts")

@@ -190,7 +190,13 @@ def prefix_walk_greediest(requests, order, optima):
 
 def simple_paths(graph, x, y):
     """Reference for ``GridGraph.routes``: every simple x-y path as a tuple
-    of (u, v) edges, found depth-first and sorted by vertex sequence."""
+    of (u, v) edges, found depth-first and sorted by vertex sequence.  The
+    search runs once per (graph, x, y); each call returns a fresh list."""
+    return list(_simple_paths(graph, x, y))
+
+
+@lru_cache(maxsize=None)
+def _simple_paths(graph, x, y):
     paths = []
 
     def extend(v, visited, edges):
@@ -206,7 +212,7 @@ def simple_paths(graph, x, y):
                 visited.remove(w)
 
     extend(x, {x}, [])
-    return sorted(paths)
+    return tuple(sorted(paths))
 
 
 def walk_ok(graph, req, walk):

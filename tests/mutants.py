@@ -196,6 +196,18 @@ MUTANTS = {
         "",
         "tests/test_graphs.py",
     ),
+    "adaptive-never-readapts": (
+        "engine.py",
+        "            self.order = self._readapt(self)\n",
+        "            pass\n",
+        "tests/test_engine.py",
+    ),
+    "max-of-takes-last": (
+        "engine.py",
+        "return items[self.rank(items)[0]]",
+        "return items[self.rank(items)[-1]]",
+        "tests/test_engine.py",
+    ),
     "encode-run-skips-check": (
         "engine.py",
         "    if set(accepted) != set(optimum):\n",

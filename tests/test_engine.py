@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import random
@@ -15,6 +16,7 @@ from priodpa import (
     Instance,
     InvalidOrderError,
     InvalidParameterError,
+    PabParams,
     PathGraph,
     PriorityAlgorithm,
     PriorityOrder,
@@ -23,9 +25,15 @@ from priodpa import (
     Session,
     Solution,
     TreeGraph,
+    adversary_play_lwdpa,
     decode_run,
-    greediest_opt,
+    fig9_tree,
+    grid_adversary,
+    grid_battery,
     run,
+    run_guess,
+    run_tguess,
+    tree_adversary,
 )
 from priodpa.battery import _hash_key, battery
 from priodpa.engine import RejectFirst, adversary_game
@@ -57,6 +65,10 @@ def test_max_of_rejects_tied_priorities():
     flat = PriorityOrder(lambda r: 0, name="flat")
     with pytest.raises(InvalidOrderError):
         flat.max_of([Request(g, 0, 2), Request(g, 1, 3)])
+    # a unique top does not excuse a tie below it
+    low_tie = PriorityOrder(lambda r: (min(r.x, 1),), name="low-tie")
+    with pytest.raises(InvalidOrderError):
+        low_tie.max_of([Request(g, 0, 2), Request(g, 1, 3), Request(g, 2, 4)])
 
 
 def test_sort_rejects_tied_priorities():
@@ -79,13 +91,6 @@ def test_reversed_order_flips_max():
     lo = order.max_of(inst.requests)
     hi = order.reversed().max_of(inst.requests)
     assert lo.key == (0, 2) and hi.key == (2, 5)
-
-
-def test_presentation_sequence_rejects_adaptive_orders():
-    g, inst = _p5_instance()
-    adaptive = [a for a in battery("dpa-path") if a.name == "adaptive-flip"][0]
-    with pytest.raises(InvalidOrderError):
-        greediest_opt(inst, adaptive.initial_order(g, None))
 
 
 def test_run_visits_requests_in_presentation_order():
@@ -120,8 +125,8 @@ def test_adaptive_presented_request_is_stepwise_maximum():
                     r = order.max_of(remaining)
                     reference.feed(r)
                     remaining.remove(r)
-                    if order.readapt is not None:
-                        order = order.readapt(tuple(reference.log))
+                    if alg.readapt is not None:
+                        order = alg.readapt(reference)
                 log = reference.result().log
                 assert result.log == log, (problem, alg.name, inst.requests)
                 fed = Session(alg, g).drain(reversed(inst.requests))
@@ -257,13 +262,14 @@ def test_drain_follows_an_adaptive_order_like_run():
     assert fed != right_end_order(g).sort(inst.requests)
 
 
-def _fresh_every_decision(key):
+class _FreshEveryDecision(GreedyAlgorithm):
     """A greedy whose readapt builds a new order object at every decision."""
 
-    def make(history=()):
-        return PriorityOrder(key, name="fresh", readapt=make)
+    def __init__(self, key):
+        super().__init__(lambda graph: PriorityOrder(key, name="fresh"), "fresh")
 
-    return GreedyAlgorithm(lambda graph: make(), "fresh")
+    def readapt(self, state):
+        return self.order_factory(state.graph)
 
 
 def test_an_order_made_afresh_every_decision_ranks_only_live_requests():
@@ -282,7 +288,7 @@ def test_an_order_made_afresh_every_decision_ranks_only_live_requests():
         dead.update(requests[i:i + 3])
         return range(i + 1, min(i + 3, len(requests)))
 
-    fed = Session(_fresh_every_decision(key), g).drain(requests, answer)
+    fed = Session(_FreshEveryDecision(key), g).drain(requests, answer)
     # the first object ranks all 40, and each later one only what is live
     gone, expected = set(), len(requests)
     for r in fed:
@@ -292,6 +298,27 @@ def test_an_order_made_afresh_every_decision_ranks_only_live_requests():
     assert len(gone) == len(requests)
     # ranking all 40 at each of the 21 decisions would cost 40 + 21 * 40
     assert (len(fed), evals[0]) == (21, expected) == (21, 346)
+
+
+def test_every_battery_game_leaves_no_cyclic_garbage():
+    """Every battery algorithm, adaptive ones included, plays each game of
+    its problem and frees everything by reference counting alone: with the
+    collector off, a collection afterwards finds nothing."""
+    tree = TreeGraph([(0, 1), (0, 2), (0, 3), (0, 4), (4, 5), (5, 6)])
+    gc.collect()
+    gc.disable()
+    try:
+        for alg in battery("lwdpa"):
+            adversary_play_lwdpa(alg, PabParams(3, 8))
+            run_guess(alg, "0110")
+        for alg in battery("cat"):
+            tree_adversary(alg, tree)
+            run_tguess(alg, fig9_tree(4), "1001")
+        for alg in grid_battery():
+            grid_adversary(alg)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_a_withdrawn_request_is_never_fed():
@@ -392,6 +419,31 @@ def test_decide_receives_the_session_and_its_tape():
     (state, _), = set(alg.seen)
     assert state.tape is tape and result.bits_consumed == 3
     assert state.log == list(result.log)
+
+
+def test_readapt_receives_the_session_and_its_log_so_far():
+    class Watcher(GreedyAlgorithm):
+        def __init__(self):
+            super().__init__(right_end_order, "watcher")
+
+        def initial_order(self, graph, advice):
+            self.seen = []
+            return super().initial_order(graph, advice)
+
+        def readapt(self, state):
+            self.seen.append((state, list(state.log)))
+            return state.order
+
+    g, inst = _p5_instance()
+    alg = Watcher()
+    session = Session(alg, g)
+    fed = session.drain(inst.requests)
+    assert fed == right_end_order(g).sort(inst.requests)
+    assert len(alg.seen) == 3 and all(s is session for s, _ in alg.seen)
+    assert [log for _, log in alg.seen] == [session.log[:i] for i in (1, 2, 3)]
+    result = run(alg, inst)
+    state, log = alg.seen[-1]
+    assert state is not session and log == list(result.log)
 
 
 def test_session_refeeds_are_decided_against_current_state():

@@ -174,8 +174,8 @@ def _fixed_battery_orders(graph):
     orders = {}
     for problem in problems:
         for alg in battery(problem):
-            order = alg.initial_order(graph, None)
-            if order.readapt is None:
+            if alg.readapt is None:
+                order = alg.initial_order(graph, None)
                 orders.setdefault(order.name, order)
     return list(orders.values())
 

@@ -220,6 +220,7 @@ class _Watched(PriorityAlgorithm):
 
     def __init__(self, inner):
         self.inner, self.name, self.mode = inner, inner.name, inner.mode
+        self.readapt = inner.readapt
         self.asked = []
 
     def initial_order(self, graph, advice):
@@ -262,27 +263,25 @@ def test_games_play_like_the_round_by_round_reference(problem):
                     run_tguess, reference_run_tguess, alg, tree, bits)
 
 
-def _made_afresh(key, mode):
+class _MadeAfresh(GreedyAlgorithm):
     """A greedy whose readapt builds a new order object at every decision,
     reversed after every third."""
 
-    def make(history=()):
-        order = PriorityOrder(key, name="fresh")
-        if len(history) % 3 == 1:
-            order = order.reversed()
-        order.readapt = make
-        return order
+    def __init__(self, key, mode):
+        super().__init__(lambda graph: PriorityOrder(key, name="fresh"), "fresh", mode)
 
-    return GreedyAlgorithm(lambda graph: make(), "fresh", mode)
+    def readapt(self, state):
+        order = self.order_factory(state.graph)
+        return order.reversed() if len(state.log) % 3 == 1 else order
 
 
 def test_an_order_made_afresh_every_decision_plays_like_the_reference():
     rng = random.Random(13)
     bits = "".join(rng.choice("01") for _ in range(12))
     _assert_plays_like_the_reference(
-        run_guess, reference_run_guess, _made_afresh(lambda r: (r.x - r.y, r.x), "length"), bits)
+        run_guess, reference_run_guess, _MadeAfresh(lambda r: (r.x - r.y, r.x), "length"), bits)
     _assert_plays_like_the_reference(
-        run_tguess, reference_run_tguess, _made_afresh(lambda r: r.key, "count"), fig9_tree(12), bits)
+        run_tguess, reference_run_tguess, _MadeAfresh(lambda r: r.key, "count"), fig9_tree(12), bits)
 
 
 def test_an_order_made_afresh_every_decision_ranks_only_live_requests():
@@ -295,7 +294,7 @@ def test_an_order_made_afresh_every_decision_ranks_only_live_requests():
         evals[0] += 1
         return (r.x - r.y, r.x)
 
-    alg = _Watched(_made_afresh(key, "length"))
+    alg = _Watched(_MadeAfresh(key, "length"))
     out = run_guess(alg, bits)
     # the first object ranks all 48 gadget requests; each later one ranks
     # only what is live: a round kills its block but for m's follow-ups
