@@ -19,7 +19,6 @@ from .graphs import (
     instance_to_json,
     load_instance,
     ratio,
-    request_length,
     validate_solution,
 )
 from .engine import (

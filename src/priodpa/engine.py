@@ -246,7 +246,9 @@ class Session:
 
     The session is the state each ``decide`` and ``readapt`` receives:
     ``graph``, ``tape``, ``blocked_mask`` (the edges of everything
-    accepted), ``log`` (every Decision, in order) and :meth:`fits`.
+    accepted), ``log`` (every Decision, in order) and :meth:`fits`.  An
+    acceptance allocates ``graph.route_mask`` of its route, or the request's
+    ``mask`` if it names none: a nonzero mask clear of ``blocked_mask``.
     """
 
     def __init__(self, algorithm, graph, tape=None):
@@ -255,12 +257,11 @@ class Session:
         self.tape = tape if tape is not None else AdviceTape("")
         self.blocked_mask = 0
         self.log = []
-        self._grid = graph.kind == "grid"
         self._readapt = algorithm.readapt
         self.order = algorithm.initial_order(graph, self.tape)
 
     def fits(self, request):
-        """Cycle-free hosts: is the request's path fully unblocked?"""
+        """Cycle-free hosts: is the request's ``path_mask`` clear of ``blocked_mask``?"""
         mask = request.mask
         if mask is None:
             raise InvalidRequestError("edge masks are only defined on cycle-free hosts")
@@ -317,17 +318,13 @@ class Session:
     def feed(self, request):
         decision = self.algorithm.decide(request, self)
         if decision.accept:
-            if self._grid:
-                mask = self.graph.route_mask(request, decision.allocation)
-                if not mask:
-                    raise IllegalAcceptanceError(
-                        f"{self.algorithm.name}: accept without allocation of a simple route")
-                if mask & self.blocked_mask:
-                    raise IllegalAcceptanceError(f"{self.algorithm.name}: allocation reuses an edge")
-            else:
-                mask = request.mask
-                if mask & self.blocked_mask:
-                    raise IllegalAcceptanceError(f"{self.algorithm.name}: accepted a blocked request")
+            route = decision.allocation
+            mask = request.mask if route is None else self.graph.route_mask(request, route)
+            if not mask:
+                raise IllegalAcceptanceError(
+                    f"{self.algorithm.name}: accept without allocation of a simple route")
+            if mask & self.blocked_mask:
+                raise IllegalAcceptanceError(f"{self.algorithm.name}: allocation reuses an edge")
             self.blocked_mask |= mask
         self.log.append(decision)
         if self._readapt is not None:
@@ -335,12 +332,8 @@ class Session:
         return decision
 
     def result(self):
-        """The run so far, read off the log: the accepted requests (and,
-        on a grid, their routes) in feed order."""
-        log = self.log
-        alloc = {d.request: d.allocation for d in log if d.accept} if self._grid else None
-        sol = Solution(self.graph, tuple([d.request for d in log if d.accept]), alloc)
-        return RunResult(sol, tuple(log), self.tape.consumed)
+        """The run so far; the host reads its solution off the log."""
+        return RunResult(self.graph.solution(self.log), tuple(self.log), self.tape.consumed)
 
 
 def run(algorithm, instance, tape=None):
@@ -396,8 +389,7 @@ def adversary_game(algorithm, graph, candidates, answer, mode="count"):
     if first.accept:
         case, followups, witness = answer(r, first)
     else:
-        route = {r: next(iter(graph.routes(r.x, r.y)))} if session._grid else None
-        case, followups, witness = "rejected-first", (), Solution(graph, (r,), route)
+        case, followups, witness = "rejected-first", (), graph.solution((Decision(r, True),))
     session.drain(followups)
     instance = Instance(graph, (r, *followups))
     if not validate_solution(instance, witness):

@@ -9,12 +9,12 @@ Three host graph families are supported:
   not determine their routing.
 
 A request is an unordered pair of distinct vertices, normalized so that the
-smaller endpoint comes first.  On cycle-free hosts a request is identified
-with the unique path between its endpoints, and its path's edge mask is
-built once, when the ``Request`` is constructed, and stored as
-``Request.mask``, which every reader uses; it is ``None`` on the grid,
-where the routing is not fixed, and ``request_length(request)`` counts its
-bits.  Every edge set is an int bitmask, built only here:
+smaller endpoint comes first.  Each host owns the edges an acceptance
+allocates: ``path_mask(x, y)`` is the mask of the unique x-y path, stored
+once per request as ``Request.mask`` (``None`` on the grid, where the
+algorithm picks the route), and ``route_mask(request, route)`` is the mask
+of accepting along ``route`` (the request's own mask on a path or tree,
+whatever the route).  Every edge set is an int bitmask, built only here:
 
 * paths: bit i is the edge {i, i+1};
 * trees: bit v is the edge from vertex v to its parent.  ``up[v]`` is the
@@ -23,8 +23,8 @@ bits.  Every edge set is an int bitmask, built only here:
 * the grid: bit i is ``edge_list()[i]``, in either direction.  Its route
   table is the one place a grid route is enumerated, validated and masked:
   ``routes(x, y)`` maps each simple x-y route to its mask, and
-  ``route_mask(request, route)`` is the mask of a route of the request in
-  either direction, or 0 for anything else.
+  ``route_mask`` is the mask of a route of the request in either
+  direction, or 0 for anything else.
 """
 
 from __future__ import annotations
@@ -64,7 +64,22 @@ class PropertyViolation(PriodpaError, RuntimeError):
 # --------------------------------------------------------------------------
 
 
-class PathGraph:
+class _CycleFreeHost:
+    """Paths and trees: a request's one route is its path, so ``route_mask``
+    ignores the route and a solution carries no routes."""
+
+    def route_mask(self, request, route):
+        return request.mask
+
+    def route_masks(self, solution):
+        return [r.mask for r in solution.accepted]
+
+    def solution(self, decisions):
+        """The Solution of the accepted ``decisions``, in their order."""
+        return Solution(self, tuple([d.request for d in decisions if d.accept]))
+
+
+class PathGraph(_CycleFreeHost):
     """A path with ``length`` edges and vertices ``0..length``."""
 
     kind = "path"
@@ -79,6 +94,9 @@ class PathGraph:
     def has_vertex(self, v):
         return type(v) is int and 0 <= v <= self.length
 
+    def path_mask(self, x, y):
+        return ((1 << y) - 1) ^ ((1 << x) - 1)
+
     def descriptor(self):
         return f"path:{self.length}"
 
@@ -92,7 +110,7 @@ class PathGraph:
         return f"PathGraph({self.length})"
 
 
-class TreeGraph:
+class TreeGraph(_CycleFreeHost):
     """A tree given by its edge list, rooted at the smallest-id leaf.
 
     Rooting at a leaf means the root never has degree >= 4, which the
@@ -159,6 +177,9 @@ class TreeGraph:
     def has_vertex(self, v):
         return type(v) is int and 0 <= v < self.n
 
+    def path_mask(self, x, y):
+        return self.up[x] ^ self.up[y]
+
     def lca(self, x, y):
         return self._vertex_of_up[self.up[x] & self.up[y]]
 
@@ -209,14 +230,11 @@ class GridGraph:
         return tuple((r, c) for r in range(3) for c in range(3))
 
     def has_vertex(self, v):
-        return (
-            isinstance(v, tuple)
-            and len(v) == 2
-            and type(v[0]) is int
-            and type(v[1]) is int
-            and 0 <= v[0] < 3
-            and 0 <= v[1] < 3
-        )
+        return (isinstance(v, tuple) and len(v) == 2 and type(v[0]) is int
+                and type(v[1]) is int and v in _GRID_NEIGHBORS)
+
+    def path_mask(self, x, y):
+        return None  # a grid request's route is the algorithm's choice
 
     def neighbors(self, v):
         return _GRID_NEIGHBORS[v]
@@ -252,6 +270,21 @@ class GridGraph:
         except TypeError:  # unhashable, so not a tuple of edge tuples
             return 0
 
+    def route_masks(self, solution):
+        """The ``route_mask`` of each accepted request's route in
+        ``solution``, or None if the solution holds no routes."""
+        routes = solution.allocations
+        if routes is None:
+            return None
+        return [self.route_mask(r, routes.get(r)) for r in solution.accepted]
+
+    def solution(self, decisions):
+        """The Solution of the accepted ``decisions``, in their order, with
+        their routes; one without a route takes the first in its table."""
+        routes = {d.request: d.allocation or next(iter(self.routes(d.request.x, d.request.y)))
+                  for d in decisions if d.accept}
+        return Solution(self, tuple(routes), routes)
+
     def descriptor(self):
         return "grid:3x3"
 
@@ -273,9 +306,9 @@ class GridGraph:
 class Request:
     """An unordered pair of distinct host vertices, stored as x < y.
 
-    ``mask`` is the edge mask of the request's path on a cycle-free host,
-    built here once, and None on the grid.  A request is immutable: every
-    attribute assignment raises AttributeError.
+    ``mask`` is the host's ``path_mask(x, y)``, built here once: the edge
+    mask of the request's path, or None on the grid.  A request is
+    immutable: every attribute assignment raises AttributeError.
     """
 
     __slots__ = ("graph", "x", "y", "mask")
@@ -287,17 +320,10 @@ class Request:
             raise InvalidRequestError("request endpoints must be distinct")
         if y < x:
             x, y = y, x
-        kind = graph.kind
-        if kind == "path":
-            mask = ((1 << y) - 1) ^ ((1 << x) - 1)
-        elif kind == "tree":
-            mask = graph.up[x] ^ graph.up[y]
-        else:
-            mask = None
         _set_graph(self, graph)
         _set_x(self, x)
         _set_y(self, y)
-        _set_mask(self, mask)
+        _set_mask(self, graph.path_mask(x, y))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -333,13 +359,6 @@ _set_graph = Request.graph.__set__
 _set_x = Request.x.__set__
 _set_y = Request.y.__set__
 _set_mask = Request.mask.__set__
-
-
-def request_length(req):
-    """The number of edges on the request's path (cycle-free hosts only)."""
-    if req.mask is None:
-        raise InvalidRequestError("length on a grid depends on the chosen routing")
-    return req.mask.bit_count()
 
 
 # --------------------------------------------------------------------------
@@ -398,10 +417,7 @@ def gain(solution, mode="count"):
         return len(solution.accepted)
     if mode != "length":
         raise InvalidParameterError(f"unknown gain mode {mode!r}")
-    g = solution.graph
-    if g.kind == "grid":
-        return sum(len(solution.allocations[r]) for r in solution.accepted)
-    return sum(request_length(r) for r in solution.accepted)
+    return sum(m.bit_count() for m in solution.graph.route_masks(solution))
 
 
 def ratio(opt, alg):
@@ -413,21 +429,15 @@ def ratio(opt, alg):
 
 
 def validate_solution(instance, solution):
-    """Check acceptance subset-ness and pairwise edge-disjointness."""
-    if solution.graph != instance.graph:
+    """Check subset-ness and that the host's ``route_masks`` are nonzero and disjoint."""
+    masks = instance.graph.route_masks(solution)
+    if solution.graph != instance.graph or masks is None:
         return False
-    pool = set(instance.requests)
-    if any(r not in pool for r in solution.accepted):
-        return False
-    if len(set(solution.accepted)) != len(solution.accepted):
-        return False
-    g = instance.graph
-    grid = g.kind == "grid"
-    if grid and solution.allocations is None:
+    accepted = set(solution.accepted)
+    if len(accepted) != len(solution.accepted) or not accepted.issubset(instance.requests):
         return False
     mask = 0
-    for r in solution.accepted:
-        m = g.route_mask(r, solution.allocations.get(r)) if grid else r.mask
+    for m in masks:
         if not m or mask & m:
             return False
         mask |= m

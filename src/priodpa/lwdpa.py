@@ -22,7 +22,6 @@ from .graphs import (
     PathGraph,
     PropertyViolation,
     Solution,
-    request_length,
 )
 from .engine import (
     AdviceWriter,
@@ -109,7 +108,7 @@ def adversary_play_lwdpa(algorithm, params):
     b = params.b
 
     def answer(r_star, first):
-        if request_length(r_star) == 1 and r_star not in longs:
+        if r_star.mask.bit_count() == 1 and r_star not in longs:
             # unit request: pair it with the lowest-index long containing it
             follow = next(p for p in longs if p.x <= r_star.x and r_star.y <= p.y)
             return "unit", (follow,), Solution(g, (follow,))
@@ -187,7 +186,7 @@ class LwdpaAdviceAlgorithm(PriorityAlgorithm):
     def decide(self, request, state):
         if not state.fits(request):
             return Decision(request, False)
-        if request_length(request) == 1:
+        if request.mask.bit_count() == 1:
             return Decision(request, True)
         if request.x not in self.starts:
             return Decision(request, False)
@@ -202,7 +201,7 @@ class _LwdpaAdviceEncoder(LwdpaAdviceAlgorithm):
 
     def __init__(self, optimum):
         self.writer = AdviceWriter()
-        self.long_starts = sorted(r.x for r in optimum if request_length(r) >= 2)
+        self.long_starts = sorted(r.x for r in optimum if r.mask.bit_count() >= 2)
 
     def block_code(self, blk, advice):
         offsets = tuple(s - 4 * blk for s in self.long_starts if 4 * blk <= s < 4 * blk + 4)

@@ -13,7 +13,7 @@ import itertools
 from functools import lru_cache
 from pathlib import Path
 
-from priodpa import Instance, PropertyViolation, Request, Session, TreeGraph, request_length
+from priodpa import Instance, PropertyViolation, Request, Session, TreeGraph
 from priodpa.graphs import PathGraph, gain, ratio
 from priodpa.reduction import BlockRecord, GuessOutcome, _parse_bits
 from priodpa.trees import sigma
@@ -153,7 +153,7 @@ def scan_opt(requests, mode):
     as such a mask, in increasing order, so the first is the smallest."""
     reqs = list(requests)
     masks = [r.mask for r in reqs]
-    weights = [1 if mode == "count" else request_length(r) for r in reqs]
+    weights = [1 if mode == "count" else r.mask.bit_count() for r in reqs]
     used = [0] * (1 << len(reqs))   # edges of each subset, or -1 on a conflict
     total = [0] * (1 << len(reqs))
     best, optima = 0, [0]
@@ -336,7 +336,7 @@ def reference_guessing_game(algorithm, graph, blocks, hidden, block_opt, mode, z
     sol = session.result().solution
     per_block = [0] * (len(blocks) + 1)
     for r in sol.accepted:
-        per_block[block_of[r]] += 1 if mode == "count" else request_length(r)
+        per_block[block_of[r]] += 1 if mode == "count" else r.mask.bit_count()
     records = tuple(
         BlockRecord(k, m, y, d, y == d, per_block[k], block_opt) for (k, m, y, d) in meta
     )

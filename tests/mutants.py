@@ -63,14 +63,14 @@ MUTANTS = {
     ),
     "tree-edge-mask-or": (
         "graphs.py",
-        "mask = graph.up[x] ^ graph.up[y]",
-        "mask = graph.up[x] | graph.up[y]",
+        "return self.up[x] ^ self.up[y]",
+        "return self.up[x] | self.up[y]",
         "tests/test_trees.py",
     ),
     "path-mask-off-by-one": (
         "graphs.py",
-        "mask = ((1 << y) - 1) ^ ((1 << x) - 1)",
-        "mask = ((1 << y + 1) - 1) ^ ((1 << x) - 1)",
+        "return ((1 << y) - 1) ^ ((1 << x) - 1)",
+        "return ((1 << y + 1) - 1) ^ ((1 << x) - 1)",
         "tests/test_graphs.py",
     ),
     "tree-up-bit-of-parent": (
@@ -183,10 +183,10 @@ MUTANTS = {
     ),
     "feed-accepts-a-blocked-request": (
         "engine.py",
-        "                if mask & self.blocked_mask:\n"
-        "                    raise IllegalAcceptanceError(f\"{self.algorithm.name}: accepted a blocked request\")\n",
-        "                if False:\n"
-        "                    raise IllegalAcceptanceError(f\"{self.algorithm.name}: accepted a blocked request\")\n",
+        "            if mask & self.blocked_mask:\n"
+        "                raise IllegalAcceptanceError(f\"{self.algorithm.name}: allocation reuses an edge\")\n",
+        "            if False:\n"
+        "                raise IllegalAcceptanceError(f\"{self.algorithm.name}: allocation reuses an edge\")\n",
         "tests/test_engine.py",
     ),
     "fits-measures-a-grid-request": (
@@ -207,6 +207,18 @@ MUTANTS = {
         "return items[self.rank(items)[0]]",
         "return items[self.rank(items)[-1]]",
         "tests/test_engine.py",
+    ),
+    "validate-takes-an-unrouted-grid-solution": (
+        "graphs.py",
+        "        if routes is None:\n            return None\n",
+        "        if routes is None:\n            routes = {}\n",
+        "tests/test_graphs.py",
+    ),
+    "reject-first-witness-unrouted": (
+        "graphs.py",
+        "d.allocation or next(iter(self.routes(d.request.x, d.request.y)))",
+        "d.allocation",
+        "tests/test_grid.py",
     ),
     "encode-run-skips-check": (
         "engine.py",

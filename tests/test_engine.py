@@ -393,7 +393,7 @@ def test_illegal_acceptance_is_detected():
             return Decision(request, True)
 
     g, inst = _p5_instance()
-    with pytest.raises(IllegalAcceptanceError):
+    with pytest.raises(IllegalAcceptanceError, match="reuses an edge"):
         run(Blind(), inst)
 
 

@@ -24,13 +24,14 @@ from priodpa import (
     instance_hash,
     instance_to_json,
     ratio,
-    request_length,
     validate_solution,
 )
 from priodpa.graphs import graph_from_json, graph_to_json
 from priodpa.grid import GridRouter
 
-from helpers import NESTED_EDGES, all_pairs, canonical_trees, edge_set, path_edges, random_tree
+from helpers import (
+    NESTED_EDGES, all_pairs, canonical_trees, edge_set, path_edges, random_tree, simple_paths,
+)
 
 
 def test_request_normalizes_endpoint_order():
@@ -67,7 +68,7 @@ def test_stored_mask_matches_the_walk_on_every_small_host():
             expect = _walk_mask(g, r)
             assert r.mask == expect
             assert Request(g, r.y, r.x).mask == expect
-            assert request_length(r) == len(path_edges(g, r))
+            assert r.mask.bit_count() == len(path_edges(g, r))
 
 
 def test_a_grid_request_has_no_mask():
@@ -76,8 +77,25 @@ def test_a_grid_request_has_no_mask():
     assert r.mask is None
     with pytest.raises(InvalidRequestError):
         Session(GridRouter(), grid).fits(r)
-    with pytest.raises(InvalidRequestError):
-        request_length(r)
+
+
+def test_route_mask_is_the_walked_edge_set_on_every_host():
+    hosts = [PathGraph(length) for length in range(1, 7)]
+    hosts += [TreeGraph(edges) for n in range(2, 7) for edges in canonical_trees(n)]
+    for g in hosts:
+        for r in all_pairs(g):
+            expect = _walk_mask(g, r)
+            # a cycle-free host has one route per request, whatever is named
+            for route in (None, (), path_edges(g, r)):
+                assert g.route_mask(r, route) == expect
+    grid = GridGraph()
+    bit = {frozenset(e): 1 << i for i, e in enumerate(grid.edge_list())}
+    vs = grid.vertices()
+    for i, a in enumerate(vs):
+        for b in vs[i + 1:]:
+            r = Request(grid, a, b)
+            for p in simple_paths(grid, a, b):
+                assert grid.route_mask(r, p) == sum(bit[frozenset(e)] for e in p)
 
 
 def test_requests_are_immutable():
@@ -115,13 +133,13 @@ def _intersects(r1, r2):
 def test_unique_path_on_path_graph():
     g = PathGraph(5)
     assert path_edges(g, Request(g, 2, 5)) == ((2, 3), (3, 4), (4, 5))
-    assert request_length(Request(g, 2, 5)) == 3
+    assert Request(g, 2, 5).mask.bit_count() == 3
 
 
 def test_unique_path_on_tree():
     t = TreeGraph(NESTED_EDGES)
     assert path_edges(t, Request(t, 12, 13)) == ((12, 7), (7, 13))
-    assert request_length(Request(t, 12, 13)) == 2
+    assert Request(t, 12, 13).mask.bit_count() == 2
 
 
 def test_intersects_on_path():
@@ -158,7 +176,7 @@ def test_unique_path_is_connected_and_has_distance_length(data):
     assert walk[0][0] == r.x and walk[-1][1] == r.y
     for (a, b), (c, d) in zip(walk, walk[1:]):
         assert b == c
-    assert len(walk) == request_length(r)
+    assert len(walk) == r.mask.bit_count()
     assert len({v for e in walk for v in e}) == len(walk) + 1
 
 
@@ -219,6 +237,16 @@ def test_grid_allocations_checked_for_overlap():
     crossing = Solution(gg, frozenset({r1, r2}), {r1: top, r2: detour})
     assert validate_solution(inst, ok)
     assert not validate_solution(inst, crossing)
+
+
+def test_a_grid_solution_without_routes_is_invalid():
+    gg = GridGraph()
+    r = Request(gg, (0, 0), (0, 1))
+    inst = Instance(gg, [r])
+    assert not validate_solution(inst, Solution(gg, (r,)))
+    assert not validate_solution(inst, Solution(gg, ()))
+    assert validate_solution(inst, Solution(gg, (), {}))
+    assert validate_solution(inst, Solution(gg, (r,), {r: (((0, 0), (0, 1)),)}))
 
 
 def test_instance_sorts_requests():

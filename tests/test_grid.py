@@ -12,6 +12,7 @@ from priodpa import (
     PriorityAlgorithm,
     Request,
     Session,
+    gain,
     run,
     validate_solution,
 )
@@ -146,6 +147,29 @@ def test_adversary_witnesses_are_routable():
         out = grid_adversary(alg)
         assert validate_solution(out.instance, out.opt_witness)
         assert out.ratio == math.inf or out.ratio >= Fraction(3, 2)
+
+
+def test_a_rejected_first_pick_is_witnessed_along_the_first_route_in_its_table():
+    alg = next(a for a in grid_battery() if a.name == "grid-reject-first")
+    out = grid_adversary(alg)
+    g = out.instance.graph
+    (r,) = out.instance.requests
+    first = next(iter(g.routes(r.x, r.y)))
+    assert first == simple_paths(g, r.x, r.y)[0]
+    assert out.opt_witness.accepted == (r,)
+    assert out.opt_witness.allocations == {r: first}
+
+
+def test_length_gain_on_the_grid_sums_the_route_lengths():
+    g = GridGraph()
+    inst = Instance(g, distance3_pairs(g))
+    lengths = set()
+    for alg in grid_battery():
+        for sol in (grid_adversary(alg).opt_witness, run(alg, inst).solution):
+            routes = [sol.allocations[r] for r in sol.accepted]
+            assert gain(sol, "length") == sum(len(p) for p in routes)
+            lengths.update(len(p) for p in routes)
+    assert lengths == {3, 5, 7}
 
 
 def _reverse(route):

@@ -17,7 +17,6 @@ from priodpa import (
     greediest_opt,
     greedy_lwdpa,
     instance_from_json,
-    request_length,
     validate_solution,
 )
 from priodpa.battery import battery
@@ -93,7 +92,7 @@ def test_layer_geometry():
         shared = set(range(a.x, a.y)) & set(range(b.x, b.y))
         assert len(shared) == 1  # consecutive long requests overlap in one edge
     for u in units:
-        assert request_length(u) == 1
+        assert u.mask.bit_count() == 1
 
 
 def test_adversary_traps_greedy_at_the_peak():

@@ -22,7 +22,6 @@ from priodpa import (
     greedy_paths,
     greediest_opt,
     max_allocatable,
-    request_length,
     validate_solution,
 )
 from priodpa.battery import battery
@@ -58,7 +57,7 @@ def _direct_optimum(instance, mode):
                 w = (
                     len(combo)
                     if mode == "count"
-                    else sum(request_length(r) for r in combo)
+                    else sum(r.mask.bit_count() for r in combo)
                 )
                 best = max(best, w)
     return best

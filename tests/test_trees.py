@@ -14,7 +14,6 @@ from priodpa import (
     gain,
     greediest_opt,
     greedy_cat,
-    request_length,
     validate_solution,
 )
 from priodpa.battery import battery
@@ -86,7 +85,7 @@ def test_root_path_masks_match_parent_walks(data):
         top = next(v for v in wx if v in wy)
         below_x, below_y = wx[:wx.index(top)], wy[:wy.index(top)]
         assert r.mask == sum(1 << v for v in below_x + below_y)
-        assert request_length(r) == len(below_x) + len(below_y)
+        assert r.mask.bit_count() == len(below_x) + len(below_y)
         assert t.lca(r.x, r.y) == top
         if below_x and below_y:
             assert _sides(t, r, top) == tuple(sorted((below_x[-1], below_y[-1])))
