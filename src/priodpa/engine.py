@@ -49,7 +49,8 @@ class PriorityOrder:
 
     A key is a flat tuple of ints, and the request with the smaller key is
     presented first (it has the higher priority), so ``reversed`` negates
-    every entry.  Built-in constructors append the lexicographic endpoint
+    every entry.  Keys must be hashable: ``rank`` finds a tie by a set of
+    the keys.  Built-in constructors append the lexicographic endpoint
     tie-break so keys are injective on any universe.  ``rank`` is the one
     place where keys are compared: ``max_of`` and ``sort`` read its
     ranking, and a tie anywhere raises InvalidOrderError.  Each call
@@ -72,12 +73,14 @@ class PriorityOrder:
 
     def rank(self, items):
         """The indices of the list ``items`` in presentation order, one key
-        evaluation each; a tie anywhere raises InvalidOrderError."""
+        evaluation each; a tie anywhere raises InvalidOrderError, naming the
+        first tied pair in presentation order."""
         keys = [self._key(r) for r in items]
         idx = sorted(range(len(items)), key=keys.__getitem__)
-        for a, b in zip(idx, idx[1:]):
-            if not keys[a] < keys[b]:
-                raise InvalidOrderError(f"{self.name}: {items[a]} and {items[b]} are not strictly ordered")
+        if len(set(keys)) != len(keys):
+            for a, b in zip(idx, idx[1:]):
+                if not keys[a] < keys[b]:
+                    raise InvalidOrderError(f"{self.name}: {items[a]} and {items[b]} are not strictly ordered")
         return idx
 
     def sort(self, requests):

@@ -367,14 +367,19 @@ _set_mask = Request.mask.__set__
 
 
 class Instance:
-    """A finite set of requests on one host, kept sorted by endpoints."""
+    """A finite set of requests on one host, kept sorted by endpoints.
+
+    Once every request's host equals ``graph``, two requests are equal
+    exactly when their endpoint pairs are, so duplicates are found by one
+    set of those pairs, without hashing a request or its host.
+    """
 
     def __init__(self, graph, requests):
         requests = tuple(requests)
         for r in requests:
             if r.graph is not graph and r.graph != graph:
                 raise InvalidRequestError("instance mixes host graphs")
-        if len(set(requests)) != len(requests):
+        if len(set(map(_endpoints, requests))) != len(requests):
             raise InvalidRequestError("duplicate request in instance")
         self.graph = graph
         self.requests = tuple(sorted(requests, key=_endpoints))

@@ -138,7 +138,7 @@ def exhaustive_verify_3x3():
     around each routing; the optima, which do not depend on the routing,
     are computed once per call for each follow-up set and each pair of
     served request and follow-ups, and each follow-up set is built once
-    per call, keyed by its endpoint pairs.
+    per call.  All three are keyed by endpoint pairs, not by requests.
     """
     g = GridGraph()
     pairs = distance3_pairs(g)
@@ -148,7 +148,7 @@ def exhaustive_verify_3x3():
         orbit.add(Request(g, phi(base.x), phi(base.y)))
     cases = []
     built = {}  # follow-up requests by their endpoint pairs
-    fols, opts = {}, {}  # optima by follow-ups, and by (r, follow-ups)
+    fols, opts = {}, {}  # optima by follow-up ends, and by (r.x, r.y, ends)
     for r in pairs:
         corner = r.x if r.x in CORNERS else r.y
         for path, mask in g.routes(corner, r.x if corner == r.y else r.y).items():
@@ -157,11 +157,12 @@ def exhaustive_verify_3x3():
                 built[ends] = tuple(Request(g, x, y) for x, y in ends)
             followups = built[ends]
             alg_total = 1 + max_allocatable(g, followups, mask).optimum
-            if followups not in fols:
-                fols[followups] = max_allocatable(g, followups).optimum
-            if (r, followups) not in opts:
-                opts[r, followups] = max_allocatable(g, (r,) + followups).optimum
-            fol, opt = fols[followups], opts[r, followups]
+            if ends not in fols:
+                fols[ends] = max_allocatable(g, followups).optimum
+            served = (r.x, r.y, ends)
+            if served not in opts:
+                opts[served] = max_allocatable(g, (r,) + followups).optimum
+            fol, opt = fols[ends], opts[served]
             rho = ratio(opt, alg_total)
             if case == "corner":
                 ok = alg_total == 1 and fol == 2 and opt >= 2 and rho >= 2

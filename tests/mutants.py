@@ -45,9 +45,21 @@ MUTANTS = {
     ),
     "sort-without-strictness": (
         "engine.py",
-        "            if not keys[a] < keys[b]:\n",
-        "            if False:\n",
+        "                if not keys[a] < keys[b]:\n",
+        "                if False:\n",
         "tests/test_engine.py",
+    ),
+    "rank-without-tie-gate": (
+        "engine.py",
+        "        if len(set(keys)) != len(keys):\n",
+        "        if False:\n",
+        "tests/test_engine.py",
+    ),
+    "drain-resumes-past-a-live-request": (
+        "engine.py",
+        "            seen[order] = (seq, k)\n",
+        "            seen[order] = (seq, k + 2)\n",
+        "tests/test_drain_model.py",
     ),
     "ranking-ignores-order-change": (
         "engine.py",
@@ -66,6 +78,12 @@ MUTANTS = {
         "return self.up[x] ^ self.up[y]",
         "return self.up[x] | self.up[y]",
         "tests/test_trees.py",
+    ),
+    "instance-dedupes-by-left-endpoint": (
+        "graphs.py",
+        "if len(set(map(_endpoints, requests))) != len(requests):",
+        "if len({r.x for r in requests}) != len(requests):",
+        "tests/test_graphs.py",
     ),
     "path-mask-off-by-one": (
         "graphs.py",
@@ -118,7 +136,7 @@ MUTANTS = {
     "verify-cont-keyed-by-followups": (
         "grid.py",
         "            alg_total = 1 + max_allocatable(g, followups, mask).optimum\n",
-        "            alg_total = 1 + fols.setdefault((\"cont\", followups), max_allocatable(g, followups, mask).optimum)\n",
+        "            alg_total = 1 + fols.setdefault((\"cont\", ends), max_allocatable(g, followups, mask).optimum)\n",
         "tests/test_golden.py",
     ),
     "grid-reverse-direction-bit": (

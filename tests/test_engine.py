@@ -71,6 +71,25 @@ def test_max_of_rejects_tied_priorities():
         low_tie.max_of([Request(g, 0, 2), Request(g, 1, 3), Request(g, 2, 4)])
 
 
+def test_a_tie_names_the_first_tied_pair_in_presentation_order():
+    g = PathGraph(6)
+    a, b, c, d, e = (Request(g, x, x + 1) for x in range(5))
+    # two separate ties, (a, c) and (b, d), and (b, d) is presented first
+    prio = {a: 3, b: 1, c: 3, d: 1, e: 0}
+    two_ties = PriorityOrder(lambda r: (prio[r],), name="two-ties")
+    for order in (two_ties, two_ties.reversed()):
+        first, second = (b, d) if order is two_ties else (a, c)
+        with pytest.raises(InvalidOrderError) as caught:
+            order.rank([a, b, c, d, e])
+        assert str(caught.value) == f"{order.name}: {first} and {second} are not strictly ordered"
+    # one tie, at the bottom, is named in the order the items were given
+    prio[b] = 2
+    with pytest.raises(InvalidOrderError, match=r"Request\(2, 3\) and Request\(0, 1\) are not"):
+        two_ties.sort([e, d, c, b, a])
+    prio[c] = 4
+    assert two_ties.sort([a, b, c, d, e]) == [e, d, b, a, c]
+
+
 def test_sort_rejects_tied_priorities():
     g, inst = _p5_instance()
     flat = PriorityOrder(lambda r: 0, name="flat")

@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import inf
 
 import pytest
@@ -259,12 +260,46 @@ def test_instance_rejects_duplicates():
     g = PathGraph(5)
     with pytest.raises(InvalidRequestError):
         Instance(g, [Request(g, 0, 2), Request(g, 2, 0)])
+    # also on equal but distinct host objects, and on the grid
+    edges, shuffled = [(0, 1), (1, 2), (1, 3), (3, 4)], [(3, 4), (2, 1), (1, 0), (3, 1)]
+    for g, h in ((PathGraph(5), PathGraph(5)), (TreeGraph(edges), TreeGraph(shuffled))):
+        assert g is not h and g == h
+        for requests in ([Request(g, 0, 2), Request(h, 2, 0)],
+                         [Request(h, 1, 4), Request(g, 0, 3), Request(g, 4, 1)]):
+            with pytest.raises(InvalidRequestError, match="duplicate request in instance"):
+                Instance(g, requests)
+    gg = GridGraph()
+    with pytest.raises(InvalidRequestError, match="duplicate request in instance"):
+        Instance(gg, [Request(gg, (0, 0), (2, 1)), Request(GridGraph(), (2, 1), (0, 0))])
+    # two distinct requests that share an endpoint are no duplicate
+    assert len(Instance(gg, [Request(gg, (0, 0), (2, 1)), Request(gg, (0, 0), (1, 2))])) == 2
+
+
+def test_building_an_instance_hashes_no_request(monkeypatch):
+    calls = [0]
+
+    def counted(self):
+        calls[0] += 1
+        return hash((self.graph, self.x, self.y))
+
+    monkeypatch.setattr(Request, "__hash__", counted)
+    grid = GridGraph()
+    cases = [(g, all_pairs(g)) for g in (PathGraph(9), TreeGraph(NESTED_EDGES))]
+    cases.append((grid, [Request(grid, v, w) for v, w in combinations(grid.vertices(), 2)]))
+    for g, requests in cases:
+        assert len({*requests}) == len(requests) == calls[0]  # the counter counts
+        calls[0] = 0
+        assert len(Instance(g, requests)) == len(requests)
+        assert calls[0] == 0
 
 
 def test_instance_rejects_foreign_graph():
     g, h = PathGraph(5), PathGraph(7)
     with pytest.raises(InvalidRequestError):
         Instance(g, [Request(h, 0, 2)])
+    # a mixed host is named before a duplicate
+    with pytest.raises(InvalidRequestError, match="instance mixes host graphs"):
+        Instance(g, [Request(g, 0, 2), Request(g, 0, 2), Request(h, 0, 2)])
 
 
 def test_path_graph_rejects_bad_length():
