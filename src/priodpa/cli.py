@@ -93,8 +93,8 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
-def _report_row(args, inst, alg_name, alg_gain, opt_gain, bits, ms):
-    return RatioReport(
+def _emit_row(args, inst, alg_name, alg_gain, opt_gain, bits, ms):
+    row = RatioReport(
         graph=inst.graph.descriptor(),
         algorithm=alg_name,
         instance_hash=instance_hash(inst),
@@ -103,6 +103,7 @@ def _report_row(args, inst, alg_name, alg_gain, opt_gain, bits, ms):
         advice_bits=bits,
         ms=0 if args.seed is not None else ms,
     )
+    _emit(render([row], args.format), args.out)
 
 
 def _run_and_report(args, alg, inst, tape=None):
@@ -116,8 +117,7 @@ def _run_and_report(args, alg, inst, tape=None):
         opt = brute_force_opt(inst, mode=alg.mode).optimum
     except InstanceTooLargeError:
         opt = None
-    row = _report_row(args, inst, alg.name, alg_gain, opt, result.bits_consumed, ms)
-    _emit(render([row], args.format), args.out)
+    _emit_row(args, inst, alg.name, alg_gain, opt, result.bits_consumed, ms)
     return 0
 
 
@@ -151,9 +151,7 @@ def cmd_adversary(args):
         alg = _by_name(grid_battery(), args.alg, f"grid algorithm {args.alg!r}")
         outcome = grid_adversary(alg)
     ms = int((time.monotonic() - t0) * 1000)
-    row = _report_row(args, outcome.instance, args.alg, outcome.alg_gain,
-                      outcome.opt_gain, 0, ms)
-    _emit(render([row], args.format), args.out)
+    _emit_row(args, outcome.instance, args.alg, outcome.alg_gain, outcome.opt_gain, 0, ms)
     return 0
 
 
@@ -161,10 +159,8 @@ def cmd_advice(args):
     inst = load_instance(args.instance)
     if args.problem == "lwdpa":
         encode, decoder = encode_lwdpa_advice, LwdpaAdviceAlgorithm
-    elif args.problem == "cat":
-        encode, decoder = encode_cat_advice, CatAdviceAlgorithm
     else:
-        raise UsageError(f"unknown advice problem {args.problem!r}")
+        encode, decoder = encode_cat_advice, CatAdviceAlgorithm
     if args.encode:
         unread = [f"--{f}" for f in ("tape", "format") if getattr(args, f) is not None]
         if unread:
@@ -198,12 +194,10 @@ def cmd_reduce(args):
     if args.problem == "lwdpa":
         alg = _battery_algorithm(args.alg, "lwdpa")
         outcome = run_guess(alg, bits)
-    elif args.problem == "cat":
+    else:
         alg = _battery_algorithm(args.alg, "cat")
         tree = _load_tree(args.tree) if args.tree else fig9_tree(len(bits))
         outcome = run_tguess(alg, tree, bits)
-    else:
-        raise UsageError(f"unknown reduction problem {args.problem!r}")
     lines = ["block,m,guess,hidden,correct,alg_gain,opt_gain"]
     violated = False
     for rec in outcome.records:

@@ -1,11 +1,11 @@
 """Ratio reports: one row per algorithm-on-instance run.
 
-CSV columns are fixed: graph, algorithm, instance_hash, gain_alg, gain_opt,
-ratio, advice_bits, ms.  The ratio is rendered as the shortest float
-representation ("2.4", "1.0"), "inf" when only the optimum gained
-anything, and left empty when no oracle value is available.  JSON rows carry the
-same fields plus an ``infinite`` flag and the exact fraction, and
-round-trip losslessly (the ratio is derived from the integer gains).
+A row is the fields of ``RatioReport``; in CSV they come in the order of
+CSV_COLUMNS, with the ratio after the optimum.  The ratio is derived from
+the integer gains and rendered as the shortest float text ("2.4", "1.0"),
+"inf" when only the optimum gained anything, and empty, like the optimum,
+when no oracle value is available.  JSON rows add the ratio, an
+``infinite`` flag and the exact fraction, and round-trip losslessly.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import inf
 
 from .graphs import InvalidParameterError, ratio
@@ -34,9 +34,8 @@ class RatioReport:
 
     @property
     def ratio(self):
-        if self.gain_opt is None:
-            return None
-        return ratio(self.gain_opt, self.gain_alg)
+        opt = self.gain_opt
+        return None if opt is None else ratio(opt, self.gain_alg)
 
     def ratio_text(self):
         r = self.ratio
@@ -44,30 +43,13 @@ class RatioReport:
 
     def to_json(self):
         r = self.ratio
-        return {
-            "graph": self.graph,
-            "algorithm": self.algorithm,
-            "instance_hash": self.instance_hash,
-            "gain_alg": self.gain_alg,
-            "gain_opt": self.gain_opt,
-            "ratio": None if r is None or r == inf else float(r),
-            "infinite": r == inf,
-            "ratio_exact": None if r is None or r == inf else f"{r.numerator}/{r.denominator}",
-            "advice_bits": self.advice_bits,
-            "ms": self.ms,
-        }
+        exact = None if r is None or r == inf else f"{r.numerator}/{r.denominator}"
+        return {**vars(self), "ratio": None if exact is None else float(r),
+                "infinite": r == inf, "ratio_exact": exact}
 
     @classmethod
     def from_json(cls, obj):
-        return cls(
-            graph=obj["graph"],
-            algorithm=obj["algorithm"],
-            instance_hash=obj["instance_hash"],
-            gain_alg=obj["gain_alg"],
-            gain_opt=obj["gain_opt"],
-            advice_bits=obj["advice_bits"],
-            ms=obj["ms"],
-        )
+        return cls(**{f.name: obj[f.name] for f in fields(cls)})
 
 
 def format_ratio(r):
@@ -80,16 +62,8 @@ def render_csv(reports):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for rep in reports:
-        writer.writerow([
-            rep.graph,
-            rep.algorithm,
-            rep.instance_hash,
-            rep.gain_alg,
-            "" if rep.gain_opt is None else rep.gain_opt,
-            rep.ratio_text(),
-            rep.advice_bits,
-            rep.ms,
-        ])
+        cells = {**vars(rep), "ratio": rep.ratio_text()}
+        writer.writerow(["" if cells[c] is None else cells[c] for c in CSV_COLUMNS])
     return buf.getvalue()
 
 

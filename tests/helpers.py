@@ -1,12 +1,13 @@
 """Shared generators for the test suite: Prufer-coded random trees,
 canonical enumeration of small free trees, request sampling, the paths of
-the committed instance files, the walk-based reference geometry that the
-library's edge masks are checked against, the plain subset scans that
-the oracle's canonical witnesses are checked against, the depth-first
-route enumeration, walk check and subset-and-product routing scan that
-the grid's route table and oracle are checked against, and the
-round-by-round string-guessing game and pass-by-pass 4-star packing that
-the ranked game and the one-pass packing are checked against."""
+the committed instance files, a key wrapper that counts its evaluations,
+the walk-based reference geometry that the library's edge masks are
+checked against, the plain subset scans that the oracle's canonical
+witnesses are checked against, the depth-first route enumeration, walk
+check and subset-and-product routing scan that the grid's route table
+and oracle are checked against, and the round-by-round string-guessing
+game and pass-by-pass 4-star packing that the ranked game and the
+one-pass packing are checked against."""
 
 import heapq
 import itertools
@@ -145,6 +146,18 @@ def random_instance(graph, max_requests, rng):
     pairs = all_pairs(graph)
     k = rng.randint(0, min(max_requests, len(pairs)))
     return Instance(graph, rng.sample(pairs, k))
+
+
+def counting_key(base):
+    """``base`` wrapped to count its calls, and the one-item list holding
+    the count, which a test may reset."""
+    evals = [0]
+
+    def key(r):
+        evals[0] += 1
+        return base(r)
+
+    return key, evals
 
 
 def scan_opt(requests, mode):

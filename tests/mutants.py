@@ -244,6 +244,24 @@ MUTANTS = {
         "    if False:\n",
         "tests/test_report_cli.py",
     ),
+    "reduce-ignores-a-block-over-its-cap": (
+        "cli.py",
+        "            violated = True\n",
+        "            violated = False\n",
+        "tests/test_report_cli.py",
+    ),
+    "verify-grid-always-passes": (
+        "cli.py",
+        "        return 0 if report.passed else 1\n",
+        "        return 0\n",
+        "tests/test_report_cli.py",
+    ),
+    "csv-blanks-every-falsy-cell": (
+        "report.py",
+        '"" if cells[c] is None else cells[c]',
+        '"" if not cells[c] else cells[c]',
+        "tests/test_report_cli.py",
+    ),
 }
 
 

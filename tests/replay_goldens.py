@@ -5,9 +5,10 @@ Run from anywhere, with any Python the package supports:
     python tests/replay_goldens.py            # every case
     python tests/replay_goldens.py NAME ...   # the named ones
 
-It reads the same ``tests/data/golden/cases.json`` and ``<name>.out`` files
-as ``tests/test_golden.py``, calls ``priodpa.cli.main`` in process for each
-case, and checks the exit code, an empty stderr and stdout byte for byte.
+It reads ``tests/data/golden/cases.json`` and the ``<name>.out`` files,
+calls ``priodpa.cli.main`` in process for each case, and checks the exit
+code, an empty stderr and stdout byte for byte; ``tests/test_golden.py``
+runs each case through the same ``replay``.
 It imports the package from this checkout's ``src/`` and needs only the
 standard library, so it runs where pytest is not installed.  The exit code
 is 0 when every case matches, 1 when one does not, and 2 for an unknown
@@ -27,6 +28,8 @@ GOLDEN = DATA / "golden"
 sys.path.insert(0, str(ROOT / "src"))
 
 from priodpa import cli  # noqa: E402  (after the path is set)
+
+CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 
 
 def replay(case):
@@ -49,14 +52,12 @@ def replay(case):
 
 
 def main(names):
-    cases = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
-    known = {c["name"] for c in cases}
+    known = {c["name"] for c in CASES}
     unknown = [n for n in names if n not in known]
     if unknown:
         print(f"unknown case(s): {', '.join(unknown)}")
         return 2
-    if names:
-        cases = [c for c in cases if c["name"] in names]
+    cases = [c for c in CASES if c["name"] in names] if names else CASES
     failed = 0
     for case in cases:
         problems = replay(case)

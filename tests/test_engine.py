@@ -39,7 +39,7 @@ from priodpa.battery import _hash_key, battery
 from priodpa.engine import RejectFirst, adversary_game
 from priodpa.paths import greedy_path_algorithm, right_end_order
 
-from helpers import DEMO, NESTED_EDGES, all_pairs, random_instance, random_tree
+from helpers import DEMO, NESTED_EDGES, all_pairs, counting_key, random_instance, random_tree
 
 
 def _p5_instance():
@@ -159,11 +159,7 @@ def test_key_evaluations_are_one_per_request():
     first decision."""
     g = PathGraph(30)
     inst = Instance(g, random.Random(4).sample(all_pairs(g), 40))
-    evals = [0]
-
-    def key(r):
-        evals[0] += 1
-        return (r.y, r.x)
+    key, evals = counting_key(lambda r: (r.y, r.x))
 
     def counted(requests, walk):
         evals[0] = 0
@@ -181,22 +177,12 @@ def test_key_evaluations_are_one_per_request():
     assert counted(inst, lambda i: run(flip, i)) == 2 * n - 1
 
 
-def _counting_key(base):
-    evals = [0]
-
-    def key(r):
-        evals[0] += 1
-        return base(r)
-
-    return key, evals
-
-
 @pytest.mark.parametrize("reverse", [False, True])
 def test_max_of_evaluates_each_candidate_once_per_call(reverse):
     g = PathGraph(30)
     rng = random.Random(6)
     universe = all_pairs(g)
-    key, evals = _counting_key(lambda r: (r.y, r.x))
+    key, evals = counting_key(lambda r: (r.y, r.x))
     order = PriorityOrder(key, name="counted")
     if reverse:
         order = order.reversed()
@@ -213,7 +199,7 @@ def test_max_of_evaluates_each_candidate_once_per_call(reverse):
 def test_an_order_and_its_reverse_evaluate_afresh_on_every_call():
     g = PathGraph(12)
     requests = all_pairs(g)
-    key, evals = _counting_key(lambda r: (r.y, r.x))
+    key, evals = counting_key(lambda r: (r.y, r.x))
     order = PriorityOrder(key, name="counted")
     back = order.reversed()
     for _ in range(3):

@@ -22,7 +22,9 @@ from priodpa.reduction import (
 )
 from priodpa.trees import greedy_cat_algorithm, pack_s4, sigma
 
-from helpers import random_high_degree_tree, reference_run_guess, reference_run_tguess
+from helpers import (
+    counting_key, random_high_degree_tree, reference_run_guess, reference_run_tguess,
+)
 
 
 def test_entropy_bound_values():
@@ -151,19 +153,9 @@ def test_hidden_string_validation():
         run_guess(alg, [0, 1, 2])
 
 
-def _counting(key):
-    evals = [0]
-
-    def counted(r):
-        evals[0] += 1
-        return key(r)
-
-    return counted, evals
-
-
 def _counted_greedy(key, mode):
     """A greedy on a fixed order, with a count of its key evaluations."""
-    counted, evals = _counting(key)
+    counted, evals = counting_key(key)
     order = PriorityOrder(counted, name="counted")
     return GreedyAlgorithm(lambda graph: order, "counted-greedy", mode), evals
 
@@ -187,7 +179,7 @@ def test_guessing_games_evaluate_each_gadget_key_a_few_times():
 def test_an_adaptive_flip_ranks_the_gadget_once_per_direction():
     rng = random.Random(10)
     bits = "".join(rng.choice("01") for _ in range(16))
-    counted, evals = _counting(lambda r: (r.x - r.y, r.x))
+    counted, evals = counting_key(lambda r: (r.x - r.y, r.x))
     flip = AdaptiveFlip(lambda graph: PriorityOrder(counted, name="counted"), "length")
     assert len(run_guess(flip, bits).records) == 16
     # the forward order ranks the 64 requests once, and its reverse the 62
