@@ -77,6 +77,30 @@ def _main(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+def test_run_csv_rows(capsys):
+    rc, out, _ = _main(capsys, "run", "--instance", DEMO, "--alg", "greedy-lwdpa",
+                       "--seed", "0")
+    assert rc == 0
+    assert out.splitlines() == [
+        "graph,algorithm,instance_hash,gain_alg,gain_opt,ratio,advice_bits,ms",
+        "path:15,greedy-lwdpa,efd13ab4775c,5,12,2.4,0,0",
+    ]
+    rc, out, _ = _main(capsys, "run", "--instance", DEMO, "--alg", "greedy-path",
+                       "--seed", "0")
+    assert rc == 0
+    assert out.splitlines()[1] == "path:15,greedy-path,efd13ab4775c,3,3,1.0,0,0"
+
+
+def test_run_json_row(capsys):
+    rc, out, _ = _main(capsys, "run", "--instance", DEMO, "--alg", "greedy-lwdpa",
+                       "--format", "json", "--seed", "0")
+    assert rc == 0
+    obj = json.loads(out)
+    assert obj["ratio_exact"] == "12/5"
+    assert obj["gain_alg"] == 5 and obj["gain_opt"] == 12
+    assert list(obj) == sorted(obj)
+
+
 def test_run_on_no_requests_has_ratio_one(capsys, tmp_path):
     inst = tmp_path / "empty.json"
     inst.write_text(json.dumps({"graph": {"kind": "path", "length": 4}, "requests": []}))
@@ -91,8 +115,43 @@ def test_run_on_no_requests_has_ratio_one(capsys, tmp_path):
     assert obj["infinite"] is False and obj["ratio_exact"] == "1/1"
 
 
+def test_advice_encode_then_decode(capsys, tmp_path):
+    rc, out, _ = _main(capsys, "advice", "--problem", "lwdpa", "--encode",
+                       "--instance", DEMO)
+    assert rc == 0
+    assert json.loads(out) == {"bits": 12, "hex": "488"}
+
+    tape = tmp_path / "tape.json"
+    tape.write_text(out)
+    rc, out, _ = _main(capsys, "advice", "--problem", "lwdpa", "--decode",
+                       "--instance", DEMO, "--tape", str(tape), "--seed", "0")
+    assert rc == 0
+    assert out.splitlines()[1] == "path:15,decode-lwdpa,efd13ab4775c,12,12,1.0,12,0"
+
+
 def test_adversary_families(capsys):
-    # the goldens pin every family's CSV row; this is the one JSON row
+    rc, out, _ = _main(capsys, "adversary", "--family", "pab", "--alg", "greedy",
+                       "--a", "3", "--b", "8", "--seed", "1")
+    assert rc == 0
+    assert out.splitlines()[1].startswith("path:178,greedy,")
+    assert ",24,64," in out
+
+    rc, out, _ = _main(capsys, "adversary", "--family", "tree", "--alg", "greedy",
+                       "--tree", CATERPILLAR, "--seed", "1")
+    assert rc == 0
+    assert out.splitlines()[1] == "tree:14,greedy,27ba3107fc57,1,2,2.0,0,0"
+
+    rc, out, _ = _main(capsys, "adversary", "--family", "grid", "--alg",
+                       "grid-first", "--seed", "1")
+    assert rc == 0
+    assert out.splitlines()[1].startswith("grid:3x3,grid-first,")
+    assert ",1,3,3.0,0,0" in out
+
+    rc, out, _ = _main(capsys, "adversary", "--family", "grid", "--alg",
+                       "grid-reject-first", "--seed", "1")
+    assert rc == 0
+    assert ",0,1,inf,0,0" in out
+
     rc, out, _ = _main(capsys, "adversary", "--family", "grid", "--alg",
                        "grid-via-center", "--format", "json", "--seed", "1")
     assert rc == 0
@@ -114,6 +173,17 @@ def test_reduce_prints_per_block_accounting(capsys):
     ]
 
 
+def test_pack_s4_output(capsys):
+    rc, out, _ = _main(capsys, "pack-s4", "--tree", CATERPILLAR)
+    assert rc == 0
+    assert out.splitlines() == [
+        "sigma 2",
+        "copies 2",
+        "star 1: 0 2 6 7",
+        "star 3: 2 4 10 11",
+    ]
+
+
 def test_reduce_exits_1_when_a_block_beats_its_cap(capsys, monkeypatch):
     real = cli.run_guess
 
@@ -130,6 +200,29 @@ def test_reduce_exits_1_when_a_block_beats_its_cap(capsys, monkeypatch):
     lines = out.splitlines()
     assert lines[:2] == ["block,m,guess,hidden,correct,alg_gain,opt_gain", "1,0-2,1,0,0,3,3"]
     assert len(lines) == 7 and lines[-1] == "# ratio 1.2 wrong 2 of 4"
+
+
+def test_verify_instance(capsys):
+    rc, out, _ = _main(capsys, "verify", "--instance", DEMO, "--mode", "length")
+    assert rc == 0
+    assert out.splitlines() == [
+        "optimum 12",
+        "accept 1-5",
+        "accept 5-8",
+        "accept 8-13",
+    ]
+
+
+def test_verify_grid_table(capsys):
+    rc, out, _ = _main(capsys, "verify", "--grid-3x3")
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[0] == "request,path,case,alg_total,followups_only,opt,ratio,ok"
+    assert lines[1] == "(0, 0)->(1, 2),00-01-02-12,corner,1,2,3,3,1"
+    assert len(lines) == 82  # header + 80 cases + footer
+    assert lines[-1] == (
+        "# pairs 8, corner cases 16, center cases 64, passed True"
+    )
 
 
 def test_verify_grid_exits_1_when_the_case_analysis_fails(capsys, monkeypatch):
