@@ -15,6 +15,7 @@ Three pieces live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import (
     InvalidParameterError,
@@ -85,15 +86,26 @@ class PabParams:
             start += self.length_of(j) - 1
         return (start, start + self.length_of(i))
 
+    @cached_property
+    def universe(self):
+        """``build_pab``'s tuple, built on first use and kept on this object."""
+        g = PathGraph(self.l)
+        longs = tuple(Request(g, *self.span_of(i)) for i in range(1, 2 * self.b))
+        if longs[-1].y != self.l:
+            raise PropertyViolation("the layer structure must end exactly at l")
+        units = tuple(Request(g, e, e + 1) for e in range(self.l))
+        return g, longs, units
+
 
 def build_pab(params):
-    """Host path, the long requests p_1..p_{2b-1}, and all unit requests."""
-    g = PathGraph(params.l)
-    longs = tuple(Request(g, *params.span_of(i)) for i in range(1, 2 * params.b))
-    if longs[-1].y != params.l:
-        raise PropertyViolation("the layer structure must end exactly at l")
-    units = tuple(Request(g, e, e + 1) for e in range(params.l))
-    return g, longs, units
+    """Host path, the long requests p_1..p_{2b-1}, and all unit requests.
+
+    The tuple is computed once per ``PabParams`` object and kept on it,
+    so every game played on one object shares it.  It is immutable (a
+    path, tuples of requests) and refers only to its own host, never back
+    to ``params``.
+    """
+    return params.universe
 
 
 def adversary_play_lwdpa(algorithm, params):

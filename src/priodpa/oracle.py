@@ -215,6 +215,25 @@ def _route(path_lists, i, used, alloc):
     return False
 
 
+def _largest_routing(graph, requests, blocked):
+    """The search behind ``max_allocatable``: the picked requests, sorted
+    by endpoints, and their routes in the same order.  A caller that needs
+    only the optimum reads the number picked, and no witness is built."""
+    reqs = sorted(requests, key=lambda r: r.key)
+    if len(reqs) > 12:
+        raise InstanceTooLargeError("grid routing search capped at 12 requests")
+    lists = [[(p, m) for p, m in graph.routes(r.x, r.y).items() if not m & blocked]
+             for r in reqs]
+    free = [i for i, routes in enumerate(lists) if routes]
+    for size in range(len(free), 0, -1):
+        # increasing masks: compare the highest bits first
+        for picked in sorted(combinations(free, size), key=lambda c: c[::-1]):
+            alloc = []
+            if _route([lists[i] for i in picked], 0, 0, alloc):
+                return tuple(reqs[i] for i in picked), alloc
+    return (), []
+
+
 def max_allocatable(graph, requests, blocked=0):
     """Largest routable subset of ``requests`` on the grid's edges outside
     the mask ``blocked``.
@@ -228,17 +247,5 @@ def max_allocatable(graph, requests, blocked=0):
     witness; a subset holding a request without a free route is never
     searched.
     """
-    reqs = sorted(requests, key=lambda r: r.key)
-    if len(reqs) > 12:
-        raise InstanceTooLargeError("grid routing search capped at 12 requests")
-    lists = [[(p, m) for p, m in graph.routes(r.x, r.y).items() if not m & blocked]
-             for r in reqs]
-    free = [i for i, routes in enumerate(lists) if routes]
-    for size in range(len(free), 0, -1):
-        # increasing masks: compare the highest bits first
-        for picked in sorted(combinations(free, size), key=lambda c: c[::-1]):
-            alloc = []
-            if _route([lists[i] for i in picked], 0, 0, alloc):
-                accepted = tuple(reqs[i] for i in picked)
-                return OracleResult(size, Solution(graph, accepted, dict(zip(accepted, alloc))))
-    return OracleResult(0, Solution(graph, (), {}))
+    accepted, alloc = _largest_routing(graph, requests, blocked)
+    return OracleResult(len(accepted), Solution(graph, accepted, dict(zip(accepted, alloc))))

@@ -215,9 +215,22 @@ def sigma(tree):
 
 
 def pack_s4(tree):
-    """Edge-disjoint 4-star copies, at least sigma(T) many.
+    """Edge-disjoint 4-star copies, at least sigma(T) many, as a tuple of
+    ``(centre, leaves)`` pairs.
 
-    Repeatedly take the smallest-id degree >= 4 vertex with at most one
+    The packing is computed once per tree object and kept on it, as
+    ``TreeGraph.children`` is, so every game played on one tree shares it.
+    It holds only ints, so it is immutable and refers to nothing that
+    refers back to the tree.
+    """
+    memo = vars(tree)
+    if "pack_s4" not in memo:
+        memo["pack_s4"] = _pack_s4(tree)
+    return memo["pack_s4"]
+
+
+def _pack_s4(tree):
+    """Repeatedly take the smallest-id degree >= 4 vertex with at most one
     degree >= 4 neighbour (a leaf of the induced high-degree forest — one
     always exists), cut floor(deg/4) stars from consecutive groups of its
     sorted neighbours, then delete the vertex.  Degrees only fall, so a

@@ -97,6 +97,12 @@ MUTANTS = {
         "up[w] = up[v] | 1 << v",
         "tests/test_trees.py",
     ),
+    "s4-packing-shared-across-trees": (
+        "trees.py",
+        "    memo = vars(tree)\n",
+        "    memo = vars(pack_s4)\n",
+        "tests/test_trees.py",
+    ),
     "sides-larger-first": (
         "trees.py",
         "cx, cy = (c for c in tree.children[v] if mask >> c & 1)",
@@ -135,8 +141,8 @@ MUTANTS = {
     ),
     "verify-cont-keyed-by-followups": (
         "grid.py",
-        "            alg_total = 1 + max_allocatable(g, followups, mask).optimum\n",
-        "            alg_total = 1 + fols.setdefault((\"cont\", ends), max_allocatable(g, followups, mask).optimum)\n",
+        "            alg_total = 1 + len(_largest_routing(g, followups, mask)[0])\n",
+        "            alg_total = 1 + fols.setdefault((\"cont\", ends), len(_largest_routing(g, followups, mask)[0]))\n",
         "tests/test_golden.py",
     ),
     "grid-reverse-direction-bit": (
@@ -161,6 +167,12 @@ MUTANTS = {
         "lwdpa.py",
         "4 * blk <= s",
         "4 * blk < s",
+        "tests/test_lwdpa.py",
+    ),
+    "pab-universe-ignores-params": (
+        "lwdpa.py",
+        "    return params.universe\n",
+        "    return vars(build_pab).setdefault(\"universe\", params.universe)\n",
         "tests/test_lwdpa.py",
     ),
     "adversary-skips-witness-check": (

@@ -326,6 +326,25 @@ def test_every_battery_game_leaves_no_cyclic_garbage():
         gc.enable()
 
 
+def test_battery_games_on_shared_params_and_tree_leave_no_cyclic_garbage():
+    """Both batteries play on one ``PabParams`` and one tree, which keep
+    the universe and the star packing they share; dropping them frees
+    everything by reference counting alone."""
+    params, tree = PabParams(3, 8), fig9_tree(4)
+    gc.collect()
+    gc.disable()
+    try:
+        for alg in battery("lwdpa"):
+            adversary_play_lwdpa(alg, params)
+        for alg in battery("cat"):
+            tree_adversary(alg, tree)
+            run_tguess(alg, tree, "1001")
+        del params, tree
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_a_withdrawn_request_is_never_fed():
     g = PathGraph(30)
     requests = random.Random(9).sample(all_pairs(g), 40)

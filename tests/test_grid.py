@@ -73,11 +73,11 @@ def test_exhaustive_case_analysis_passes():
 
 def test_the_case_analysis_computes_each_optimum_once(monkeypatch):
     calls, searches, depth = [0], [0], [0]
-    real_max_allocatable, real_route = grid.max_allocatable, oracle._route
+    real_largest_routing, real_route = grid._largest_routing, oracle._route
 
-    def counted_max_allocatable(*args):
+    def counted_largest_routing(*args):
         calls[0] += 1
-        return real_max_allocatable(*args)
+        return real_largest_routing(*args)
 
     def counted_route(*args):
         searches[0] += depth[0] == 0  # a routing search, not one of its steps
@@ -87,7 +87,9 @@ def test_the_case_analysis_computes_each_optimum_once(monkeypatch):
         finally:
             depth[0] -= 1
 
-    monkeypatch.setattr(grid, "max_allocatable", counted_max_allocatable)
+    # the verify asks the search only for sizes, never max_allocatable
+    monkeypatch.setattr(grid, "max_allocatable", None)
+    monkeypatch.setattr(grid, "_largest_routing", counted_largest_routing)
     monkeypatch.setattr(oracle, "_route", counted_route)
     assert exhaustive_verify_3x3().passed
     # one call per routing (80), per distinct follow-ups (12) and per

@@ -95,6 +95,33 @@ def test_layer_geometry():
         assert u.mask.bit_count() == 1
 
 
+def test_a_battery_on_one_params_builds_its_universe_once(monkeypatch):
+    p = PabParams(3, 8)
+    built, real_init = [0], Request.__init__
+
+    def counted_init(self, *args):
+        built[0] += 1
+        real_init(self, *args)
+
+    monkeypatch.setattr(Request, "__init__", counted_init)
+    shared = [adversary_play_lwdpa(alg, p) for alg in battery("lwdpa")]
+    # 15 longs and 178 units, once for all fifteen games
+    assert built[0] == 193
+    assert build_pab(p) is build_pab(p)
+    monkeypatch.undo()
+    fresh = [adversary_play_lwdpa(alg, PabParams(3, 8)) for alg in battery("lwdpa")]
+    assert shared == fresh
+
+
+def test_each_params_object_plays_its_own_universe():
+    adversary_play_lwdpa(greedy_lwdpa_algorithm(), PabParams(3, 8))
+    p = PabParams(4, 10)
+    out = adversary_play_lwdpa(greedy_lwdpa_algorithm(), p)
+    assert out.instance.graph == PathGraph(p.l) == PathGraph(382)
+    assert (out.case, out.alg_gain, out.opt_gain) == ("peak", 40, 110)
+    assert out.ratio == Fraction(11, 4)
+
+
 def test_adversary_traps_greedy_at_the_peak():
     out = adversary_play_lwdpa(greedy_lwdpa_algorithm(), PabParams(3, 8))
     assert out.case == "peak"

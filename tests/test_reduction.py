@@ -20,6 +20,7 @@ from priodpa.reduction import (
     run_guess,
     run_tguess,
 )
+from priodpa import trees
 from priodpa.trees import greedy_cat_algorithm, pack_s4, sigma
 
 from helpers import (
@@ -120,6 +121,23 @@ def test_single_star_right_guess():
     out = run_tguess(greedy_cat_algorithm(), k14, "1")
     assert out.records[0].correct
     assert (out.alg_gain, out.opt_gain) == (2, 2)
+
+
+def test_a_battery_on_one_tree_packs_it_once(monkeypatch):
+    tree, bits = fig9_tree(12), "101100111010"
+    packed, real_pack = [0], trees._pack_s4
+
+    def counted_pack(t):
+        packed[0] += 1
+        return real_pack(t)
+
+    monkeypatch.setattr(trees, "_pack_s4", counted_pack)
+    shared = [run_tguess(alg, tree, bits) for alg in battery("cat")]
+    assert packed[0] == 1
+    assert pack_s4(tree) is pack_s4(tree)
+    fresh = [run_tguess(alg, fig9_tree(12), bits) for alg in battery("cat")]
+    assert packed[0] == 1 + len(fresh)
+    assert shared == fresh
 
 
 def test_tree_gadget_needs_enough_star_copies():

@@ -225,6 +225,14 @@ def test_star_packing_on_the_eight_star():
     assert pack_s4(t) == ((0, (1, 2, 3, 4)), (0, (5, 6, 7, 8)))
 
 
+def test_each_tree_keeps_its_own_packing():
+    small, large = fig9_tree(2), fig9_tree(3)
+    assert pack_s4(small) is pack_s4(small)
+    assert pack_s4(large) == reference_pack_s4(large)
+    assert len(pack_s4(large)) == 3
+    assert pack_s4(fig9_tree(2)) == pack_s4(small)
+
+
 def test_packing_demand_of_the_layered_family():
     assert [sigma(fig9_tree(n)) for n in range(1, 7)] == [1, 2, 3, 4, 5, 6]
 
