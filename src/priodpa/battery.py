@@ -3,7 +3,13 @@
 Fifteen strategies per problem: canonical greedy, reversed-order greedy,
 reject-first, reject-all, an adaptive order-flipper, and ten seeded
 random-order greedies.  Random orders hash (seed, endpoints) through
-sha256 so they are stable across platforms and runs.
+sha256 so they are stable across platforms and runs.  Each random-order
+strategy keeps the digests it has computed in a dict of its own, from
+endpoint pair to digest integer, for as long as the ``battery()`` tuple
+lives: a digest depends on the seed and the endpoints alone, not on the
+host, so the strategy hashes each endpoint pair once over all its games.
+Each game still builds its own ``PriorityOrder``, whose key reads that
+dict.
 
 ``exact_block_accounting`` marks strategies whose per-block gains in the
 string-guessing reductions are exactly 3/2 (paths) resp. 2/1 (trees) for
@@ -70,9 +76,10 @@ def battery(problem):
         AdaptiveFlip(order_factory, mode),
     ]
     for seed in range(10):
+        # each lambda evaluates its own default dict: one digest memo per strategy
         algs.append(
             GreedyAlgorithm(
-                lambda g, s=seed: _random_order(s),
+                lambda g, s=seed, digests={}: _random_order(s, digests),
                 f"random-greedy-{seed}",
                 mode,
             )
@@ -83,5 +90,15 @@ def battery(problem):
     return tuple(algs)
 
 
-def _random_order(seed):
-    return PriorityOrder(lambda r, s=seed: _hash_key(s, r), name=f"sha-{seed}")
+def _random_order(seed, digests):
+    """The sha256 order of ``seed``; ``digests`` maps each endpoint pair
+    already hashed under this seed to its digest."""
+
+    def key(r):
+        x, y = ends = r.x, r.y
+        h = digests.get(ends)
+        if h is None:
+            h = digests[ends] = _hash_key(seed, r)[0]
+        return (h, x, y)
+
+    return PriorityOrder(key, name=f"sha-{seed}")

@@ -17,11 +17,23 @@ block's requests that are not follow-ups, and the drain ranks the live
 requests once per order object the algorithm puts in force.  A game
 costs O(N log N) for N gadget requests under a fixed order, not a search
 of all that is left in every round.
+
+The gadget does not depend on the algorithm, so it is built once and kept
+in a one-entry cache: ``run_guess`` keys its cache by the number of bits,
+``run_tguess`` by the identity of the tree (``is``, not ``==``: an equal
+but distinct tree gets requests of its own).  A gadget holds its requests,
+each one's gain and, for each request and hidden bit, the requests the
+answer withdraws.  A battery played on one bit count or one tree builds
+its gadget once; the cache keeps the last host and its requests alive
+until a game on another bit count or tree replaces them.  The cache is a
+module global, not an attribute of the tree, because a tree that held
+its own requests would sit on the cycle tree -> requests -> tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import log2
 
 from .graphs import (
@@ -91,56 +103,71 @@ def _parse_bits(bits):
     return out
 
 
-def _guessing_game(algorithm, graph, blocks, hidden, block_opt, mode, zero_followups):
-    """Play one round per hidden bit over the gadget ``blocks``, all of one
-    size s; block b holds the requests numbered b*s .. b*s + s - 1.
+def _gadget(graph, universe, size, block_opt, mode, zero_followups):
+    """What every game on one host reads off its gadget requests
+    ``universe``, in blocks of ``size`` (block b holds the requests
+    numbered b*size .. b*size + size - 1): the tuple ``(graph, size,
+    universe, gains, withdrawn, block_opt, mode)``, where ``gains[i]`` is
+    request i's gain under ``mode``, ``withdrawn[d][i]`` the indices of its
+    block that the answer to a top request i withdraws when the hidden bit
+    is d, and a right guess gains ``block_opt`` in a block.
 
-    Each round the algorithm's top fresh request m is its guess (accept
-    means 1), and queued follow-ups on top of the order are fed before it.
     A hidden 1 is answered with m's complement, the request of m's block
     that covers exactly the block edges m leaves free; a hidden 0 with
     ``zero_followups(rest, masks)``, indices taken from the block's other
     requests ``rest`` given the edge masks of all requests.
     """
-    universe = [r for blk in blocks for r in blk]
-    s = len(blocks[0])
     masks = [r.mask for r in universe]
-    complement = []
-    for start in range(0, len(universe), s):
-        block = range(start, start + s)
+    gains = tuple(1 if mode == "count" else m.bit_count() for m in masks)
+    withdrawn = ([], [])
+    for start in range(0, len(universe), size):
+        block = range(start, start + size)
         full = 0
         for i in block:
             full |= masks[i]
         by_mask = {masks[i]: i for i in block}
-        complement += [by_mask[full ^ masks[i]] for i in block]
+        for i in block:
+            c = by_mask[full ^ masks[i]]
+            zero = set(zero_followups([j for j in block if j not in (i, c)], masks))
+            withdrawn[0].append(tuple(j for j in block if j not in zero))
+            withdrawn[1].append(tuple(j for j in block if j != c))
+    withdrawn = (tuple(withdrawn[0]), tuple(withdrawn[1]))
+    return graph, size, tuple(universe), gains, withdrawn, block_opt, mode
 
-    played = [False] * len(blocks)
-    per_block = [0] * len(blocks)
+
+def _guessing_game(algorithm, gadget, hidden):
+    """Play one round per hidden bit over the first ``len(hidden)`` blocks
+    of ``gadget``.
+
+    Each round the algorithm's top fresh request m is its guess (accept
+    means 1), and queued follow-ups on top of the order are fed before it;
+    the answer withdraws the requests of m's block that do not follow up
+    the hidden bit.
+    """
+    graph, s, universe, gains, withdrawn, block_opt, mode = gadget
+    n = len(hidden)
+    played = [False] * n
+    per_block = [0] * n
     meta = []
 
     def answer(i, decision):
-        b, m = i // s, universe[i]
+        b = i // s
         if decision.accept:
-            per_block[b] += 1 if mode == "count" else masks[i].bit_count()
+            per_block[b] += gains[i]
         if played[b]:
             return ()  # a queued follow-up
         played[b] = True
         d = hidden[len(meta)]
-        block = range(b * s, b * s + s)
-        if d == 1:
-            followups = {complement[i]}
-        else:
-            followups = set(zero_followups([j for j in block if j not in (i, complement[i])], masks))
-        meta.append((b, m, 1 if decision.accept else 0, d))
-        return [j for j in block if j not in followups]
+        meta.append((b, universe[i], 1 if decision.accept else 0, d))
+        return withdrawn[d][i]
 
     session = Session(algorithm, graph)
-    served = session.drain(universe, answer)
+    served = session.drain(universe[:n * s], answer)
     records = tuple(
         BlockRecord(b + 1, m, y, d, y == d, per_block[b], block_opt) for (b, m, y, d) in meta
     )
     alg = gain(session.result().solution, mode)
-    opt = block_opt * len(hidden)
+    opt = block_opt * n
     wrong = sum(1 for rec in records if not rec.correct)
     return GuessOutcome(Instance(graph, served), records, alg, opt, wrong, ratio(opt, alg), mode)
 
@@ -153,35 +180,46 @@ def run_guess(algorithm, bits):
     algorithms with greedy decisions), a right one yields all 3.
     """
     hidden = _parse_bits(bits)
-    n = len(hidden)
+    return _guessing_game(algorithm, _path_gadget(len(hidden)), hidden)
+
+
+@lru_cache(maxsize=1)
+def _path_gadget(n):
+    """The gadget of ``run_guess`` on n bits, over ``PathGraph(3n)``."""
     g = PathGraph(3 * n)
-    blocks = []
-    for i in range(1, n + 1):
-        base = 3 * (i - 1)
-        r1 = Request(g, base, base + 1)
-        r2 = Request(g, base, base + 2)
-        r3 = Request(g, base + 1, base + 3)
-        r4 = Request(g, base + 2, base + 3)
-        blocks.append((r1, r2, r3, r4))
+    universe = []
+    for base in range(0, 3 * n, 3):
+        universe += (Request(g, base, base + 1), Request(g, base, base + 2),
+                     Request(g, base + 1, base + 3), Request(g, base + 2, base + 3))
     # a hidden 0 brings both requests that intersect m
-    return _guessing_game(algorithm, g, blocks, hidden, 3, "length", lambda rest, masks: rest)
+    return _gadget(g, universe, 4, 3, "length", lambda rest, masks: rest)
 
 
 def run_tguess(algorithm, tree, bits):
     """Tree gadget: each packed 4-star carries the six leaf pairs; a wrong
     guess caps the block at 1 call, a right one yields 2."""
     hidden = _parse_bits(bits)
-    n = len(hidden)
-    copies = pack_s4(tree)
-    if len(copies) < n:
-        raise InvalidTreeError(f"tree packs only {len(copies)} 4-stars, need {n}")
-    blocks = []
-    for center, leaves in copies[:n]:
-        rs = tuple(
-            Request(tree, a, b) for i, a in enumerate(leaves) for b in leaves[i + 1:]
-        )
-        blocks.append(rs)
-    return _guessing_game(algorithm, tree, blocks, hidden, 2, "count", _first_disjoint_pair)
+    n, stars = len(hidden), len(pack_s4(tree))
+    if stars < n:
+        raise InvalidTreeError(f"tree packs only {stars} 4-stars, need {n}")
+    return _guessing_game(algorithm, _star_gadget(tree), hidden)
+
+
+_last_star_gadget = (None, None)  # the last tree of run_tguess and its gadget
+
+
+def _star_gadget(tree):
+    """The gadget of ``run_tguess`` over every star of ``pack_s4(tree)``,
+    kept for the next game if that is played on the same tree object; an
+    equal but distinct tree gets requests of its own."""
+    global _last_star_gadget
+    last, gadget = _last_star_gadget
+    if last is not tree:
+        universe = [Request(tree, a, b) for _, leaves in pack_s4(tree)
+                    for i, a in enumerate(leaves) for b in leaves[i + 1:]]
+        gadget = _gadget(tree, universe, 6, 2, "count", _first_disjoint_pair)
+        _last_star_gadget = tree, gadget
+    return gadget
 
 
 def _first_disjoint_pair(rest, masks):

@@ -175,6 +175,18 @@ MUTANTS = {
         "    return vars(build_pab).setdefault(\"universe\", params.universe)\n",
         "tests/test_lwdpa.py",
     ),
+    "digest-memo-shared-across-seeds": (
+        "battery.py",
+        "lambda g, s=seed, digests={}: _random_order(s, digests),",
+        "lambda g, s=seed, digests=vars(battery).setdefault(\"digests\", {}): _random_order(s, digests),",
+        "tests/test_engine.py",
+    ),
+    "star-gadget-cache-ignores-tree": (
+        "reduction.py",
+        "    if last is not tree:\n",
+        "    if last is None:\n",
+        "tests/test_reduction.py",
+    ),
     "adversary-skips-witness-check": (
         "engine.py",
         "    if not validate_solution(instance, witness):\n",

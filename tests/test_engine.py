@@ -243,6 +243,34 @@ def test_sha_keys_are_the_hexdigest_integers():
                 assert _hash_key(seed, r) == (int(hexed, 16), r.x, r.y)
 
 
+def test_a_battery_hashes_each_endpoint_pair_once_per_seed(monkeypatch):
+    """Each random-order strategy keeps the digests it computed for as
+    long as its battery lives, across games and hosts: a digest depends on
+    the seed and the endpoints alone."""
+    small, large = PathGraph(7), PathGraph(9)
+    instances = [Instance(small, all_pairs(small)), Instance(large, all_pairs(large))]
+    hashed = []
+
+    def counted_hash(seed, r):
+        hashed.append((seed, r.x, r.y))
+        return _hash_key(seed, r)
+
+    # the module's globals: the package binds the name ``battery`` to the function
+    monkeypatch.setitem(battery.__globals__, "_hash_key", counted_hash)
+    algs = battery("dpa-path")
+    shared = [[run(alg, inst) for alg in algs] for inst in instances * 2]
+    seen = {(r.x, r.y) for r in instances[1].requests}
+    assert sorted(hashed) == sorted((seed, x, y) for seed in range(10) for x, y in seen)
+    monkeypatch.undo()
+    fresh = [[run(alg, inst) for alg in battery("dpa-path")] for inst in instances * 2]
+    assert shared == fresh
+    for alg in algs[5:]:
+        seed = int(alg.name.rsplit("-", 1)[1])
+        order = alg.initial_order(small, None)
+        assert order.sort(instances[0].requests) == sorted(
+            instances[0].requests, key=lambda r: _hash_key(seed, r))
+
+
 def test_drain_feeds_a_fixed_order_in_presentation_sequence():
     g, inst = _p5_instance()
     session = Session(greedy_path_algorithm(), g)
@@ -313,12 +341,12 @@ def test_every_battery_game_leaves_no_cyclic_garbage():
     gc.collect()
     gc.disable()
     try:
-        for alg in battery("lwdpa"):
+        for i, alg in enumerate(battery("lwdpa")):
             adversary_play_lwdpa(alg, PabParams(3, 8))
-            run_guess(alg, "0110")
-        for alg in battery("cat"):
+            run_guess(alg, ("0110", "10011")[i % 2])
+        for i, alg in enumerate(battery("cat")):
             tree_adversary(alg, tree)
-            run_tguess(alg, fig9_tree(4), "1001")
+            run_tguess(alg, fig9_tree(4 + i % 2), "1001")
         for alg in grid_battery():
             grid_adversary(alg)
         assert gc.collect() == 0
@@ -327,19 +355,21 @@ def test_every_battery_game_leaves_no_cyclic_garbage():
 
 
 def test_battery_games_on_shared_params_and_tree_leave_no_cyclic_garbage():
-    """Both batteries play on one ``PabParams`` and one tree, which keep
-    the universe and the star packing they share; dropping them frees
-    everything by reference counting alone."""
-    params, tree = PabParams(3, 8), fig9_tree(4)
+    """Both batteries play on one ``PabParams`` and on two trees and two
+    bit counts in turn: the params and the trees keep the universe and the
+    star packings they share, and the gadgets are rebuilt at every switch;
+    dropping them frees everything by reference counting alone."""
+    params, trees = PabParams(3, 8), (fig9_tree(4), fig9_tree(5))
     gc.collect()
     gc.disable()
     try:
-        for alg in battery("lwdpa"):
+        for i, alg in enumerate(battery("lwdpa")):
             adversary_play_lwdpa(alg, params)
-        for alg in battery("cat"):
-            tree_adversary(alg, tree)
-            run_tguess(alg, tree, "1001")
-        del params, tree
+            run_guess(alg, ("0110", "10011")[i % 2])
+        for i, alg in enumerate(battery("cat")):
+            tree_adversary(alg, trees[i % 2])
+            run_tguess(alg, trees[i % 2], "1001")
+        del params, trees
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -9,11 +9,13 @@ from priodpa import (
     InvalidTreeError,
     PriorityAlgorithm,
     PriorityOrder,
+    Request,
     TreeGraph,
 )
 from priodpa.battery import AdaptiveFlip, battery
 from priodpa.lwdpa import greedy_lwdpa_algorithm
 from priodpa.reduction import (
+    _path_gadget,
     binary_entropy,
     entropy_lower_bound,
     fig9_tree,
@@ -123,6 +125,32 @@ def test_single_star_right_guess():
     assert (out.alg_gain, out.opt_gain) == (2, 2)
 
 
+def _count_requests(monkeypatch):
+    built, real_init = [0], Request.__init__
+
+    def counted_init(self, *args):
+        built[0] += 1
+        real_init(self, *args)
+
+    monkeypatch.setattr(Request, "__init__", counted_init)
+    return built
+
+
+def test_a_battery_on_one_bit_count_builds_its_gadget_once(monkeypatch):
+    bits = "0110100111010010"
+    run_guess(greedy_lwdpa_algorithm(), bits + "1")  # the last game had another bit count
+    built = _count_requests(monkeypatch)
+    shared = [run_guess(alg, bits) for alg in battery("lwdpa")]
+    # four requests per block, once for all fifteen games
+    assert built[0] == 4 * len(bits)
+    fresh = []
+    for alg in battery("lwdpa"):
+        _path_gadget.cache_clear()
+        fresh.append(run_guess(alg, bits))
+    assert built[0] == 16 * 4 * len(bits)
+    assert shared == fresh
+
+
 def test_a_battery_on_one_tree_packs_it_once(monkeypatch):
     tree, bits = fig9_tree(12), "101100111010"
     packed, real_pack = [0], trees._pack_s4
@@ -132,12 +160,27 @@ def test_a_battery_on_one_tree_packs_it_once(monkeypatch):
         return real_pack(t)
 
     monkeypatch.setattr(trees, "_pack_s4", counted_pack)
+    built = _count_requests(monkeypatch)
     shared = [run_tguess(alg, tree, bits) for alg in battery("cat")]
-    assert packed[0] == 1
+    # the six leaf pairs of each of the twelve stars, once for all fifteen games
+    assert (packed[0], built[0]) == (1, 6 * 12)
     assert pack_s4(tree) is pack_s4(tree)
     fresh = [run_tguess(alg, fig9_tree(12), bits) for alg in battery("cat")]
-    assert packed[0] == 1 + len(fresh)
+    assert (packed[0], built[0]) == (1 + len(fresh), 16 * 6 * 12)
     assert shared == fresh
+
+
+def test_an_equal_tree_plays_on_requests_of_its_own():
+    first, second = fig9_tree(4), fig9_tree(4)
+    assert first == second and first is not second
+    alg = greedy_cat_algorithm()
+    before = run_tguess(alg, first, "1001")
+    for tree, bits in ((second, "100"), (first, "1001")):
+        out = run_tguess(alg, tree, bits)
+        assert out.instance.graph is tree
+        assert all(r.graph is tree for r in out.instance.requests)
+        assert all(rec.m.graph is tree for rec in out.records)
+    assert out == before
 
 
 def test_tree_gadget_needs_enough_star_copies():
