@@ -26,14 +26,18 @@ extremes combine into the overall one.  Two rules use the search:
   optimum which keeps each request, in presentation order, whenever the
   requests kept so far and it still extend to an optimum.
 
-On the 3x3 grid ``max_allocatable`` searches for edge-disjoint routings
-over the grid's route table.  Its witness is the smallest routable mask of
-the largest routable size, over the requests sorted by endpoints.  Subsets
+On the 3x3 grid two searches run over the grid's route table.
+``max_allocatable`` finds witnesses: the smallest routable mask of the
+largest routable size, over the requests sorted by endpoints.  Subsets
 are tried from the largest size down, in increasing mask order within a
 size, and the first that routes is returned.  Every larger subset has
 failed by then, and so has every smaller mask of its size, so this is the
 witness an increasing scan of all masks keeps; and no subset is searched
-that such a scan would skip.
+that such a scan would skip.  ``_routable_size`` finds sizes only: one
+depth-first search over route masks routes or skips each request in turn,
+stops once every request is routed, and drops a skip that cannot beat the
+best size so far.  A caller that reads only the optimum asks it, and no
+subset, routing or witness is built.
 
 The searches leave no cyclic garbage: each recursion is a module-level
 function that is handed all of its state, so nothing it builds refers
@@ -215,23 +219,36 @@ def _route(path_lists, i, used, alloc):
     return False
 
 
-def _largest_routing(graph, requests, blocked):
-    """The search behind ``max_allocatable``: the picked requests, sorted
-    by endpoints, and their routes in the same order.  A caller that needs
-    only the optimum reads the number picked, and no witness is built."""
-    reqs = sorted(requests, key=lambda r: r.key)
-    if len(reqs) > 12:
+def _most(lists, i, used, got, best):
+    """The larger of ``best`` and the most requests that route when ``got``
+    of them already hold the edge mask ``used`` and the rest come from
+    request i on.  ``lists[i]`` holds request i's free route masks.  Every
+    piece of state is passed in, as in ``_walk``."""
+    if i == len(lists):
+        return max(got, best)
+    for mask in lists[i]:
+        if not used & mask:
+            best = _most(lists, i + 1, used | mask, got + 1, best)
+            if best == len(lists):
+                return best
+    # skipping i routes at most the requests after it
+    if got + len(lists) - i - 1 > best:
+        best = _most(lists, i + 1, used, got, best)
+    return best
+
+
+def _routable_size(graph, requests, blocked):
+    """The size of the largest subset of ``requests`` that routes on the
+    grid's edges outside the mask ``blocked``: ``max_allocatable``'s
+    optimum, with no witness."""
+    if len(requests) > 12:
         raise InstanceTooLargeError("grid routing search capped at 12 requests")
-    lists = [[(p, m) for p, m in graph.routes(r.x, r.y).items() if not m & blocked]
-             for r in reqs]
-    free = [i for i, routes in enumerate(lists) if routes]
-    for size in range(len(free), 0, -1):
-        # increasing masks: compare the highest bits first
-        for picked in sorted(combinations(free, size), key=lambda c: c[::-1]):
-            alloc = []
-            if _route([lists[i] for i in picked], 0, 0, alloc):
-                return tuple(reqs[i] for i in picked), alloc
-    return (), []
+    lists = []
+    for r in requests:
+        masks = [m for m in graph.routes(r.x, r.y).values() if not m & blocked]
+        if masks:
+            lists.append(masks)
+    return _most(lists, 0, 0, 0, 0)
 
 
 def max_allocatable(graph, requests, blocked=0):
@@ -247,5 +264,17 @@ def max_allocatable(graph, requests, blocked=0):
     witness; a subset holding a request without a free route is never
     searched.
     """
-    accepted, alloc = _largest_routing(graph, requests, blocked)
-    return OracleResult(len(accepted), Solution(graph, accepted, dict(zip(accepted, alloc))))
+    reqs = sorted(requests, key=lambda r: r.key)
+    if len(reqs) > 12:
+        raise InstanceTooLargeError("grid routing search capped at 12 requests")
+    lists = [[(p, m) for p, m in graph.routes(r.x, r.y).items() if not m & blocked]
+             for r in reqs]
+    free = [i for i, routes in enumerate(lists) if routes]
+    for size in range(len(free), 0, -1):
+        # increasing masks: compare the highest bits first
+        for picked in sorted(combinations(free, size), key=lambda c: c[::-1]):
+            alloc = []
+            if _route([lists[i] for i in picked], 0, 0, alloc):
+                accepted = tuple(reqs[i] for i in picked)
+                return OracleResult(size, Solution(graph, accepted, dict(zip(accepted, alloc))))
+    return OracleResult(0, Solution(graph, (), {}))

@@ -133,6 +133,12 @@ MUTANTS = {
         "                best[0] = g\n",
         "tests/test_oracle.py",
     ),
+    "grid-size-bound-too-tight": (
+        "oracle.py",
+        "    if got + len(lists) - i - 1 > best:\n",
+        "    if got + len(lists) - i - 2 > best:\n",
+        "tests/test_oracle.py",
+    ),
     "grid-size-scanned-downward": (
         "oracle.py",
         "key=lambda c: c[::-1]):",
@@ -141,9 +147,15 @@ MUTANTS = {
     ),
     "verify-cont-keyed-by-followups": (
         "grid.py",
-        "            alg_total = 1 + len(_largest_routing(g, followups, mask)[0])\n",
-        "            alg_total = 1 + fols.setdefault((\"cont\", ends), len(_largest_routing(g, followups, mask)[0]))\n",
+        "            alg_total = 1 + _routable_size(g, followups, mask)\n",
+        "            alg_total = 1 + fols.setdefault((\"cont\", ends), _routable_size(g, followups, mask))\n",
         "tests/test_golden.py",
+    ),
+    "served-case-drops-reverse": (
+        "grid.py",
+        "        vs.reverse()\n",
+        "        pass\n",
+        "tests/test_grid.py",
     ),
     "grid-reverse-direction-bit": (
         "graphs.py",

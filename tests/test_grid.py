@@ -28,6 +28,7 @@ from priodpa.grid import (
     grid_automorphisms,
     grid_battery,
     grid_order,
+    _served_case,
 )
 
 from helpers import simple_paths, walk_ok
@@ -72,30 +73,26 @@ def test_exhaustive_case_analysis_passes():
 
 
 def test_the_case_analysis_computes_each_optimum_once(monkeypatch):
-    calls, searches, depth = [0], [0], [0]
-    real_largest_routing, real_route = grid._largest_routing, oracle._route
+    calls, nodes = [0], [0]
+    real_routable_size, real_most = grid._routable_size, oracle._most
 
-    def counted_largest_routing(*args):
+    def counted_routable_size(*args):
         calls[0] += 1
-        return real_largest_routing(*args)
+        return real_routable_size(*args)
 
-    def counted_route(*args):
-        searches[0] += depth[0] == 0  # a routing search, not one of its steps
-        depth[0] += 1
-        try:
-            return real_route(*args)
-        finally:
-            depth[0] -= 1
+    def counted_most(*args):
+        nodes[0] += 1
+        return real_most(*args)
 
     # the verify asks the search only for sizes, never max_allocatable
     monkeypatch.setattr(grid, "max_allocatable", None)
-    monkeypatch.setattr(grid, "_largest_routing", counted_largest_routing)
-    monkeypatch.setattr(oracle, "_route", counted_route)
+    monkeypatch.setattr(grid, "_routable_size", counted_routable_size)
+    monkeypatch.setattr(oracle, "_most", counted_most)
     assert exhaustive_verify_3x3().passed
     # one call per routing (80), per distinct follow-ups (12) and per
     # distinct served request and follow-ups (40)
     assert calls[0] == 132
-    assert searches[0] <= 241
+    assert nodes[0] == 1570
 
 
 def test_every_routing_is_a_corner_or_center_case():
@@ -176,6 +173,20 @@ def test_length_gain_on_the_grid_sums_the_route_lengths():
 
 def _reverse(route):
     return tuple((v, u) for u, v in reversed(route))
+
+
+def test_a_served_route_walked_from_the_midpoint_reads_as_from_the_corner():
+    g = GridGraph()
+    played = 0
+    for r in distance3_pairs(g):
+        corner, mid = (r.x, r.y) if r.x in CORNERS else (r.y, r.x)
+        back_table = g.routes(mid, corner)
+        for route in g.routes(corner, mid):
+            back = _reverse(route)
+            assert back in back_table and back[0][0] == mid
+            assert _served_case(g, r, back) == _served_case(g, r, route)
+            played += 1
+    assert played == 80
 
 
 def test_route_masks_match_edge_sets_on_every_simple_routing():

@@ -27,7 +27,7 @@ from priodpa import (
 from priodpa.battery import battery
 from priodpa.lwdpa import lwdpa_order
 from priodpa import oracle
-from priodpa.oracle import _components, _conflicts
+from priodpa.oracle import _components, _conflicts, _routable_size
 from priodpa.paths import right_end_order
 from priodpa.trees import cat_order
 
@@ -405,8 +405,9 @@ def test_grid_allocation_search():
 
     thirteen = [Request(gg, (0, 0), (r, c)) for r in range(3) for c in range(3) if (r, c) != (0, 0)] + [Request(gg, (0, 1), (1, c)) for c in range(3)] + [Request(gg, (0, 1), (2, 0)), Request(gg, (0, 1), (2, 1))]
     assert len(thirteen) == 13
-    with pytest.raises(InstanceTooLargeError):
-        max_allocatable(gg, thirteen)
+    for search in (max_allocatable, _routable_size):
+        with pytest.raises(InstanceTooLargeError):
+            search(gg, thirteen, 0)
 
 
 def test_grid_oracle_matches_the_subset_and_product_reference():
@@ -433,6 +434,7 @@ def test_grid_oracle_matches_the_subset_and_product_reference():
         ref_count, ref_accepted, ref_alloc = reference_max_allocatable(gg, reqs, blocked)
         assert (count, witness.accepted) == (ref_count, ref_accepted), (reqs, blocked)
         assert list(witness.allocations.items()) == list(ref_alloc.items()), (reqs, blocked)
+        assert _routable_size(gg, reqs, blocked) == ref_count, (reqs, blocked)
         if blocked == every_edge:
             assert count == 0
         routed.add(count)

@@ -129,6 +129,32 @@ def test_advice_encode_then_decode(capsys, tmp_path):
     assert out.splitlines()[1] == "path:15,decode-lwdpa,efd13ab4775c,12,12,1.0,12,0"
 
 
+def test_past_the_oracle_cap_the_optimum_cells_are_empty(capsys, tmp_path):
+    # 24 chained unit requests exceed the oracle's cap of 22
+    inst = tmp_path / "chain.json"
+    inst.write_text(json.dumps({"graph": {"kind": "path", "length": 30},
+                                "requests": [[i, i + 1] for i in range(24)]}))
+    tape = tmp_path / "tape.json"
+    tape.write_text(json.dumps({"bits": 24, "hex": "000000"}))
+    commands = {
+        "path:30,greedy-lwdpa,5773e3be3eeb,24,,,0,0": [
+            "run", "--instance", str(inst), "--alg", "greedy-lwdpa", "--seed", "1"],
+        "path:30,decode-lwdpa,5773e3be3eeb,24,,,24,0": [
+            "advice", "--problem", "lwdpa", "--decode", "--instance", str(inst),
+            "--tape", str(tape), "--seed", "1"],
+    }
+    for row, argv in commands.items():
+        rc, out, err = _main(capsys, *argv)
+        assert (rc, err) == (0, "")
+        assert out.splitlines()[1:] == [row]
+        rc, out, err = _main(capsys, *argv, "--format", "json")
+        assert (rc, err) == (0, "")
+        obj = json.loads(out)
+        assert (obj["gain_alg"], obj["advice_bits"]) == (24, int(row.split(",")[-2]))
+        assert obj["gain_opt"] is None and obj["ratio"] is None
+        assert obj["ratio_exact"] is None and obj["infinite"] is False
+
+
 def test_adversary_families(capsys):
     rc, out, _ = _main(capsys, "adversary", "--family", "pab", "--alg", "greedy",
                        "--a", "3", "--b", "8", "--seed", "1")
@@ -303,6 +329,21 @@ def test_usage_and_input_errors_exit_2(capsys, tmp_path):
     for line, extra in refused.items():
         assert _main(capsys, *encode, *extra) == (2, "", line + "\n")
     assert _main(capsys, *encode, "--seed", "3") == (0, '{"bits": 12, "hex": "488"}\n', "")
+
+
+def test_a_missing_required_input_exits_2_with_one_line(capsys):
+    pab = ["adversary", "--family", "pab", "--alg", "greedy"]
+    missing = [
+        ("error: --family pab needs --a and --b", pab),
+        ("error: --family pab needs --a and --b", pab + ["--a", "3"]),
+        ("error: --decode needs --tape FILE",
+         ["advice", "--problem", "lwdpa", "--decode", "--instance", DEMO]),
+        ("error: reduce needs --bits or --n", ["reduce", "--problem", "lwdpa", "--alg", "greedy"]),
+        ("error: verify needs --instance FILE or --grid-3x3", ["verify"]),
+        ("error: a tree file is required", ["adversary", "--family", "tree", "--alg", "greedy"]),
+    ]
+    for line, argv in missing:
+        assert _main(capsys, *argv) == (2, "", line + "\n")
 
 
 def test_flags_a_command_would_ignore_exit_2(capsys):
