@@ -4,12 +4,12 @@ Fifteen strategies per problem: canonical greedy, reversed-order greedy,
 reject-first, reject-all, an adaptive order-flipper, and ten seeded
 random-order greedies.  Random orders hash (seed, endpoints) through
 sha256 so they are stable across platforms and runs.  Each random-order
-strategy keeps the digests it has computed in a dict of its own, from
-endpoint pair to digest integer, for as long as the ``battery()`` tuple
-lives: a digest depends on the seed and the endpoints alone, not on the
-host, so the strategy hashes each endpoint pair once over all its games.
-Each game still builds its own ``PriorityOrder``, whose key reads that
-dict.
+strategy keeps the keys it has computed in a dict of its own, from
+endpoint pair to the whole ``_hash_key`` tuple, for as long as the
+``battery()`` tuple lives: a key depends on the seed and the endpoints
+alone, not on the host, so the strategy hashes each endpoint pair once
+over all its games, and a key it has seen costs one dict read.  Each game
+still builds its own ``PriorityOrder``, whose key reads that dict.
 
 ``exact_block_accounting`` marks strategies whose per-block gains in the
 string-guessing reductions are exactly 3/2 (paths) resp. 2/1 (trees) for
@@ -76,7 +76,7 @@ def battery(problem):
         AdaptiveFlip(order_factory, mode),
     ]
     for seed in range(10):
-        # each lambda evaluates its own default dict: one digest memo per strategy
+        # each lambda evaluates its own default dict: one key memo per strategy
         algs.append(
             GreedyAlgorithm(
                 lambda g, s=seed, digests={}: _random_order(s, digests),
@@ -92,13 +92,14 @@ def battery(problem):
 
 def _random_order(seed, digests):
     """The sha256 order of ``seed``; ``digests`` maps each endpoint pair
-    already hashed under this seed to its digest."""
+    already hashed under this seed to its ``_hash_key`` tuple."""
 
     def key(r):
-        x, y = ends = r.x, r.y
-        h = digests.get(ends)
-        if h is None:
-            h = digests[ends] = _hash_key(seed, r)[0]
-        return (h, x, y)
+        ends = r.x, r.y
+        try:
+            return digests[ends]
+        except KeyError:
+            k = digests[ends] = _hash_key(seed, r)
+            return k
 
     return PriorityOrder(key, name=f"sha-{seed}")

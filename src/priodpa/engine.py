@@ -1,7 +1,10 @@
 """Priority-order execution engine and advice tapes.
 
 A priority order ranks the *universe* of requests before any are seen; the
-request with the smallest key is presented first.  Algorithms are pairs
+request with the smallest key is presented first, or the one with the
+largest key in a reversed order.  A key is hashable and totally ordered,
+and ``PriorityOrder.rank`` and ``PriorityOrder.max_of`` are the two places
+keys are compared.  Algorithms are pairs
 (order, decision rule); decisions are irrevocable.  An adaptive algorithm
 picks the order for the next request after every decision, in its
 ``readapt(state)`` hook; an order itself only ranks.
@@ -15,6 +18,7 @@ fields it would read, and must accept the optimum it encodes (``encode_run``).
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from string import hexdigits
 from weakref import WeakKeyDictionary
@@ -47,39 +51,47 @@ class AdviceExhaustedError(PriodpaError, RuntimeError):
 class PriorityOrder:
     """Strict total order on requests, realized as a key function.
 
-    A key is a flat tuple of ints, and the request with the smaller key is
-    presented first (it has the higher priority), so ``reversed`` negates
-    every entry.  Keys must be hashable: ``rank`` finds a tie by a set of
-    the keys.  Built-in constructors append the lexicographic endpoint
-    tie-break so keys are injective on any universe.  ``rank`` is the one
-    place where keys are compared: ``max_of`` and ``sort`` read its
-    ranking, and a tie anywhere raises InvalidOrderError.  Each call
-    evaluates each request's key once and remembers nothing.  A key must
-    be a pure function of the request: ``Session.drain`` ranks the live
-    requests once per order object and keeps that ranking for as long as
-    the object lives.
+    A key is hashable and totally ordered, typically a flat tuple of ints.
+    The request with the smaller key is presented first (it has the higher
+    priority); ``reversed`` flips the ranking, not the keys, so the request
+    with the larger key comes first there.  Built-in constructors append
+    the lexicographic endpoint tie-break so keys are injective on any
+    universe.  ``rank`` and ``max_of`` are the two places where keys are
+    compared: ``rank`` sorts them and ``sort`` reads its ranking,
+    ``max_of`` picks the top key in one pass, and both find a tie by a set
+    of the keys; a tie anywhere raises InvalidOrderError, naming the first
+    tied pair in presentation order.  Each call evaluates each request's
+    key once (a ``max_of`` that meets a tie asks ``rank`` to name it) and
+    remembers nothing.  A key must be a pure function of the request:
+    ``Session.drain`` ranks the live requests once per order object and
+    keeps that ranking for as long as the object lives.
     """
 
     def __init__(self, key, name="order"):
         self._key = key
         self.name = name
+        self.descending = False
 
     def max_of(self, requests):
-        """The highest-priority request (see ``rank``)."""
+        """The highest-priority request, with no sorting (see ``rank``)."""
         items = list(requests)
         if not items:
             raise InvalidParameterError("max_of on an empty set")
-        return items[self.rank(items)[0]]
+        keys = [self._key(r) for r in items]
+        if len(set(keys)) != len(keys):
+            self.rank(items)  # raises, naming the first tied pair
+        return items[keys.index(max(keys) if self.descending else min(keys))]
 
     def rank(self, items):
         """The indices of the list ``items`` in presentation order, one key
         evaluation each; a tie anywhere raises InvalidOrderError, naming the
         first tied pair in presentation order."""
         keys = [self._key(r) for r in items]
-        idx = sorted(range(len(items)), key=keys.__getitem__)
+        idx = sorted(range(len(items)), key=keys.__getitem__, reverse=self.descending)
         if len(set(keys)) != len(keys):
+            # the sort is stable both ways, so tied keys keep the order of ``items``
             for a, b in zip(idx, idx[1:]):
-                if not keys[a] < keys[b]:
+                if keys[a] == keys[b]:
                     raise InvalidOrderError(f"{self.name}: {items[a]} and {items[b]} are not strictly ordered")
         return idx
 
@@ -89,10 +101,11 @@ class PriorityOrder:
         return [items[i] for i in self.rank(items)]
 
     def reversed(self):
-        return PriorityOrder(self._negated_key, name=f"reversed-{self.name}")
-
-    def _negated_key(self, r):
-        return tuple(-k for k in self._key(r))
+        """This order with its ranking flipped: a copy that shares the key."""
+        back = copy(self)
+        back.descending = not self.descending
+        back.name = f"reversed-{self.name}"
+        return back
 
 
 # --------------------------------------------------------------------------

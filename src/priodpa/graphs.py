@@ -24,7 +24,11 @@ whatever the route).  Every edge set is an int bitmask, built only here:
   table is the one place a grid route is enumerated, validated and masked:
   ``routes(x, y)`` maps each simple x-y route to its mask, and
   ``route_mask`` is the mask of a route of the request in either
-  direction, or 0 for anything else.
+  direction, or 0 for anything else.  Each grid fills its own table, a
+  pair on first use, by walking a fixed step table: for each vertex, each
+  step as (neighbour, the neighbour's vertex bit, the edge's bit, the
+  edge).  The walk keeps its visited vertices as a bitmask and builds a
+  route tuple only when it reaches the far endpoint.
 """
 
 from __future__ import annotations
@@ -202,18 +206,38 @@ _GRID_NEIGHBORS = {
                   if 0 <= rr < 3 and 0 <= cc < 3)
     for r in range(3) for c in range(3)
 }
+_GRID_EDGES = tuple((v, w) for v, nbs in _GRID_NEIGHBORS.items() for w in nbs if v < w)
+_GRID_VERTEX_BIT = {v: 1 << i for i, v in enumerate(_GRID_NEIGHBORS)}
 
 
-def _fill_routes(walk, mask, y, edge_bit, found):
-    """Append every simple route that extends ``walk`` (of edge mask
-    ``mask``) to ``y`` to ``found``, as a (route, mask) pair."""
-    v = walk[-1]
-    if v == y:
-        found.append((tuple(zip(walk, walk[1:])), mask))
-        return
-    for w in _GRID_NEIGHBORS[v]:
-        if w not in walk:
-            _fill_routes(walk + [w], mask | edge_bit[v, w], y, edge_bit, found)
+def _grid_steps():
+    """Each grid vertex v mapped to its steps, one per neighbour w in
+    ``_GRID_NEIGHBORS`` order: (w, w's vertex bit, the bit of the edge
+    {v, w}, the edge (v, w)).  Edge i of ``_GRID_EDGES`` is bit i."""
+    vbit = _GRID_VERTEX_BIT
+    bits = {}
+    for i, (v, w) in enumerate(_GRID_EDGES):
+        bits[v, w] = bits[w, v] = 1 << i
+    return {v: tuple((w, vbit[w], bits[v, w], (v, w)) for w in nbs)
+            for v, nbs in _GRID_NEIGHBORS.items()}
+
+
+_GRID_STEPS = _grid_steps()
+
+
+def _fill_routes(v, seen, mask, y, edges, found):
+    """Append every simple route to ``y`` that extends the walk ``edges``,
+    now at ``v`` through the vertex mask ``seen`` on the edge mask
+    ``mask``, to ``found`` as a (route, mask) pair.  The walk grows and
+    shrinks in place; a route tuple is built only at ``y``."""
+    for w, wbit, ebit, edge in _GRID_STEPS[v]:
+        if not seen & wbit:
+            edges.append(edge)
+            if w == y:
+                found.append((tuple(edges), mask | ebit))
+            else:
+                _fill_routes(w, seen | wbit, mask | ebit, y, edges, found)
+            edges.pop()
 
 
 class GridGraph:
@@ -240,15 +264,7 @@ class GridGraph:
         return _GRID_NEIGHBORS[v]
 
     def edge_list(self):
-        return tuple((v, w) for v in self.vertices() for w in self.neighbors(v) if v < w)
-
-    @cached_property
-    def edge_bit(self):
-        """Bit of each edge, keyed by both of its directions."""
-        bits = {}
-        for i, (v, w) in enumerate(self.edge_list()):
-            bits[v, w] = bits[w, v] = 1 << i
-        return bits
+        return _GRID_EDGES
 
     def routes(self, x, y):
         """Every simple x-y route (a tuple of (u, v) edges) mapped to its
@@ -257,7 +273,7 @@ class GridGraph:
         table = self._routes.get((x, y))
         if table is None:
             found = []
-            _fill_routes([x], 0, y, self.edge_bit, found)
+            _fill_routes(x, _GRID_VERTEX_BIT[x], 0, y, [], found)
             table = self._routes[x, y] = MappingProxyType(dict(sorted(found)))
         return table
 

@@ -219,21 +219,22 @@ def _route(path_lists, i, used, alloc):
     return False
 
 
-def _most(lists, i, used, got, best):
+def _most(lists, n, i, used, got, best):
     """The larger of ``best`` and the most requests that route when ``got``
     of them already hold the edge mask ``used`` and the rest come from
-    request i on.  ``lists[i]`` holds request i's free route masks.  Every
-    piece of state is passed in, as in ``_walk``."""
-    if i == len(lists):
+    request i on.  ``lists[i]`` holds request i's free route masks, and
+    ``n`` is ``len(lists)``.  Every piece of state is passed in, as in
+    ``_walk``."""
+    if i == n:
         return max(got, best)
     for mask in lists[i]:
         if not used & mask:
-            best = _most(lists, i + 1, used | mask, got + 1, best)
-            if best == len(lists):
+            best = _most(lists, n, i + 1, used | mask, got + 1, best)
+            if best == n:
                 return best
     # skipping i routes at most the requests after it
-    if got + len(lists) - i - 1 > best:
-        best = _most(lists, i + 1, used, got, best)
+    if got + n - i - 1 > best:
+        best = _most(lists, n, i + 1, used, got, best)
     return best
 
 
@@ -248,7 +249,7 @@ def _routable_size(graph, requests, blocked):
         masks = [m for m in graph.routes(r.x, r.y).values() if not m & blocked]
         if masks:
             lists.append(masks)
-    return _most(lists, 0, 0, 0, 0)
+    return _most(lists, len(lists), 0, 0, 0, 0)
 
 
 def max_allocatable(graph, requests, blocked=0):

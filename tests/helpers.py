@@ -2,7 +2,8 @@
 canonical enumeration of small free trees, request sampling, the paths of
 the committed instance files, a key wrapper that counts its evaluations,
 the walk-based reference geometry that the library's edge masks are
-checked against, the plain subset scans that the oracle's canonical
+checked against, the negated-key sort that reversed orders are checked
+against, the plain subset scans that the oracle's canonical
 witnesses are checked against, the depth-first route enumeration, walk
 check and subset-and-product routing scan that the grid's route table
 and oracle are checked against, and the round-by-round string-guessing
@@ -14,7 +15,7 @@ import itertools
 from functools import lru_cache
 from pathlib import Path
 
-from priodpa import Instance, PropertyViolation, Request, Session, TreeGraph
+from priodpa import Instance, InvalidOrderError, PropertyViolation, Request, Session, TreeGraph
 from priodpa.graphs import PathGraph, gain, ratio
 from priodpa.reduction import BlockRecord, GuessOutcome, _parse_bits
 from priodpa.trees import sigma
@@ -158,6 +159,21 @@ def counting_key(base):
         return base(r)
 
     return key, evals
+
+
+def reference_sort(key, name, requests, negate):
+    """``requests`` ranked by the rule reversed orders once followed: a
+    stable sort by ``key``, with every entry of the key tuple negated when
+    ``negate`` holds.  A tie anywhere raises InvalidOrderError naming the
+    order ``name`` and the first tied pair in presentation order, as
+    ``PriorityOrder.rank`` does."""
+    items = list(requests)
+    keys = [tuple(-k for k in key(r)) if negate else key(r) for r in items]
+    idx = sorted(range(len(items)), key=keys.__getitem__)
+    for a, b in zip(idx, idx[1:]):
+        if not keys[a] < keys[b]:
+            raise InvalidOrderError(f"{name}: {items[a]} and {items[b]} are not strictly ordered")
+    return [items[i] for i in idx]
 
 
 def scan_opt(requests, mode):

@@ -39,20 +39,20 @@ MUTANTS = {
     ),
     "reversed-keeps-base-key": (
         "engine.py",
-        "return PriorityOrder(self._negated_key,",
-        "return PriorityOrder(self._key,",
+        "        back.descending = not self.descending\n",
+        "        back.descending = self.descending\n",
         "tests/test_engine.py",
     ),
     "sort-without-strictness": (
         "engine.py",
-        "                if not keys[a] < keys[b]:\n",
+        "                if keys[a] == keys[b]:\n",
         "                if False:\n",
         "tests/test_engine.py",
     ),
     "rank-without-tie-gate": (
         "engine.py",
-        "        if len(set(keys)) != len(keys):\n",
-        "        if False:\n",
+        "        if len(set(keys)) != len(keys):\n            # the sort is stable",
+        "        if False:\n            # the sort is stable",
         "tests/test_engine.py",
     ),
     "drain-resumes-past-a-live-request": (
@@ -135,8 +135,8 @@ MUTANTS = {
     ),
     "grid-size-bound-too-tight": (
         "oracle.py",
-        "    if got + len(lists) - i - 1 > best:\n",
-        "    if got + len(lists) - i - 2 > best:\n",
+        "    if got + n - i - 1 > best:\n",
+        "    if got + n - i - 2 > best:\n",
         "tests/test_oracle.py",
     ),
     "grid-size-scanned-downward": (
@@ -161,6 +161,12 @@ MUTANTS = {
         "graphs.py",
         "bits[v, w] = bits[w, v] = 1 << i",
         "bits[v, w], bits[w, v] = 1 << 2 * i, 1 << 2 * i + 1",
+        "tests/test_grid.py",
+    ),
+    "route-step-wrong-edge-bit": (
+        "graphs.py",
+        "tuple((w, vbit[w], bits[v, w], (v, w)) for w in nbs)",
+        "tuple((w, vbit[w], vbit[w], (v, w)) for w in nbs)",
         "tests/test_grid.py",
     ),
     "grid-route-one-direction": (
@@ -258,8 +264,14 @@ MUTANTS = {
     ),
     "max-of-takes-last": (
         "engine.py",
-        "return items[self.rank(items)[0]]",
-        "return items[self.rank(items)[-1]]",
+        "return items[keys.index(max(keys) if self.descending else min(keys))]",
+        "return items[keys.index(min(keys) if self.descending else max(keys))]",
+        "tests/test_engine.py",
+    ),
+    "max-of-ignores-descending": (
+        "engine.py",
+        "return items[keys.index(max(keys) if self.descending else min(keys))]",
+        "return items[keys.index(min(keys))]",
         "tests/test_engine.py",
     ),
     "validate-takes-an-unrouted-grid-solution": (

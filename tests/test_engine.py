@@ -38,8 +38,17 @@ from priodpa import (
 from priodpa.battery import _hash_key, battery
 from priodpa.engine import RejectFirst, adversary_game
 from priodpa.paths import greedy_path_algorithm, right_end_order
+from priodpa.reduction import _path_gadget, _star_gadget
 
-from helpers import DEMO, NESTED_EDGES, all_pairs, counting_key, random_instance, random_tree
+from helpers import (
+    DEMO,
+    NESTED_EDGES,
+    all_pairs,
+    counting_key,
+    random_instance,
+    random_tree,
+    reference_sort,
+)
 
 
 def _p5_instance():
@@ -235,6 +244,52 @@ def test_repeated_max_of_answers_like_a_fresh_order():
     assert tied == {False, True}
 
 
+def _ranked(rank, requests):
+    try:
+        return rank(requests)
+    except InvalidOrderError as exc:
+        return str(exc)
+
+
+def test_one_pass_max_of_and_flipped_ranking_match_the_negated_key_sort():
+    """Every battery strategy's order, forward and reversed, against the
+    sort by negated keys that reversal used to be: ``max_of`` is ``sort``'s
+    top or raises its tie, and ``sort`` is the reference's.  The candidate
+    sets are the P_{3,8} universe, the 16-bit path gadget, the
+    fig9_tree(12) star gadget and 50 seeded subsets of each, drawn with
+    value-equal copies that tie any key; a tie-prone order (by x*y mod 7)
+    rides along.  It takes about 0.4 s (Python 3.11, 2-vCPU VM)."""
+    rng = random.Random(27)
+    tree = fig9_tree(12)
+    _, longs, units = PabParams(3, 8).universe
+    path_sets = [longs + units, _path_gadget(16)[2]]
+    hosts = {"dpa-path": path_sets, "lwdpa": path_sets, "cat": [_star_gadget(tree)[2]]}
+    tie_prone = PriorityOrder(lambda r: (r.x * r.y % 7, r.x), name="tie-prone")
+    outcomes = set()
+    for problem, bases in hosts.items():
+        algs = battery(problem)
+        for base in bases:
+            graph = base[0].graph
+            pool = list(base) + [Request(graph, r.x, r.y) for r in rng.sample(base, 8)]
+            sets = [base] + [rng.sample(pool, rng.randint(1, 20)) for _ in range(50)]
+            orders = [(alg.initial_order(graph, None), alg.name == "greedy-reversed") for alg in algs]
+            orders.append((tie_prone, False))
+            for order, negate in orders:
+                for o, neg in ((order, negate), (order.reversed(), not negate)):
+                    for c in sets:
+                        ranked = _ranked(o.sort, c)
+                        assert ranked == _ranked(lambda c: reference_sort(o._key, o.name, c, neg), c)
+                        top = _ranked(o.max_of, c)
+                        if isinstance(ranked, str):
+                            assert top == ranked
+                        else:
+                            assert top is ranked[0]
+                        outcomes.add(type(ranked))
+                    with pytest.raises(InvalidParameterError, match="max_of on an empty set"):
+                        o.max_of([])
+    assert outcomes == {list, str}
+
+
 def test_sha_keys_are_the_hexdigest_integers():
     for graph in (PathGraph(7), TreeGraph(NESTED_EDGES)):
         for r in all_pairs(graph):
@@ -244,9 +299,9 @@ def test_sha_keys_are_the_hexdigest_integers():
 
 
 def test_a_battery_hashes_each_endpoint_pair_once_per_seed(monkeypatch):
-    """Each random-order strategy keeps the digests it computed for as
-    long as its battery lives, across games and hosts: a digest depends on
-    the seed and the endpoints alone."""
+    """Each random-order strategy keeps the keys it computed for as long
+    as its battery lives, across games and hosts: a key depends on the
+    seed and the endpoints alone."""
     small, large = PathGraph(7), PathGraph(9)
     instances = [Instance(small, all_pairs(small)), Instance(large, all_pairs(large))]
     hashed = []
