@@ -137,10 +137,15 @@ def exhaustive_verify_3x3():
     eight grid automorphisms.  The algorithm's continuation is routed
     around each routing; the optima, which do not depend on the routing,
     are computed once per call for each follow-up set and each pair of
-    served request and follow-ups, and each follow-up set is built once
-    per call.  All three are keyed by endpoint pairs, not by requests.
-    Each of the 132 optima is asked of ``oracle._routable_size``, which
-    finds the size alone, so no subset, routing or witness is built.
+    served request and follow-ups.  Each follow-up set is built once per
+    call, and its route masks are read from the route table then; the
+    served request's masks are those of the table the routings come
+    from.  All three are keyed by endpoint pairs, not by requests.  Each
+    of the 132 optima is asked of ``oracle._routable_size``, which finds
+    the size alone, so no subset, routing or witness is built.  An
+    optimum with the served request starts at its follow-ups' optimum,
+    which it can only exceed, so the search prunes every skip that
+    cannot beat it.
     """
     g = GridGraph()
     pairs = distance3_pairs(g)
@@ -149,21 +154,24 @@ def exhaustive_verify_3x3():
     for phi in grid_automorphisms():
         orbit.add(Request(g, phi(base.x), phi(base.y)))
     cases = []
-    built = {}  # follow-up requests by their endpoint pairs
+    built = {}  # follow-ups' route mask lists by their endpoint pairs
     fols, opts = {}, {}  # optima by follow-up ends, and by (r.x, r.y, ends)
     for r in pairs:
         corner = r.x if r.x in CORNERS else r.y
-        for path, mask in g.routes(corner, r.x if corner == r.y else r.y).items():
+        table = g.routes(corner, r.x if corner == r.y else r.y)
+        own = list(table.values())  # the same edge sets as routes(r.x, r.y)
+        for path, mask in table.items():
             vs, case, ends = _served_case(g, r, path)
             if ends not in built:
-                built[ends] = tuple(Request(g, x, y) for x, y in ends)
-            followups = built[ends]
-            alg_total = 1 + _routable_size(g, followups, mask)
+                followups = (Request(g, x, y) for x, y in ends)
+                built[ends] = [list(g.routes(q.x, q.y).values()) for q in followups]
+            lists = built[ends]
+            alg_total = 1 + _routable_size(lists, mask)
             if ends not in fols:
-                fols[ends] = _routable_size(g, followups, 0)
+                fols[ends] = _routable_size(lists)
             served = (r.x, r.y, ends)
             if served not in opts:
-                opts[served] = _routable_size(g, (r,) + followups, 0)
+                opts[served] = _routable_size([own, *lists], 0, fols[ends])
             fol, opt = fols[ends], opts[served]
             rho = ratio(opt, alg_total)
             if case == "corner":

@@ -33,11 +33,16 @@ are tried from the largest size down, in increasing mask order within a
 size, and the first that routes is returned.  Every larger subset has
 failed by then, and so has every smaller mask of its size, so this is the
 witness an increasing scan of all masks keeps; and no subset is searched
-that such a scan would skip.  ``_routable_size`` finds sizes only: one
-depth-first search over route masks routes or skips each request in turn,
-stops once every request is routed, and drops a skip that cannot beat the
-best size so far.  A caller that reads only the optimum asks it, and no
-subset, routing or witness is built.
+that such a scan would skip.  ``_routable_size`` finds sizes only, from
+lists of route masks (one list per request) that its caller reads from the
+route table once: one depth-first search starts with the mask of blocked
+edges as its used edges, routes or skips each request in turn, stops once
+every request is routed, and drops a skip that cannot beat the best size
+so far.  A caller that already knows a size some subset reaches passes it
+as the floor the best starts at, so the search only looks for a larger
+one; the floor only prunes, and the answer is the larger of the floor and
+the optimum.  A caller that reads only the optimum asks it, and no subset,
+routing or witness is built.
 
 The searches leave no cyclic garbage: each recursion is a module-level
 function that is handed all of its state, so nothing it builds refers
@@ -238,18 +243,14 @@ def _most(lists, n, i, used, got, best):
     return best
 
 
-def _routable_size(graph, requests, blocked):
-    """The size of the largest subset of ``requests`` that routes on the
-    grid's edges outside the mask ``blocked``: ``max_allocatable``'s
-    optimum, with no witness."""
-    if len(requests) > 12:
+def _routable_size(lists, blocked=0, best=0):
+    """The larger of ``best`` and the size of the largest subset of the
+    requests that routes on the grid's edges outside the mask ``blocked``,
+    where ``lists[i]`` holds request i's route masks: ``max_allocatable``'s
+    optimum, with no witness, when ``best`` is 0."""
+    if len(lists) > 12:
         raise InstanceTooLargeError("grid routing search capped at 12 requests")
-    lists = []
-    for r in requests:
-        masks = [m for m in graph.routes(r.x, r.y).values() if not m & blocked]
-        if masks:
-            lists.append(masks)
-    return _most(lists, len(lists), 0, 0, 0, 0)
+    return _most(lists, len(lists), 0, blocked, 0, best)
 
 
 def max_allocatable(graph, requests, blocked=0):

@@ -147,9 +147,21 @@ MUTANTS = {
     ),
     "verify-cont-keyed-by-followups": (
         "grid.py",
-        "            alg_total = 1 + _routable_size(g, followups, mask)\n",
-        "            alg_total = 1 + fols.setdefault((\"cont\", ends), _routable_size(g, followups, mask))\n",
+        "            alg_total = 1 + _routable_size(lists, mask)\n",
+        "            alg_total = 1 + fols.setdefault((\"cont\", ends), _routable_size(lists, mask))\n",
         "tests/test_golden.py",
+    ),
+    "verify-opt-floor-off-by-one": (
+        "grid.py",
+        "_routable_size([own, *lists], 0, fols[ends])\n",
+        "_routable_size([own, *lists], 0, fols[ends] + 1)\n",
+        "tests/test_grid.py",
+    ),
+    "routable-size-ignores-blocked": (
+        "oracle.py",
+        "    return _most(lists, len(lists), 0, blocked, 0, best)\n",
+        "    return _most(lists, len(lists), 0, 0, 0, best)\n",
+        "tests/test_oracle.py",
     ),
     "served-case-drops-reverse": (
         "grid.py",

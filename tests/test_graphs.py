@@ -331,6 +331,24 @@ def test_tree_graph_rejects_cycles_and_forests():
         TreeGraph([(0, 1), (2, 3)])
 
 
+def test_a_forest_with_a_cycle_is_not_connected():
+    # 3 and 4 are leaves, so the cycle check passes and the walk from
+    # root 3 never meets the triangle
+    with pytest.raises(InvalidTreeError) as exc:
+        TreeGraph([(0, 1), (1, 2), (2, 0), (3, 4)])
+    assert str(exc.value) == "edge list is not connected"
+
+
+def test_unknown_modes_and_kinds_are_named():
+    g = PathGraph(3)
+    with pytest.raises(InvalidParameterError) as exc:
+        gain(Solution(g, ()), "weight")
+    assert str(exc.value) == "unknown gain mode 'weight'"
+    with pytest.raises(InvalidParameterError) as exc:
+        graph_from_json({"kind": "cube"})
+    assert str(exc.value) == "unknown graph kind 'cube'"
+
+
 def test_tree_graph_reports_the_first_fault_as_before():
     # the integer check covers the whole list first; then each edge is
     # checked in input order, for range before repetition

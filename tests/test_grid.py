@@ -13,6 +13,7 @@ from priodpa import (
     Request,
     Session,
     gain,
+    max_allocatable,
     run,
     validate_solution,
 )
@@ -73,8 +74,9 @@ def test_exhaustive_case_analysis_passes():
 
 
 def test_the_case_analysis_computes_each_optimum_once(monkeypatch):
-    calls, nodes = [0], [0]
+    calls, nodes, tables = [0], [0], [0]
     real_routable_size, real_most = grid._routable_size, oracle._most
+    real_routes = GridGraph.routes
 
     def counted_routable_size(*args):
         calls[0] += 1
@@ -84,15 +86,41 @@ def test_the_case_analysis_computes_each_optimum_once(monkeypatch):
         nodes[0] += 1
         return real_most(*args)
 
+    def counted_routes(self, x, y):
+        tables[0] += 1
+        return real_routes(self, x, y)
+
     # the verify asks the search only for sizes, never max_allocatable
     monkeypatch.setattr(grid, "max_allocatable", None)
     monkeypatch.setattr(grid, "_routable_size", counted_routable_size)
     monkeypatch.setattr(oracle, "_most", counted_most)
+    monkeypatch.setattr(GridGraph, "routes", counted_routes)
     assert exhaustive_verify_3x3().passed
     # one call per routing (80), per distinct follow-ups (12) and per
     # distinct served request and follow-ups (40)
     assert calls[0] == 132
-    assert nodes[0] == 1570
+    # an optimum with the served request starts at its follow-ups'
+    # optimum, so its search never looks at a skip that cannot beat it
+    assert nodes[0] == 1207
+    # one route table per served pair (8) and one per follow-up of each
+    # distinct follow-up set (32): the searches read mask lists only
+    assert tables[0] == 40
+
+
+def test_each_case_optimum_matches_the_witness_search():
+    # max_allocatable starts at no floor, so this checks the verify's
+    # floored size searches independently
+    g = GridGraph()
+    for c in exhaustive_verify_3x3().cases:
+        route = tuple(zip(c.path, c.path[1:]))
+        mask = g.routes(c.path[0], c.path[-1])[route]
+        _, case, ends = _served_case(g, c.request, route)
+        followups = tuple(Request(g, x, y) for x, y in ends)
+        assert case == c.case
+        assert c.alg_total == 1 + max_allocatable(g, followups, mask).optimum
+        assert c.followup_only == max_allocatable(g, followups).optimum
+        assert c.opt == max_allocatable(g, (c.request, *followups)).optimum
+        assert c.ratio == Fraction(c.opt, c.alg_total)
 
 
 def test_every_routing_is_a_corner_or_center_case():

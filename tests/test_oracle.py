@@ -9,6 +9,7 @@ from priodpa import (
     GridGraph,
     Instance,
     InstanceTooLargeError,
+    InvalidParameterError,
     OracleResult,
     PathGraph,
     Request,
@@ -144,6 +145,22 @@ def test_cap_governs_instance_size():
     inst = Instance(g, units)
     with pytest.raises(InstanceTooLargeError):
         brute_force_opt(inst, "count")
+
+
+def test_oracle_guards_name_the_unsupported_input():
+    p, gg = PathGraph(4), GridGraph()
+    path_inst = Instance(p, [Request(p, 0, 2)])
+    grid_inst = Instance(gg, [Request(gg, (0, 0), (1, 2))])
+    faults = [
+        (lambda: brute_force_opt(path_inst, "weight"), "unknown gain mode 'weight'"),
+        (lambda: brute_force_opt(grid_inst, "length"), "grid oracle supports count gain only"),
+        (lambda: greediest_opt(grid_inst, right_end_order(p)),
+         "greediest_opt is only defined on cycle-free hosts"),
+    ]
+    for call, message in faults:
+        with pytest.raises(InvalidParameterError) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 def test_dense_component_up_to_the_cap_is_solved():
@@ -405,9 +422,16 @@ def test_grid_allocation_search():
 
     thirteen = [Request(gg, (0, 0), (r, c)) for r in range(3) for c in range(3) if (r, c) != (0, 0)] + [Request(gg, (0, 1), (1, c)) for c in range(3)] + [Request(gg, (0, 1), (2, 0)), Request(gg, (0, 1), (2, 1))]
     assert len(thirteen) == 13
-    for search in (max_allocatable, _routable_size):
-        with pytest.raises(InstanceTooLargeError):
-            search(gg, thirteen, 0)
+    with pytest.raises(InstanceTooLargeError, match="capped at 12 requests"):
+        max_allocatable(gg, thirteen)
+    with pytest.raises(InstanceTooLargeError, match="capped at 12 requests"):
+        _routable_size(_mask_lists(gg, thirteen))
+    assert _routable_size(_mask_lists(gg, thirteen[:12])) >= 1
+
+
+def _mask_lists(graph, requests):
+    """Each request's route masks, the lists ``_routable_size`` reads."""
+    return [list(graph.routes(r.x, r.y).values()) for r in requests]
 
 
 def test_grid_oracle_matches_the_subset_and_product_reference():
@@ -434,7 +458,11 @@ def test_grid_oracle_matches_the_subset_and_product_reference():
         ref_count, ref_accepted, ref_alloc = reference_max_allocatable(gg, reqs, blocked)
         assert (count, witness.accepted) == (ref_count, ref_accepted), (reqs, blocked)
         assert list(witness.allocations.items()) == list(ref_alloc.items()), (reqs, blocked)
-        assert _routable_size(gg, reqs, blocked) == ref_count, (reqs, blocked)
+        lists = _mask_lists(gg, reqs)
+        # the floor only prunes: every floor up to one past the request
+        # count gives the larger of the floor and the optimum
+        for floor in range(len(reqs) + 2):
+            assert _routable_size(lists, blocked, floor) == max(floor, ref_count), (reqs, blocked, floor)
         if blocked == every_edge:
             assert count == 0
         routed.add(count)

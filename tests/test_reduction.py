@@ -15,6 +15,7 @@ from priodpa import (
 from priodpa.battery import AdaptiveFlip, battery
 from priodpa.lwdpa import greedy_lwdpa_algorithm
 from priodpa.reduction import (
+    _parse_bits,
     _path_gadget,
     binary_entropy,
     entropy_lower_bound,
@@ -42,6 +43,17 @@ def test_entropy_bound_domain():
             entropy_lower_bound(eps)
     with pytest.raises(InvalidParameterError):
         binary_entropy(-0.1)
+
+
+def test_entropy_of_a_certain_bit_is_zero():
+    assert binary_entropy(0) == binary_entropy(1) == 0.0
+
+
+def test_hidden_bits_parse_from_a_list():
+    assert _parse_bits([0, 1, 1]) == [0, 1, 1]
+    with pytest.raises(InvalidParameterError) as exc:
+        _parse_bits([2])
+    assert str(exc.value) == "hidden string must be nonempty over {0,1}"
 
 
 def test_entropy_bound_grows_with_epsilon():
