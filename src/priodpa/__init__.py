@@ -49,7 +49,6 @@ from .paths import greedy_path_algorithm, greedy_paths, right_end_order
 from .lwdpa import (
     PabParams,
     adversary_play_lwdpa,
-    build_pab,
     encode_lwdpa_advice,
     greedy_lwdpa,
     greedy_lwdpa_algorithm,

@@ -170,9 +170,6 @@ class AdviceWriter:
         for i in range(width - 1, -1, -1):
             self._bits.append("1" if (value >> i) & 1 else "0")
 
-    def __len__(self):
-        return len(self._bits)
-
     def tape(self):
         return AdviceTape("".join(self._bits))
 

@@ -403,9 +403,6 @@ class Instance:
     def __len__(self):
         return len(self.requests)
 
-    def __iter__(self):
-        return iter(self.requests)
-
     def __eq__(self, other):
         return (
             isinstance(other, Instance)

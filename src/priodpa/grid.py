@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import GridGraph, Instance, PropertyViolation, Request, ratio
+from .graphs import GridGraph, PropertyViolation, Request, ratio
 from .engine import Decision, PriorityAlgorithm, PriorityOrder, RejectFirst, adversary_game
 from .oracle import _routable_size, max_allocatable
 
@@ -97,7 +97,7 @@ def grid_adversary(algorithm):
     def answer(r, first):
         _, case, ends = _served_case(g, r, first.allocation)
         followups = tuple(Request(g, x, y) for x, y in ends)
-        return case, followups, max_allocatable(g, Instance(g, (r, *followups)).requests).witness
+        return case, followups, max_allocatable(g, (r, *followups)).witness
 
     return adversary_game(algorithm, g, distance3_pairs(g), answer)
 

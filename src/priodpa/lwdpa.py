@@ -88,24 +88,14 @@ class PabParams:
 
     @cached_property
     def universe(self):
-        """``build_pab``'s tuple, built on first use and kept on this object."""
+        """Host path, the long requests p_1..p_{2b-1} and all unit requests,
+        built on first use and kept on this object."""
         g = PathGraph(self.l)
         longs = tuple(Request(g, *self.span_of(i)) for i in range(1, 2 * self.b))
         if longs[-1].y != self.l:
             raise PropertyViolation("the layer structure must end exactly at l")
         units = tuple(Request(g, e, e + 1) for e in range(self.l))
         return g, longs, units
-
-
-def build_pab(params):
-    """Host path, the long requests p_1..p_{2b-1}, and all unit requests.
-
-    The tuple is computed once per ``PabParams`` object and kept on it,
-    so every game played on one object shares it.  It is immutable (a
-    path, tuples of requests) and refers only to its own host, never back
-    to ``params``.
-    """
-    return params.universe
 
 
 def adversary_play_lwdpa(algorithm, params):
@@ -116,7 +106,7 @@ def adversary_play_lwdpa(algorithm, params):
     r* with the case-specific follow-ups (``adversary_game`` ends a
     rejected one at ratio infinity).
     """
-    g, longs, units = build_pab(params)
+    g, longs, units = params.universe
     b = params.b
 
     def answer(r_star, first):

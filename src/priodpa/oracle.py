@@ -71,6 +71,8 @@ class InstanceTooLargeError(PriodpaError, RuntimeError):
 
 # the size limit of every exact search, in requests
 CAP = 22
+# the grid routing searches' own, lower limit
+GRID_CAP = 12
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -184,7 +186,7 @@ def brute_force_opt(instance, mode="count"):
 
     ``CAP`` is the one size limit: an instance with more requests raises
     InstanceTooLargeError, whatever its conflict structure.  Grids also
-    stop at 12 requests.
+    stop at ``GRID_CAP`` requests.
     """
     _check_cap(instance)
     if instance.graph.kind == "grid":
@@ -227,7 +229,7 @@ def _route(path_lists, i, used, alloc):
 def _most(lists, n, i, used, got, best):
     """The larger of ``best`` and the most requests that route when ``got``
     of them already hold the edge mask ``used`` and the rest come from
-    request i on.  ``lists[i]`` holds request i's free route masks, and
+    request i on.  ``lists[i]`` holds request i's route masks, and
     ``n`` is ``len(lists)``.  Every piece of state is passed in, as in
     ``_walk``."""
     if i == n:
@@ -248,33 +250,28 @@ def _routable_size(lists, blocked=0, best=0):
     requests that routes on the grid's edges outside the mask ``blocked``,
     where ``lists[i]`` holds request i's route masks: ``max_allocatable``'s
     optimum, with no witness, when ``best`` is 0."""
-    if len(lists) > 12:
-        raise InstanceTooLargeError("grid routing search capped at 12 requests")
+    if len(lists) > GRID_CAP:
+        raise InstanceTooLargeError(f"grid routing search capped at {GRID_CAP} requests")
     return _most(lists, len(lists), 0, blocked, 0, best)
 
 
-def max_allocatable(graph, requests, blocked=0):
-    """Largest routable subset of ``requests`` on the grid's edges outside
-    the mask ``blocked``.
+def max_allocatable(graph, requests):
+    """Largest routable subset of ``requests`` on the grid.
 
     Returns an OracleResult, as ``brute_force_opt`` does, whose witness
     holds the routes.  Over endpoint-sorted requests (request i is bit i)
     it is the smallest routable mask of the largest routable size, routed
     by the first routing the depth-first search meets.  Sizes are tried
-    from the number of requests with a free route down, and the masks of
-    one size in increasing order, so the first subset that routes is that
-    witness; a subset holding a request without a free route is never
-    searched.
+    from the number of requests down, and the masks of one size in
+    increasing order, so the first subset that routes is that witness.
     """
     reqs = sorted(requests, key=lambda r: r.key)
-    if len(reqs) > 12:
-        raise InstanceTooLargeError("grid routing search capped at 12 requests")
-    lists = [[(p, m) for p, m in graph.routes(r.x, r.y).items() if not m & blocked]
-             for r in reqs]
-    free = [i for i, routes in enumerate(lists) if routes]
-    for size in range(len(free), 0, -1):
+    if len(reqs) > GRID_CAP:
+        raise InstanceTooLargeError(f"grid routing search capped at {GRID_CAP} requests")
+    lists = [list(graph.routes(r.x, r.y).items()) for r in reqs]
+    for size in range(len(reqs), 0, -1):
         # increasing masks: compare the highest bits first
-        for picked in sorted(combinations(free, size), key=lambda c: c[::-1]):
+        for picked in sorted(combinations(range(len(reqs)), size), key=lambda c: c[::-1]):
             alloc = []
             if _route([lists[i] for i in picked], 0, 0, alloc):
                 accepted = tuple(reqs[i] for i in picked)

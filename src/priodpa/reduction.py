@@ -197,12 +197,14 @@ def _path_gadget(n):
 
 def run_tguess(algorithm, tree, bits):
     """Tree gadget: each packed 4-star carries the six leaf pairs; a wrong
-    guess caps the block at 1 call, a right one yields 2."""
+    guess caps the block at 1 call, a right one yields 2.  The star count
+    is read off the gadget, six requests per star."""
     hidden = _parse_bits(bits)
-    n, stars = len(hidden), len(pack_s4(tree))
+    gadget = _star_gadget(tree)
+    n, stars = len(hidden), len(gadget[2]) // 6
     if stars < n:
         raise InvalidTreeError(f"tree packs only {stars} 4-stars, need {n}")
-    return _guessing_game(algorithm, _star_gadget(tree), hidden)
+    return _guessing_game(algorithm, gadget, hidden)
 
 
 _last_star_gadget = (None, None)  # the last tree of run_tguess and its gadget

@@ -109,9 +109,7 @@ def _remaining_children(tree, v, blocked_mask):
     return [c for c in tree.children[v] if not (blocked_mask >> c) & 1]
 
 
-def _infer_last(read_labels, n_v):
-    if n_v == 0:
-        return []
+def _infer_last(read_labels):
     counts = {}
     for lab in read_labels:
         if lab > 0:
@@ -163,7 +161,7 @@ class CatAdviceAlgorithm(PriorityAlgorithm):
         if self.labels is None:
             remaining = _remaining_children(tree, v, state.blocked_mask)
             fields = self.phase_fields(remaining, _field_width(tree.degree[v]), state.tape)
-            self.labels = dict(zip(remaining, _infer_last(fields, len(remaining))))
+            self.labels = dict(zip(remaining, _infer_last(fields)))
         cx, cy = _sides(tree, request, v)
         lab = self.labels.get(cx, 0)
         return Decision(request, fits and lab > 0 and lab == self.labels.get(cy, 0))
@@ -218,19 +216,7 @@ def pack_s4(tree):
     """Edge-disjoint 4-star copies, at least sigma(T) many, as a tuple of
     ``(centre, leaves)`` pairs.
 
-    The packing is computed once per tree object and kept on it, as
-    ``TreeGraph.children`` is, so every game played on one tree shares it.
-    It holds only ints, so it is immutable and refers to nothing that
-    refers back to the tree.
-    """
-    memo = vars(tree)
-    if "pack_s4" not in memo:
-        memo["pack_s4"] = _pack_s4(tree)
-    return memo["pack_s4"]
-
-
-def _pack_s4(tree):
-    """Repeatedly take the smallest-id degree >= 4 vertex with at most one
+    Repeatedly take the smallest-id degree >= 4 vertex with at most one
     degree >= 4 neighbour (a leaf of the induced high-degree forest — one
     always exists), cut floor(deg/4) stars from consecutive groups of its
     sorted neighbours, then delete the vertex.  Degrees only fall, so a

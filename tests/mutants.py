@@ -97,12 +97,6 @@ MUTANTS = {
         "up[w] = up[v] | 1 << v",
         "tests/test_trees.py",
     ),
-    "s4-packing-shared-across-trees": (
-        "trees.py",
-        "    memo = vars(tree)\n",
-        "    memo = vars(pack_s4)\n",
-        "tests/test_trees.py",
-    ),
     "sides-larger-first": (
         "trees.py",
         "cx, cy = (c for c in tree.children[v] if mask >> c & 1)",
@@ -201,8 +195,8 @@ MUTANTS = {
     ),
     "pab-universe-ignores-params": (
         "lwdpa.py",
-        "    return params.universe\n",
-        "    return vars(build_pab).setdefault(\"universe\", params.universe)\n",
+        "    g, longs, units = params.universe\n",
+        "    g, longs, units = vars(adversary_play_lwdpa).setdefault(\"universe\", params.universe)\n",
         "tests/test_lwdpa.py",
     ),
     "digest-memo-shared-across-seeds": (
@@ -215,6 +209,12 @@ MUTANTS = {
         "reduction.py",
         "    if last is not tree:\n",
         "    if last is None:\n",
+        "tests/test_reduction.py",
+    ),
+    "tguess-star-count-wrong-block": (
+        "reduction.py",
+        "len(gadget[2]) // 6",
+        "len(gadget[2]) // 4",
         "tests/test_reduction.py",
     ),
     "adversary-skips-witness-check": (

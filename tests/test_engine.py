@@ -161,6 +161,11 @@ def test_adaptive_presented_request_is_stepwise_maximum():
                 assert fed == [d.request for d in log]
 
 
+def test_battery_names_an_unknown_problem_family():
+    with pytest.raises(InvalidParameterError, match="^unknown problem family 'nope'$"):
+        battery("nope")
+
+
 def test_key_evaluations_are_one_per_request():
     """A fixed order is sorted once, ``sort`` decorates once, and a reversed
     order's ``max_of`` is one pass; the adaptive flipper's two order

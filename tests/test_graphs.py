@@ -293,6 +293,19 @@ def test_building_an_instance_hashes_no_request(monkeypatch):
         assert calls[0] == 0
 
 
+def test_hosts_repr_as_the_call_that_builds_them():
+    for g in (PathGraph(6), TreeGraph(NESTED_EDGES), GridGraph()):
+        assert eval(repr(g)) == g
+
+
+def test_equal_instances_hash_equal_and_repr_their_host_and_size():
+    g = PathGraph(5)
+    inst = Instance(g, [Request(g, 1, 3), Request(g, 0, 2)])
+    twin = Instance(PathGraph(5), [Request(g, 0, 2), Request(g, 1, 3)])
+    assert inst == twin and hash(inst) == hash(twin)
+    assert repr(inst) == "Instance(PathGraph(5), 2 requests)"
+
+
 def test_instance_rejects_foreign_graph():
     g, h = PathGraph(5), PathGraph(7)
     with pytest.raises(InvalidRequestError):

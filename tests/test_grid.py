@@ -32,7 +32,7 @@ from priodpa.grid import (
     _served_case,
 )
 
-from helpers import simple_paths, walk_ok
+from helpers import reference_max_allocatable, simple_paths, walk_ok
 
 
 def test_grid_shape():
@@ -108,8 +108,8 @@ def test_the_case_analysis_computes_each_optimum_once(monkeypatch):
 
 
 def test_each_case_optimum_matches_the_witness_search():
-    # max_allocatable starts at no floor, so this checks the verify's
-    # floored size searches independently
+    # max_allocatable and the subset reference start at no floor, so this
+    # checks the verify's floored size searches independently
     g = GridGraph()
     for c in exhaustive_verify_3x3().cases:
         route = tuple(zip(c.path, c.path[1:]))
@@ -117,7 +117,7 @@ def test_each_case_optimum_matches_the_witness_search():
         _, case, ends = _served_case(g, c.request, route)
         followups = tuple(Request(g, x, y) for x, y in ends)
         assert case == c.case
-        assert c.alg_total == 1 + max_allocatable(g, followups, mask).optimum
+        assert c.alg_total == 1 + reference_max_allocatable(g, followups, mask)[0]
         assert c.followup_only == max_allocatable(g, followups).optimum
         assert c.opt == max_allocatable(g, (c.request, *followups)).optimum
         assert c.ratio == Fraction(c.opt, c.alg_total)

@@ -25,7 +25,6 @@ from priodpa.lwdpa import (
     LwdpaAdviceAlgorithm,
     PabParams,
     adversary_play_lwdpa,
-    build_pab,
     encode_lwdpa_advice,
     greedy_lwdpa_algorithm,
     lwdpa_order,
@@ -85,7 +84,7 @@ def test_layer_params():
 
 def test_layer_geometry():
     p = PabParams(4, 3)
-    g, longs, units = build_pab(p)
+    g, longs, units = p.universe
     assert g.length == p.l and len(units) == p.l
     assert longs[0].x == 0 and longs[-1].y == p.l
     for a, b in zip(longs, longs[1:]):
@@ -107,7 +106,7 @@ def test_a_battery_on_one_params_builds_its_universe_once(monkeypatch):
     shared = [adversary_play_lwdpa(alg, p) for alg in battery("lwdpa")]
     # 15 longs and 178 units, once for all fifteen games
     assert built[0] == 193
-    assert build_pab(p) is build_pab(p)
+    assert p.universe is p.universe
     monkeypatch.undo()
     fresh = [adversary_play_lwdpa(alg, PabParams(3, 8)) for alg in battery("lwdpa")]
     assert shared == fresh
@@ -128,6 +127,20 @@ def test_adversary_traps_greedy_at_the_peak():
     assert (out.alg_gain, out.opt_gain) == (24, 64)
     assert out.ratio == Fraction(8, 3)
     assert validate_solution(out.instance, out.opt_witness)
+
+
+def test_an_outer_long_first_gives_exactly_three_minus_one_over_a():
+    # no battery order ranks an outermost long first
+    for a, b in ((3, 2), (3, 8), (4, 10), (5, 3)):
+        p = PabParams(a, b)
+        _, longs, _ = p.universe
+        for first in (longs[0], longs[-1]):
+            order = PriorityOrder(lambda r, f=first: (r != f, r.x - r.y, r.x), name="outer-first")
+            alg = GreedyAlgorithm(lambda g, o=order: o, "outer-first", mode="length")
+            out = adversary_play_lwdpa(alg, p)
+            assert out.case == "outer"
+            assert out.ratio == 3 - Fraction(1, a)
+            assert validate_solution(out.instance, out.opt_witness)
 
 
 def test_adversary_stops_after_a_rejected_first_request():

@@ -23,7 +23,7 @@ from priodpa.reduction import (
     run_guess,
     run_tguess,
 )
-from priodpa import trees
+from priodpa import reduction
 from priodpa.trees import greedy_cat_algorithm, pack_s4, sigma
 
 from helpers import (
@@ -165,18 +165,17 @@ def test_a_battery_on_one_bit_count_builds_its_gadget_once(monkeypatch):
 
 def test_a_battery_on_one_tree_packs_it_once(monkeypatch):
     tree, bits = fig9_tree(12), "101100111010"
-    packed, real_pack = [0], trees._pack_s4
+    packed, real_pack = [0], reduction.pack_s4
 
     def counted_pack(t):
         packed[0] += 1
         return real_pack(t)
 
-    monkeypatch.setattr(trees, "_pack_s4", counted_pack)
+    monkeypatch.setattr(reduction, "pack_s4", counted_pack)
     built = _count_requests(monkeypatch)
     shared = [run_tguess(alg, tree, bits) for alg in battery("cat")]
     # the six leaf pairs of each of the twelve stars, once for all fifteen games
     assert (packed[0], built[0]) == (1, 6 * 12)
-    assert pack_s4(tree) is pack_s4(tree)
     fresh = [run_tguess(alg, fig9_tree(12), bits) for alg in battery("cat")]
     assert (packed[0], built[0]) == (1 + len(fresh), 16 * 6 * 12)
     assert shared == fresh

@@ -227,7 +227,6 @@ def test_star_packing_on_the_eight_star():
 
 def test_each_tree_keeps_its_own_packing():
     small, large = fig9_tree(2), fig9_tree(3)
-    assert pack_s4(small) is pack_s4(small)
     assert pack_s4(large) == reference_pack_s4(large)
     assert len(pack_s4(large)) == 3
     assert pack_s4(fig9_tree(2)) == pack_s4(small)
