@@ -24,11 +24,13 @@ whatever the route).  Every edge set is an int bitmask, built only here:
   table is the one place a grid route is enumerated, validated and masked:
   ``routes(x, y)`` maps each simple x-y route to its mask, and
   ``route_mask`` is the mask of a route of the request in either
-  direction, or 0 for anything else.  Each grid fills its own table, a
-  pair on first use, by walking a fixed step table: for each vertex, each
-  step as (neighbour, the neighbour's vertex bit, the edge's bit, the
-  edge).  The walk keeps its visited vertices as a bitmask and builds a
-  route tuple only when it reaches the far endpoint.
+  direction, or 0 for anything else.  There is one 3x3 grid, so there is
+  one table, ``_GRID_ROUTES``, shared by every ``GridGraph``.  It is
+  filled one pair of distinct vertices at a time, on first use (at most
+  72 entries), by walking a fixed step table: for each vertex, each step
+  as (neighbour, the neighbour's vertex bit, the edge's bit, the edge).
+  The walk keeps its visited vertices as a bitmask and builds a route
+  tuple only when it reaches the far endpoint.
 """
 
 from __future__ import annotations
@@ -224,6 +226,11 @@ def _grid_steps():
 
 _GRID_STEPS = _grid_steps()
 
+# (x, y) -> the read-only table of every simple x-y route, for distinct
+# grid vertices x and y only; its content is fixed by the key and the
+# constants above, so every GridGraph shares it
+_GRID_ROUTES = {}
+
 
 def _fill_routes(v, seen, mask, y, edges, found):
     """Append every simple route to ``y`` that extends the walk ``edges``,
@@ -241,14 +248,11 @@ def _fill_routes(v, seen, mask, y, edges, found):
 
 
 class GridGraph:
-    """The 3x3 grid; vertices are (row, col) pairs.  Each instance keeps
-    its own route table, filled as pairs are asked for; each pair's table
-    is a read-only mapping."""
+    """The 3x3 grid; vertices are (row, col) pairs.  An instance holds no
+    state: every one reads the module's route table, filled as pairs are
+    asked for, and each pair's table is a read-only mapping."""
 
     kind = "grid"
-
-    def __init__(self):
-        self._routes = {}
 
     def vertices(self):
         return tuple((r, c) for r in range(3) for c in range(3))
@@ -269,12 +273,15 @@ class GridGraph:
     def routes(self, x, y):
         """Every simple x-y route (a tuple of (u, v) edges) mapped to its
         edge mask, in vertex-sequence order; built per pair on first use
-        and read-only."""
-        table = self._routes.get((x, y))
+        and read-only.  A pair with no route, because y is x or no vertex,
+        gets a fresh empty mapping and is not stored."""
+        table = _GRID_ROUTES.get((x, y))
         if table is None:
             found = []
             _fill_routes(x, _GRID_VERTEX_BIT[x], 0, y, [], found)
-            table = self._routes[x, y] = MappingProxyType(dict(sorted(found)))
+            table = MappingProxyType(dict(sorted(found)))
+            if found:
+                _GRID_ROUTES[x, y] = table
         return table
 
     def route_mask(self, request, route):

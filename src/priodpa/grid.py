@@ -133,16 +133,20 @@ def exhaustive_verify_3x3():
 
     Asserts the dichotomy (internal corner or center), the per-case
     algorithm caps (1 resp. 2), the follow-up-only optima (2 resp. 3),
-    and ratio >= 2 resp. >= 3/2; cross-checks the pair count against the
-    eight grid automorphisms.  The algorithm's continuation is routed
-    around each routing; the optima, which do not depend on the routing,
-    are computed once per call for each follow-up set and each pair of
-    served request and follow-ups.  Each follow-up set is built once per
-    call, and its route masks are read from the route table then; the
-    served request's masks are those of the table the routings come
-    from.  All three are keyed by endpoint pairs, not by requests.  Each
-    of the 132 optima is asked of ``oracle._routable_size``, which finds
-    the size alone, so no subset, routing or witness is built.  An
+    and ratio >= 2 resp. >= 3/2, each ratio verdict in integers
+    (``opt >= 2 * alg_total`` resp. ``2 * opt >= 3 * alg_total``; the
+    exact ratio is kept only for the report); cross-checks the pair count
+    against the eight grid automorphisms.  The algorithm's continuation is
+    routed around each routing; the optima, which do not depend on the
+    routing, are computed once per call for each follow-up set and each
+    pair of served request and follow-ups.  Each follow-up set is built
+    once per call, and its route masks are read from the route table
+    then; the served request's masks are those of the table the routings
+    come from.  All three are keyed by endpoint pairs, not by requests.
+    Every grid shares one route table, so only the first verify in a
+    process fills its 12 pairs, and later ones fill none.  Each of the
+    132 optima is asked of ``oracle._routable_size``, which finds the
+    size alone, so no subset, routing or witness is built.  An
     optimum with the served request starts at its follow-ups' optimum,
     which it can only exceed, so the search prunes every skip that
     cannot beat it.
@@ -173,12 +177,12 @@ def exhaustive_verify_3x3():
             if served not in opts:
                 opts[served] = _routable_size([own, *lists], 0, fols[ends])
             fol, opt = fols[ends], opts[served]
-            rho = ratio(opt, alg_total)
             if case == "corner":
-                ok = alg_total == 1 and fol == 2 and opt >= 2 and rho >= 2
+                ok = alg_total == 1 and fol == 2 and opt >= 2 and opt >= 2 * alg_total
             else:
-                ok = alg_total <= 2 and fol == 3 and opt >= 3 and rho >= Fraction(3, 2)
-            cases.append(GridCase(r, tuple(vs), case, alg_total, fol, opt, rho, ok))
+                ok = alg_total <= 2 and fol == 3 and opt >= 3 and 2 * opt >= 3 * alg_total
+            cases.append(GridCase(r, tuple(vs), case, alg_total, fol, opt,
+                                  ratio(opt, alg_total), ok))
     report = Grid3x3Report(
         cases=tuple(cases),
         pair_count=len(pairs),

@@ -181,6 +181,18 @@ MUTANTS = {
         "                    or 0)\n",
         "tests/test_grid.py",
     ),
+    "grid-routes-keyed-backward": (
+        "graphs.py",
+        "                _GRID_ROUTES[x, y] = table\n",
+        "                _GRID_ROUTES[y, x] = table\n",
+        "tests/test_grid.py",
+    ),
+    "grid-routes-lookup-drops-y": (
+        "graphs.py",
+        "        table = _GRID_ROUTES.get((x, y))\n",
+        "        table = _GRID_ROUTES.get(x)\n",
+        "tests/test_grid.py",
+    ),
     "cli-parser-per-call": (
         "cli.py",
         "@cache\ndef build_parser():\n",

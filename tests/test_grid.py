@@ -10,6 +10,7 @@ from priodpa import (
     IllegalAcceptanceError,
     Instance,
     PriorityAlgorithm,
+    PriorityOrder,
     Request,
     Session,
     gain,
@@ -17,11 +18,12 @@ from priodpa import (
     run,
     validate_solution,
 )
-from priodpa import grid, oracle
+from priodpa import graphs, grid, oracle
 from priodpa.grid import (
     CENTER,
     CORNERS,
     MIDPOINTS,
+    GridRouter,
     antipode,
     distance3_pairs,
     exhaustive_verify_3x3,
@@ -105,6 +107,33 @@ def test_the_case_analysis_computes_each_optimum_once(monkeypatch):
     # one route table per served pair (8) and one per follow-up of each
     # distinct follow-up set (32): the searches read mask lists only
     assert tables[0] == 40
+
+
+def test_every_grid_reads_one_route_table_filled_once_per_pair(monkeypatch):
+    table = {}
+    monkeypatch.setattr(graphs, "_GRID_ROUTES", table)
+    exhaustive_verify_3x3()
+    # the 8 served pairs from their corners and the 4 distinct follow-up pairs
+    assert len(table) == 12
+    filled = dict(table)
+    exhaustive_verify_3x3()
+    for alg in grid_battery():
+        grid_adversary(alg)
+    assert table.keys() == filled.keys()
+    assert all(table[pair] is routes for pair, routes in filled.items())
+    vs = GridGraph().vertices()
+    for x in vs:
+        for y in vs:
+            if x != y:
+                assert GridGraph().routes(x, y) is GridGraph().routes(x, y)
+    assert len(table) == 72
+    # a pair with no route is answered, as an empty table, but never stored
+    for x, y in (((0, 0), (0, 0)), ((0, 0), (3, 3)), ((0, 0), "a")):
+        assert len(GridGraph().routes(x, y)) == 0
+    with pytest.raises(KeyError) as error:
+        GridGraph().routes((3, 3), (0, 0))
+    assert error.value.args == ((3, 3),)
+    assert len(table) == 72
 
 
 def test_each_case_optimum_matches_the_witness_search():
@@ -215,6 +244,56 @@ def test_a_served_route_walked_from_the_midpoint_reads_as_from_the_corner():
             assert _served_case(g, r, back) == _served_case(g, r, route)
             played += 1
     assert played == 80
+
+
+# (midpoint, corner): its x < y order puts the midpoint first
+_MIDPOINT_FIRST = ((0, 1), (2, 0))
+
+
+class _MidpointFirst(GridRouter):
+    """A GridRouter whose order ranks ``_MIDPOINT_FIRST`` first, so the
+    route it serves runs from the midpoint."""
+
+    def initial_order(self, graph, advice):
+        return PriorityOrder(lambda r: (r.key != _MIDPOINT_FIRST, r.key), name="midpoint-first")
+
+
+def _reference_route(graph, request, used, prefer):
+    """GridRouter's choice, from the reference enumeration: the first
+    simple route of ``request`` that avoids the edges ``used`` (as
+    frozensets), steered by ``prefer`` where it can be; None if none fits."""
+    feasible = [p for p in simple_paths(graph, request.x, request.y)
+                if not used & {frozenset(e) for e in p}]
+    if prefer:
+        via = prefer == "via-center"
+        feasible = [p for p in feasible if any(CENTER in e for e in p) == via] or feasible
+    return feasible[0] if feasible else None
+
+
+@pytest.mark.parametrize("prefer, case, expected", [
+    (None, "center", Fraction(3, 2)),
+    ("via-center", "center", Fraction(3, 2)),
+    ("avoid-center", "corner", Fraction(3)),
+])
+def test_a_game_served_from_the_midpoint_plays_the_reversal(prefer, case, expected):
+    g = GridGraph()
+    served = Request(g, *_MIDPOINT_FIRST)
+    route = _reference_route(g, served, set(), prefer)
+    assert served.x in MIDPOINTS and route[0][0] == served.x
+    assert case == ("center" if any(CENTER in e for e in route) else "corner")
+    out = grid_adversary(_MidpointFirst(prefer, "midpoint-first"))
+    assert out.case == case
+    # the router's follow-ups, first-fit in key order, and the optimum
+    used, alg = {frozenset(e) for e in route}, 1
+    for q in sorted(out.instance.requests, key=lambda q: q.key):
+        p = None if q == served else _reference_route(g, q, used, prefer)
+        if p:
+            used |= {frozenset(e) for e in p}
+            alg += 1
+    opt = reference_max_allocatable(g, out.instance.requests)[0]
+    assert (out.alg_gain, out.opt_gain) == (alg, opt)
+    assert out.ratio == Fraction(opt, alg) == expected
+    assert validate_solution(out.instance, out.opt_witness)
 
 
 def test_route_masks_match_edge_sets_on_every_simple_routing():

@@ -27,7 +27,7 @@ from priodpa import (
 )
 from priodpa.battery import battery
 from priodpa.lwdpa import lwdpa_order
-from priodpa import oracle
+from priodpa import graphs, oracle
 from priodpa.oracle import _components, _conflicts, _routable_size
 from priodpa.paths import right_end_order
 from priodpa.trees import cat_order
@@ -278,10 +278,14 @@ def test_walk_decides_only_requests_that_still_fit(monkeypatch):
         assert nodes(lambda: brute_force_opt(steps, mode)) <= 2046
 
 
-def test_searches_and_route_fill_leave_no_cyclic_garbage():
+def test_searches_and_route_fill_leave_no_cyclic_garbage(monkeypatch):
     """The exact searches, the greedy runs, the grid route fill and the 3x3
     verify free everything they build by reference counting alone: with
-    the collector off, a collection afterwards finds nothing."""
+    the collector off, a collection afterwards finds nothing.  The grid's
+    shared route table starts empty here, so all 72 fills run with the
+    collector off."""
+    routes = {}
+    monkeypatch.setattr(graphs, "_GRID_ROUTES", routes)
     rng = random.Random(18)
     paths = [random_instance(PathGraph(l), 6, rng) for l in (3, 5, 8)]
     trees = [random_instance(random_tree(n, rng), 6, rng) for n in (4, 6, 9)]
@@ -304,6 +308,7 @@ def test_searches_and_route_fill_leave_no_cyclic_garbage():
             for y in vertices:
                 if x != y:
                     GridGraph().routes(x, y)
+        assert len(routes) == 72
         exhaustive_verify_3x3()
         assert gc.collect() == 0
     finally:
