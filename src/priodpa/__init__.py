@@ -65,7 +65,6 @@ from .trees import (
     tree_advice_bound,
 )
 from .reduction import (
-    GuessOutcome,
     binary_entropy,
     entropy_lower_bound,
     fig9_tree,

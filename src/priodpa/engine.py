@@ -376,12 +376,27 @@ def encode_run(encoder, instance, optimum):
 
 @dataclass
 class AdversaryOutcome:
+    """The outcome of every game.  A guessing game of ``reduction`` has no
+    ``case`` or ``opt_witness``, and one BlockRecord per round.  ``passed``:
+    no block gained over its ``opt_gain``, less one after a wrong guess; an
+    adversary round has no records and raises PropertyViolation instead."""
+
     instance: Instance
     ratio: object  # Fraction, or math.inf
     case: str
     alg_gain: int
     opt_gain: int
     opt_witness: Solution
+    records: tuple = ()
+
+    @property
+    def wrong(self):
+        return sum(1 for rec in self.records if not rec.correct)
+
+    @property
+    def passed(self):
+        return all(rec.alg_gain <= (rec.opt_gain if rec.correct else rec.opt_gain - 1)
+                   for rec in self.records)
 
 
 def adversary_game(algorithm, graph, candidates, answer, mode="count"):

@@ -93,13 +93,16 @@ def grid_adversary(algorithm):
     """Play the 3x3 construction; ratio >= 2 (corner case) or >= 3/2
     (center case), infinity if the first request is rejected."""
     g = GridGraph()
+    return adversary_game(algorithm, g, distance3_pairs(g), _grid_answer)
 
-    def answer(r, first):
-        _, case, ends = _served_case(g, r, first.allocation)
-        followups = tuple(Request(g, x, y) for x, y in ends)
-        return case, followups, max_allocatable(g, (r, *followups)).witness
 
-    return adversary_game(algorithm, g, distance3_pairs(g), answer)
+def _grid_answer(r, first):
+    """The case, follow-ups and routed optimum that answer the served
+    routing of r; the grid holds no state, so r's own host serves."""
+    g = r.graph
+    _, case, ends = _served_case(g, r, first.allocation)
+    followups = tuple(Request(g, x, y) for x, y in ends)
+    return case, followups, max_allocatable(g, (r, *followups)).witness
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,7 @@ Three pieces live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from .graphs import (
     InvalidParameterError,
@@ -99,36 +99,32 @@ class PabParams:
 
 
 def adversary_play_lwdpa(algorithm, params):
-    """Play P_{a,b} against a priority algorithm (length objective).
-
-    The universe is every long and every unit request; the adversary reads
-    off the algorithm's top request r*, serves it, and answers an accepted
-    r* with the case-specific follow-ups (``adversary_game`` ends a
-    rejected one at ratio infinity).
-    """
+    """Play P_{a,b} against a priority algorithm (length objective): serve
+    its top long or unit request r* and answer it with ``_pab_answer``."""
     g, longs, units = params.universe
-    b = params.b
+    return adversary_game(algorithm, g, longs + units, partial(_pab_answer, params), "length")
 
-    def answer(r_star, first):
-        if r_star.mask.bit_count() == 1 and r_star not in longs:
-            # unit request: pair it with the lowest-index long containing it
-            follow = next(p for p in longs if p.x <= r_star.x and r_star.y <= p.y)
-            return "unit", (follow,), Solution(g, (follow,))
-        i = longs.index(r_star) + 1
-        if i in (1, 2 * b - 1):
-            # outermost long: its free edges plus the single neighbour
-            neighbours = [longs[1] if i == 1 else longs[2 * b - 3]]
-            case = "outer"
-        else:
-            neighbours = [longs[i - 2], longs[i]]
-            case = "middle" if i != b else "peak"
-        shared = {e for nb in neighbours for e in range(nb.x, nb.y)}
-        frees = [u for u in units
-                 if r_star.x <= u.x and u.y <= r_star.y and u.x not in shared]
-        followups = tuple(neighbours + frees)
-        return case, followups, Solution(g, followups)
 
-    return adversary_game(algorithm, g, list(longs) + list(units), answer, "length")
+def _pab_answer(params, r_star, first):
+    """The case, follow-ups and witness that answer an accepted r*."""
+    g, longs, units = params.universe
+    if r_star.mask.bit_count() == 1 and r_star not in longs:
+        # unit request: pair it with the lowest-index long containing it
+        follow = next(p for p in longs if p.x <= r_star.x and r_star.y <= p.y)
+        return "unit", (follow,), Solution(g, (follow,))
+    i = longs.index(r_star) + 1
+    if i in (1, len(longs)):
+        # outermost long: its free edges plus the single neighbour
+        neighbours = [longs[1] if i == 1 else longs[-2]]
+        case = "outer"
+    else:
+        neighbours = [longs[i - 2], longs[i]]
+        case = "middle" if i != params.b else "peak"
+    shared = {e for nb in neighbours for e in range(nb.x, nb.y)}
+    frees = [u for u in units
+             if r_star.x <= u.x and u.y <= r_star.y and u.x not in shared]
+    followups = tuple(neighbours + frees)
+    return case, followups, Solution(g, followups)
 
 
 # --------------------------------------------------------------------------

@@ -11,6 +11,9 @@ lower bounds:
 * on paths (length objective), blocks of three edges give ratio 3/(2+eps);
 * on trees (count objective), packed 4-stars give ratio 2/(1+eps).
 
+A game returns an ``engine.AdversaryOutcome`` with one BlockRecord per
+round, and its ``passed`` checks each block against the cap above.
+
 The gadget requests are fixed before the game starts, so a game is one
 ``Session.drain`` of all of them: each round's answer withdraws the
 block's requests that are not follow-ups, and the drain ranks the live
@@ -46,7 +49,7 @@ from .graphs import (
     gain,
     ratio,
 )
-from .engine import Session
+from .engine import AdversaryOutcome, Session
 from .trees import pack_s4
 
 
@@ -79,17 +82,6 @@ class BlockRecord:
     correct: bool
     alg_gain: int
     opt_gain: int
-
-
-@dataclass
-class GuessOutcome:
-    instance: Instance
-    records: tuple
-    alg_gain: int
-    opt_gain: int
-    wrong: int
-    ratio: object
-    mode: str
 
 
 def _parse_bits(bits):
@@ -166,10 +158,8 @@ def _guessing_game(algorithm, gadget, hidden):
     records = tuple(
         BlockRecord(b + 1, m, y, d, y == d, per_block[b], block_opt) for (b, m, y, d) in meta
     )
-    alg = gain(session.result().solution, mode)
-    opt = block_opt * n
-    wrong = sum(1 for rec in records if not rec.correct)
-    return GuessOutcome(Instance(graph, served), records, alg, opt, wrong, ratio(opt, alg), mode)
+    alg, opt = gain(session.result().solution, mode), block_opt * n
+    return AdversaryOutcome(Instance(graph, served), ratio(opt, alg), None, alg, opt, None, records)
 
 
 def run_guess(algorithm, bits):

@@ -19,6 +19,7 @@ written to the tape.
 from __future__ import annotations
 
 import heapq
+from functools import partial
 from math import ceil, log2
 
 from .graphs import (
@@ -78,13 +79,15 @@ def tree_adversary(algorithm, tree):
     v0 = min(hubs)
     nb = list(tree.adj[v0])[:4]
     pairs = [Request(tree, a, b) for i, a in enumerate(nb) for b in nb[i + 1:]]
+    return adversary_game(algorithm, tree, pairs, partial(_hub_answer, tree, nb))
 
-    def answer(r, first):
-        x, y = sorted(set(nb) - {r.x, r.y})
-        followups = (Request(tree, r.x, x), Request(tree, r.y, y))
-        return "hub", followups, Solution(tree, followups)
 
-    return adversary_game(algorithm, tree, pairs, answer)
+def _hub_answer(tree, nb, r, first):
+    """Answer an accepted pair r of the hub neighbours ``nb`` with the two
+    requests that join r's ends to the other two: optimal together."""
+    x, y = sorted(set(nb) - {r.x, r.y})
+    followups = (Request(tree, r.x, x), Request(tree, r.y, y))
+    return "hub", followups, Solution(tree, followups)
 
 
 # --------------------------------------------------------------------------

@@ -14,10 +14,11 @@ import heapq
 import itertools
 from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 
 from priodpa import Instance, InvalidOrderError, PropertyViolation, Request, Session, TreeGraph
 from priodpa.graphs import PathGraph, gain, ratio
-from priodpa.reduction import BlockRecord, GuessOutcome, _parse_bits
+from priodpa.reduction import BlockRecord, _parse_bits
 from priodpa.trees import sigma
 
 # Instance files under tests/data, found from this file so the suite runs
@@ -330,7 +331,9 @@ def _reference_drain_and_pick(session, upcoming, queue, served):
 def reference_guessing_game(algorithm, graph, blocks, hidden, block_opt, mode, zero_followups):
     """Reference for the ranked game: every round asks ``Session.max_of``
     for the top of all fresh and queued requests, feeds queued ones while
-    they are on top, and drains what is queued at the end."""
+    they are on top, and drains what is queued at the end.  It returns the
+    fields a game's outcome is compared on, with the wrong guesses counted
+    here from the guesses and hidden bits, not by the outcome's property."""
     block_of = {}
     complement = {}
     for i, block in enumerate(blocks, start=1):
@@ -371,8 +374,9 @@ def reference_guessing_game(algorithm, graph, blocks, hidden, block_opt, mode, z
     )
     alg = gain(sol, mode)
     opt = block_opt * len(hidden)
-    wrong = sum(1 for rec in records if not rec.correct)
-    return GuessOutcome(Instance(graph, served), records, alg, opt, wrong, ratio(opt, alg), mode)
+    wrong = sum(1 for _, _, y, d in meta if y != d)
+    return SimpleNamespace(instance=Instance(graph, served), records=records, alg_gain=alg,
+                           opt_gain=opt, wrong=wrong, ratio=ratio(opt, alg))
 
 
 def reference_run_guess(algorithm, bits):

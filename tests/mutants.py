@@ -207,8 +207,8 @@ MUTANTS = {
     ),
     "pab-universe-ignores-params": (
         "lwdpa.py",
-        "    g, longs, units = params.universe\n",
-        "    g, longs, units = vars(adversary_play_lwdpa).setdefault(\"universe\", params.universe)\n",
+        "    g, longs, units = params.universe\n    if r_star",
+        "    g, longs, units = vars(_pab_answer).setdefault(\"universe\", params.universe)\n    if r_star",
         "tests/test_lwdpa.py",
     ),
     "digest-memo-shared-across-seeds": (
@@ -317,9 +317,9 @@ MUTANTS = {
         "tests/test_report_cli.py",
     ),
     "reduce-ignores-a-block-over-its-cap": (
-        "cli.py",
-        "            violated = True\n",
-        "            violated = False\n",
+        "engine.py",
+        "rec.alg_gain <= (rec.opt_gain if rec.correct else rec.opt_gain - 1)",
+        "True",
         "tests/test_report_cli.py",
     ),
     "verify-grid-always-passes": (

@@ -3,9 +3,13 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 from priodpa import (
+    Decision,
+    GridGraph,
     Instance,
     PathGraph,
     Request,
@@ -20,10 +24,11 @@ from priodpa import (
     validate_solution,
 )
 from priodpa.battery import battery
-from priodpa.grid import exhaustive_verify_3x3
+from priodpa.grid import CORNERS, MIDPOINTS, _grid_answer, distance3_pairs, exhaustive_verify_3x3
 from priodpa.lwdpa import (
     LwdpaAdviceAlgorithm,
     PabParams,
+    _pab_answer,
     adversary_play_lwdpa,
     encode_lwdpa_advice,
     greedy_lwdpa_algorithm,
@@ -36,6 +41,7 @@ from priodpa.reduction import (
 )
 from priodpa.trees import (
     CatAdviceAlgorithm,
+    _hub_answer,
     encode_cat_advice,
     pack_s4,
     sigma,
@@ -58,14 +64,20 @@ def test_criterion_01_count_greedy_is_optimal_on_paths(path_sweep):
 
 
 def test_criterion_02_length_greedy_meets_its_exact_bound(path_sweep):
+    worst = {}  # the sweep's exact worst ratio per l
     for l, inst, _, opt in path_sweep:
         alg = gain(greedy_lwdpa(inst), "length")
         if opt == 0:
             assert alg == 0
-        elif l == 1:
-            assert alg == opt  # the bound 3 - 3/l degenerates; greedy is optimal
+            continue
+        r = Fraction(opt, alg)
+        if l == 1:
+            assert r == 1  # the bound 3 - 3/l degenerates; greedy is optimal
         else:
-            assert Fraction(opt, alg) <= 3 - Fraction(3, l)
+            assert r <= 3 - Fraction(3, l)
+        worst[l] = max(worst.get(l, r), r)
+    # the bound 3 - 3/l is never reached on this sweep
+    assert worst == {1: 1, 2: 1, 3: Fraction(3, 2), 4: Fraction(3, 2), 5: Fraction(5, 3), 6: 2}
 
 
 def test_criterion_03_layered_adversary_beats_the_battery():
@@ -95,6 +107,8 @@ def test_criterion_04_path_codec_hits_the_optimum_in_budget():
 
 def test_criterion_05_tree_greedy_two_competitive_exhaustively():
     checked = 0
+    # (opt, alg) at the worst ratio, keyed by "a vertex has degree >= 4"
+    worst = {False: (0, 1), True: (0, 1)}
     for n in range(2, 8):
         for edges in canonical_trees(n):
             t = TreeGraph(edges)
@@ -108,15 +122,22 @@ def test_criterion_05_tree_greedy_two_competitive_exhaustively():
                     assert opt <= 2 * alg
                     if delta <= 3:
                         assert alg == opt
+                    w_opt, w_alg = worst[delta >= 4]
+                    if opt * w_alg > w_opt * alg:
+                        worst[delta >= 4] = (opt, alg)
                     checked += 1
     assert checked > 90000
+    assert {high: Fraction(*w) for high, w in worst.items()} == {False: 1, True: 2}
+
+
+def _criterion_06_trees():
+    rng = random.Random(777)
+    trees = [TreeGraph([(0, i) for i in range(1, 5)])]
+    return trees + [random_high_degree_tree(rng.randint(5, 12), rng) for _ in range(20)]
 
 
 def test_criterion_06_tree_adversary_beats_the_battery():
-    rng = random.Random(777)
-    trees = [TreeGraph([(0, i) for i in range(1, 5)])]
-    trees += [random_high_degree_tree(rng.randint(5, 12), rng) for _ in range(20)]
-    for t in trees:
+    for t in _criterion_06_trees():
         for alg in battery("cat"):
             out = tree_adversary(alg, t)
             assert out.ratio == math.inf or out.ratio >= 2
@@ -200,6 +221,48 @@ def test_criterion_10_grid_case_analysis_passes():
             # the exhibited two-call certificate against the single accept
             assert c.alg_total == 1 and c.followup_only == 2
             assert Fraction(c.followup_only, c.alg_total) == 2
+
+
+def _answer_every_first_pick(answer, candidates, picks):
+    """Call ``answer`` on each accepted first pick of ``picks``, a list of
+    (request, allocation), check its follow-ups and witness, and count
+    its cases."""
+    cases = Counter()
+    pool = set(candidates)
+    for r, allocation in picks:
+        case, followups, witness = answer(r, Decision(r, True, allocation))
+        # the served top candidate outranks its follow-ups under any order
+        assert set(followups) <= pool
+        assert r not in followups
+        assert validate_solution(Instance(r.graph, (r, *followups)), witness)
+        cases[case] += 1
+    return cases
+
+
+def test_every_first_pick_is_answered_by_candidates_and_a_valid_witness():
+    """The adversaries' answers hold for every accepted first pick, not
+    only those the battery makes, so they hold for every algorithm."""
+    for (a, b), counts in (((3, 8), (178, 12, 2, 1)), ((4, 10), (382, 16, 2, 1))):
+        params = PabParams(a, b)
+        _, longs, units = params.universe
+        candidates = longs + units
+        cases = _answer_every_first_pick(
+            partial(_pab_answer, params), candidates, [(r, None) for r in candidates])
+        assert cases == dict(zip(("unit", "middle", "outer", "peak"), counts))
+    for t in _criterion_06_trees():
+        hub = min(v for v in range(t.n) if t.degree[v] >= 4)
+        nb = list(t.adj[hub])[:4]
+        pairs = [Request(t, x, y) for x, y in itertools.combinations(nb, 2)]
+        cases = _answer_every_first_pick(
+            partial(_hub_answer, t, nb), pairs, [(r, None) for r in pairs])
+        assert cases == {"hub": 6}
+    g = GridGraph()
+    pairs = distance3_pairs(g)
+    picks = [(r, path) for r in pairs for route in g.routes(r.x, r.y)
+             for path in (route, tuple((v, u) for u, v in reversed(route)))]
+    # each route from either endpoint, so _served_case reverses half of them
+    assert {path[0][0] for _, path in picks} == set(CORNERS) | set(MIDPOINTS)
+    assert _answer_every_first_pick(_grid_answer, pairs, picks) == {"corner": 32, "center": 128}
 
 
 def test_criterion_11_seeded_runs_are_byte_identical(tmp_path):

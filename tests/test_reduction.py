@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,7 @@ def test_wrong_guess_caps_a_block_at_two_thirds():
     hidden = "".join(rng.choice("01") for _ in range(5))
     for alg in battery("lwdpa"):
         out = run_guess(alg, hidden)
+        assert out.passed
         for rec in out.records:
             assert rec.alg_gain <= (3 if rec.correct else 2)
             if alg.exact_block_accounting:
@@ -124,10 +126,28 @@ def test_wrong_guess_caps_a_star_block_at_one_half():
     tree = fig9_tree(4)
     for alg in battery("cat"):
         out = run_tguess(alg, tree, hidden)
+        assert out.passed
         for rec in out.records:
             assert rec.alg_gain <= (2 if rec.correct else 1)
             if alg.exact_block_accounting:
                 assert rec.alg_gain == (2 if rec.correct else 1)
+
+
+def test_a_block_over_its_cap_fails_the_outcome_and_wrong_follows_the_records():
+    out = run_guess(greedy_lwdpa_algorithm(), "0110")
+    assert [(rec.correct, rec.alg_gain) for rec in out.records] == [
+        (False, 2), (True, 3), (True, 3), (False, 2)]
+    assert out.passed and out.wrong == 2
+
+    def with_first(**changes):
+        return replace(out, records=(replace(out.records[0], **changes), *out.records[1:]))
+
+    # a wrong guess may gain opt_gain - 1 = 2, a right one opt_gain = 3
+    assert not with_first(alg_gain=3).passed
+    assert with_first(correct=True, alg_gain=3).passed
+    assert not with_first(correct=True, alg_gain=4).passed
+    assert (with_first(correct=True).wrong, with_first(alg_gain=0).wrong) == (1, 2)
+    assert replace(out, records=()).passed and replace(out, records=()).wrong == 0
 
 
 def test_single_star_right_guess():
@@ -301,8 +321,8 @@ def _assert_plays_like_the_reference(play, reference, alg, *args):
     assert new.asked == ref.asked
     assert out.records == expected.records
     assert out.instance == expected.instance
-    assert (out.alg_gain, out.opt_gain, out.wrong, out.ratio, out.mode) == (
-        expected.alg_gain, expected.opt_gain, expected.wrong, expected.ratio, expected.mode)
+    assert (out.alg_gain, out.opt_gain, out.wrong, out.ratio) == (
+        expected.alg_gain, expected.opt_gain, expected.wrong, expected.ratio)
 
 
 @pytest.mark.parametrize("problem", ["lwdpa", "cat"])
