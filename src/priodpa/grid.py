@@ -13,9 +13,12 @@ and answers the chosen routing p with follow-ups:
   single free edge (algorithm total at most 2, optimum 3).
 
 ``_served_case`` holds this analysis of an accepted first request (a
-rejected one ends in ``engine.adversary_game``).  ``exhaustive_verify_3x3``
-replays it over every pair and every simple path and checks the whole case
-analysis against the routing oracle.
+rejected one ends in ``engine.adversary_game``).  It finds the case on the
+walk and reads the follow-up ends from two tables, ``_CENTER_ENDS`` and
+``_CORNER_ENDS``, built at import by the neighbour rule above; they are
+constants of the one fixed grid, like ``graphs._GRID_STEPS``, not memos.
+``exhaustive_verify_3x3`` replays it over every pair and every simple path
+and checks the whole case analysis against the routing oracle.
 """
 
 from __future__ import annotations
@@ -65,28 +68,43 @@ def grid_automorphisms():
     return tuple(maps)
 
 
+def _followup_ends():
+    """The follow-up endpoint pairs by the neighbour rule: of the center
+    case by (u, t), the corner and midpoint that precede the center, and
+    of the corner case by the internal corner c."""
+    nbs = GridGraph().neighbors
+    center = {}
+    for t in MIDPOINTS:
+        for u in (c for c in nbs(t) if c in CORNERS):
+            t_prime = next(c for c in CORNERS if c in nbs(t) and c != u)
+            other_mid = next(m for m in MIDPOINTS if m in nbs(u) and m != t)
+            center[u, t] = ((t, antipode(t_prime)), (t, antipode(u)), (t_prime, other_mid))
+    corner = {c: tuple((c, m) for m in MIDPOINTS if m in nbs(antipode(c))) for c in CORNERS}
+    return center, corner
+
+
+# import-time constants of the one fixed grid, like graphs._GRID_STEPS
+_CENTER_ENDS, _CORNER_ENDS = _followup_ends()
+
+
 def _served_case(graph, req, route):
     """The walk of a served ``route`` of ``req`` from its corner endpoint,
-    the case tag, and the endpoint pairs of the follow-ups that answer it."""
+    the case tag, and the endpoint pairs of the follow-ups that answer it,
+    read from the import-time tables ``_CENTER_ENDS`` or ``_CORNER_ENDS``."""
     corner = req.x if req.x in CORNERS else req.y
-    vs = [route[0][0]] + [e[1] for e in route]
+    vs = (route[0][0], *[e[1] for e in route])
     if vs[0] != corner:
-        vs.reverse()
+        vs = vs[::-1]
     if vs[0] != corner:
         raise PropertyViolation(f"the routing does not run from {corner}")
     if CENTER in vs:
         i = vs.index(CENTER)
-        t = vs[i - 1]
-        u = vs[i - 2]
-        t_prime = next(c for c in CORNERS if c in graph.neighbors(t) and c != u)
-        other_mid = next(m for m in MIDPOINTS if m in graph.neighbors(u) and m != t)
-        return vs, "center", ((t, antipode(t_prime)), (t, antipode(u)), (t_prime, other_mid))
+        return vs, "center", _CENTER_ENDS[vs[i - 2], vs[i - 1]]
     inner = [c for c in vs[1:-1] if c in CORNERS]
     if not inner:
         raise PropertyViolation("a center-free routing must pass an internal corner")
     c = next(c for c in inner if abs(corner[0] - c[0]) + abs(corner[1] - c[1]) == 2)
-    x, y = (m for m in MIDPOINTS if m in graph.neighbors(antipode(c)))
-    return vs, "corner", ((c, x), (c, y))
+    return vs, "corner", _CORNER_ENDS[c]
 
 
 def grid_adversary(algorithm):
@@ -141,11 +159,12 @@ def exhaustive_verify_3x3():
     exact ratio is kept only for the report); cross-checks the pair count
     against the eight grid automorphisms.  The algorithm's continuation is
     routed around each routing; the optima, which do not depend on the
-    routing, are computed once per call for each follow-up set and each
-    pair of served request and follow-ups.  Each follow-up set is built
-    once per call, and its route masks are read from the route table
-    then; the served request's masks are those of the table the routings
-    come from.  All three are keyed by endpoint pairs, not by requests.
+    routing, are computed once per call.  A follow-up set, keyed by the
+    endpoint pairs ``_served_case`` reads from its tables, is looked up
+    once per routing: the first lookup reads its route masks from the
+    route table and finds its optimum.  The optimum with the served
+    request is kept per pair under the same key, and one ratio is built
+    per (optimum, algorithm total) value.
     Every grid shares one route table, so only the first verify in a
     process fills its 12 pairs, and later ones fill none.  Each of the
     132 optima is asked of ``oracle._routable_size``, which finds the
@@ -161,31 +180,33 @@ def exhaustive_verify_3x3():
     for phi in grid_automorphisms():
         orbit.add(Request(g, phi(base.x), phi(base.y)))
     cases = []
-    built = {}  # follow-ups' route mask lists by their endpoint pairs
-    fols, opts = {}, {}  # optima by follow-up ends, and by (r.x, r.y, ends)
+    built = {}  # follow-ups' route mask lists and optimum by their endpoint pairs
+    ratios = {}  # one ratio per (opt, alg_total)
     for r in pairs:
         corner = r.x if r.x in CORNERS else r.y
         table = g.routes(corner, r.x if corner == r.y else r.y)
         own = list(table.values())  # the same edge sets as routes(r.x, r.y)
+        opts = {}  # optima with r, by follow-up ends
         for path, mask in table.items():
             vs, case, ends = _served_case(g, r, path)
-            if ends not in built:
-                followups = (Request(g, x, y) for x, y in ends)
-                built[ends] = [list(g.routes(q.x, q.y).values()) for q in followups]
-            lists = built[ends]
+            entry = built.get(ends)
+            if entry is None:
+                lists = [list(g.routes(q.x, q.y).values())
+                         for q in (Request(g, x, y) for x, y in ends)]
+                entry = built[ends] = lists, _routable_size(lists)
+            lists, fol = entry
             alg_total = 1 + _routable_size(lists, mask)
-            if ends not in fols:
-                fols[ends] = _routable_size(lists)
-            served = (r.x, r.y, ends)
-            if served not in opts:
-                opts[served] = _routable_size([own, *lists], 0, fols[ends])
-            fol, opt = fols[ends], opts[served]
+            opt = opts.get(ends)
+            if opt is None:
+                opt = opts[ends] = _routable_size([own, *lists], 0, fol)
             if case == "corner":
                 ok = alg_total == 1 and fol == 2 and opt >= 2 and opt >= 2 * alg_total
             else:
                 ok = alg_total <= 2 and fol == 3 and opt >= 3 and 2 * opt >= 3 * alg_total
-            cases.append(GridCase(r, tuple(vs), case, alg_total, fol, opt,
-                                  ratio(opt, alg_total), ok))
+            rat = ratios.get((opt, alg_total))
+            if rat is None:
+                rat = ratios[opt, alg_total] = ratio(opt, alg_total)
+            cases.append(GridCase(r, vs, case, alg_total, fol, opt, rat, ok))
     report = Grid3x3Report(
         cases=tuple(cases),
         pair_count=len(pairs),

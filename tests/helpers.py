@@ -2,13 +2,14 @@
 canonical enumeration of small free trees, request sampling, the paths of
 the committed instance files, a key wrapper that counts its evaluations,
 the walk-based reference geometry that the library's edge masks are
-checked against, the negated-key sort that reversed orders are checked
-against, the plain subset scans that the oracle's canonical
-witnesses are checked against, the depth-first route enumeration, walk
-check and subset-and-product routing scan that the grid's route table
-and oracle are checked against, and the round-by-round string-guessing
-game and pass-by-pass 4-star packing that the ranked game and the
-one-pass packing are checked against."""
+checked against, the neighbour-scan case analysis of a served 3x3 route,
+the negated-key sort that reversed orders are checked against, the plain
+subset scans that the oracle's canonical witnesses are checked against,
+the depth-first route enumeration, walk check and subset-and-product
+routing scan that the grid's route table and oracle are checked against,
+and the round-by-round string-guessing game and pass-by-pass 4-star
+packing that the ranked game and the one-pass packing are checked
+against."""
 
 import heapq
 import itertools
@@ -257,6 +258,36 @@ def walk_ok(graph, req, walk):
             return False
         vs.append(v)
     return len(set(vs)) == len(vs) and {vs[0], vs[-1]} == {req.x, req.y}
+
+
+def reference_served_case(req, route):
+    """Reference for ``grid._served_case``, from its own 3x3 adjacency: the
+    walk of ``route`` from the corner endpoint of ``req``, its case, and its
+    follow-ups' endpoint pairs, found by scanning neighbours.  A walk through
+    the center (1, 1) enters it from a midpoint t, reached from a corner u;
+    one that avoids it turns at the corner c two steps along."""
+    def nbs(v):
+        return {(v[0] + dr, v[1] + dc) for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1))
+                if 0 <= v[0] + dr <= 2 and 0 <= v[1] + dc <= 2}
+
+    def far(v):
+        return (2 - v[0], 2 - v[1])
+
+    corners = {(0, 0), (0, 2), (2, 0), (2, 2)}
+    mids = {(0, 1), (1, 0), (1, 2), (2, 1)}
+    vs = [route[0][0]] + [v for _, v in route]
+    if vs[0] not in corners:
+        vs = vs[::-1]
+    assert vs[0] in corners and vs[-1] in mids
+    if (1, 1) in vs:
+        t = vs[vs.index((1, 1)) - 1]
+        u = vs[vs.index(t) - 1]
+        (t_prime,) = nbs(t) & corners - {u}
+        (other_mid,) = nbs(u) & mids - {t}
+        return tuple(vs), "center", ((t, far(t_prime)), (t, far(u)), (t_prime, other_mid))
+    c = vs[2]
+    assert c in corners
+    return tuple(vs), "corner", tuple((c, m) for m in sorted(nbs(far(c)) & mids))
 
 
 def reference_max_allocatable(graph, requests, blocked=0):

@@ -142,13 +142,13 @@ MUTANTS = {
     "verify-cont-keyed-by-followups": (
         "grid.py",
         "            alg_total = 1 + _routable_size(lists, mask)\n",
-        "            alg_total = 1 + fols.setdefault((\"cont\", ends), _routable_size(lists, mask))\n",
+        "            alg_total = 1 + built.setdefault((\"cont\", ends), _routable_size(lists, mask))\n",
         "tests/test_golden.py",
     ),
     "verify-opt-floor-off-by-one": (
         "grid.py",
-        "_routable_size([own, *lists], 0, fols[ends])\n",
-        "_routable_size([own, *lists], 0, fols[ends] + 1)\n",
+        "_routable_size([own, *lists], 0, fol)\n",
+        "_routable_size([own, *lists], 0, fol + 1)\n",
         "tests/test_grid.py",
     ),
     "routable-size-ignores-blocked": (
@@ -159,8 +159,14 @@ MUTANTS = {
     ),
     "served-case-drops-reverse": (
         "grid.py",
-        "        vs.reverse()\n",
+        "        vs = vs[::-1]\n",
         "        pass\n",
+        "tests/test_grid.py",
+    ),
+    "center-ends-swap-corner-and-midpoint": (
+        "grid.py",
+        "((t, antipode(t_prime)), (t, antipode(u)), (t_prime, other_mid))",
+        "((t, antipode(other_mid)), (t, antipode(u)), (other_mid, t_prime))",
         "tests/test_grid.py",
     ),
     "grid-reverse-direction-bit": (

@@ -64,7 +64,7 @@ def test_criterion_01_count_greedy_is_optimal_on_paths(path_sweep):
 
 
 def test_criterion_02_length_greedy_meets_its_exact_bound(path_sweep):
-    worst = {}  # the sweep's exact worst ratio per l
+    worst, first = {}, {}  # per l, the sweep's exact worst ratio and the first instance at it
     for l, inst, _, opt in path_sweep:
         alg = gain(greedy_lwdpa(inst), "length")
         if opt == 0:
@@ -75,9 +75,18 @@ def test_criterion_02_length_greedy_meets_its_exact_bound(path_sweep):
             assert r == 1  # the bound 3 - 3/l degenerates; greedy is optimal
         else:
             assert r <= 3 - Fraction(3, l)
-        worst[l] = max(worst.get(l, r), r)
+        if l not in worst or r > worst[l]:
+            worst[l], first[l] = r, tuple(q.key for q in inst.requests)
     # the bound 3 - 3/l is never reached on this sweep
     assert worst == {1: 1, 2: 1, 3: Fraction(3, 2), 4: Fraction(3, 2), 5: Fraction(5, 3), 6: 2}
+    assert first == {
+        1: ((0, 1),),
+        2: ((0, 1),),
+        3: ((0, 1), (0, 2), (1, 3)),
+        4: ((0, 1), (0, 2), (1, 3)),
+        5: ((0, 2), (0, 3), (2, 5)),
+        6: ((0, 2), (1, 4), (2, 3), (3, 6)),
+    }
 
 
 def test_criterion_03_layered_adversary_beats_the_battery():
@@ -107,8 +116,10 @@ def test_criterion_04_path_codec_hits_the_optimum_in_budget():
 
 def test_criterion_05_tree_greedy_two_competitive_exhaustively():
     checked = 0
-    # (opt, alg) at the worst ratio, keyed by "a vertex has degree >= 4"
+    # (opt, alg) at the worst ratio, keyed by "a vertex has degree >= 4",
+    # and the tree edges and endpoint pairs of the first instance at it
     worst = {False: (0, 1), True: (0, 1)}
+    first = {}
     for n in range(2, 8):
         for edges in canonical_trees(n):
             t = TreeGraph(edges)
@@ -125,9 +136,15 @@ def test_criterion_05_tree_greedy_two_competitive_exhaustively():
                     w_opt, w_alg = worst[delta >= 4]
                     if opt * w_alg > w_opt * alg:
                         worst[delta >= 4] = (opt, alg)
+                        first[delta >= 4] = (tuple(edges), tuple(q.key for q in combo))
                     checked += 1
     assert checked > 90000
     assert {high: Fraction(*w) for high, w in worst.items()} == {False: 1, True: 2}
+    # one request on one edge; three leaf-to-leaf requests on the 4-star
+    assert first == {
+        False: (((0, 1),), ((0, 1),)),
+        True: (((1, 0), (2, 0), (3, 0), (0, 4)), ((1, 2), (2, 3), (3, 4))),
+    }
 
 
 def _criterion_06_trees():

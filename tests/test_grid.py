@@ -34,7 +34,7 @@ from priodpa.grid import (
     _served_case,
 )
 
-from helpers import reference_max_allocatable, simple_paths, walk_ok
+from helpers import reference_max_allocatable, reference_served_case, simple_paths, walk_ok
 
 
 def test_grid_shape():
@@ -244,6 +244,20 @@ def test_a_served_route_walked_from_the_midpoint_reads_as_from_the_corner():
             assert _served_case(g, r, back) == _served_case(g, r, route)
             played += 1
     assert played == 80
+
+
+def test_served_cases_match_the_neighbour_scan_reference():
+    # the follow-up tables read by _served_case against a case analysis
+    # that scans its own adjacency, on every route walked both ways
+    g = GridGraph()
+    walks = 0
+    for r in distance3_pairs(g):
+        for route in simple_paths(g, r.x, r.y):
+            for walk in (route, _reverse(route)):
+                assert _served_case(g, r, walk) == reference_served_case(r, walk)
+                walks += 1
+    assert walks == 160
+    assert (len(grid._CENTER_ENDS), len(grid._CORNER_ENDS)) == (8, 4)
 
 
 # (midpoint, corner): its x < y order puts the midpoint first
