@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .graphs import GridGraph, PropertyViolation, Request, ratio
 from .engine import Decision, PriorityAlgorithm, PriorityOrder, RejectFirst, adversary_game
-from .oracle import _routable_size, max_allocatable
+from .oracle import _routable_size, _routings, max_allocatable
 
 CENTER = (1, 1)
 CORNERS = ((0, 0), (0, 2), (2, 0), (2, 2))
@@ -87,7 +87,7 @@ def _followup_ends():
 _CENTER_ENDS, _CORNER_ENDS = _followup_ends()
 
 
-def _served_case(graph, req, route):
+def _served_case(req, route):
     """The walk of a served ``route`` of ``req`` from its corner endpoint,
     the case tag, and the endpoint pairs of the follow-ups that answer it,
     read from the import-time tables ``_CENTER_ENDS`` or ``_CORNER_ENDS``."""
@@ -118,7 +118,7 @@ def _grid_answer(r, first):
     """The case, follow-ups and routed optimum that answer the served
     routing of r; the grid holds no state, so r's own host serves."""
     g = r.graph
-    _, case, ends = _served_case(g, r, first.allocation)
+    _, case, ends = _served_case(r, first.allocation)
     followups = tuple(Request(g, x, y) for x, y in ends)
     return case, followups, max_allocatable(g, (r, *followups)).witness
 
@@ -128,7 +128,18 @@ def _grid_answer(r, first):
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+def _served_opt(own, lists, full, fol):
+    """The optimum with a served request of route masks ``own`` beside
+    follow-ups of route mask lists ``lists``, optimum ``fol`` and full
+    routings ``full``.  If they route in full it is ``fol + 1`` exactly
+    when some route o misses some full routing, as otherwise at most
+    ``fol - 1`` follow-ups route beside any o; else it is searched."""
+    if full:
+        return fol + 1 if any(not o & u for o in own for u in full) else fol
+    return _routable_size([own, *lists], 0, fol)
+
+
+@dataclass(slots=True, unsafe_hash=True)
 class GridCase:
     request: object
     path: tuple  # vertex sequence from the corner endpoint
@@ -157,21 +168,17 @@ def exhaustive_verify_3x3():
     and ratio >= 2 resp. >= 3/2, each ratio verdict in integers
     (``opt >= 2 * alg_total`` resp. ``2 * opt >= 3 * alg_total``; the
     exact ratio is kept only for the report); cross-checks the pair count
-    against the eight grid automorphisms.  The algorithm's continuation is
-    routed around each routing; the optima, which do not depend on the
-    routing, are computed once per call.  A follow-up set, keyed by the
-    endpoint pairs ``_served_case`` reads from its tables, is looked up
-    once per routing: the first lookup reads its route masks from the
-    route table and finds its optimum.  The optimum with the served
-    request is kept per pair under the same key, and one ratio is built
-    per (optimum, algorithm total) value.
-    Every grid shares one route table, so only the first verify in a
-    process fills its 12 pairs, and later ones fill none.  Each of the
-    132 optima is asked of ``oracle._routable_size``, which finds the
-    size alone, so no subset, routing or witness is built.  An
-    optimum with the served request starts at its follow-ups' optimum,
-    which it can only exceed, so the search prunes every skip that
-    cannot beat it.
+    against the eight grid automorphisms.  Each follow-up set, keyed by
+    the endpoint pairs ``_served_case`` reads from its tables, is built
+    once per call: its route masks come from the one shared route table
+    (only the first verify in a process fills its 12 pairs), and
+    ``oracle._routings`` folds them into its full routings, which give its
+    optimum and, per served pair, the optimum with the served request
+    (``_served_opt``); a set that does not route in full is searched
+    instead.  The algorithm's continuation around each of the 80 routings
+    is searched by ``oracle._routable_size``, which builds no subset,
+    routing or witness.  One ratio is built per (optimum, algorithm total)
+    value.
     """
     g = GridGraph()
     pairs = distance3_pairs(g)
@@ -180,7 +187,7 @@ def exhaustive_verify_3x3():
     for phi in grid_automorphisms():
         orbit.add(Request(g, phi(base.x), phi(base.y)))
     cases = []
-    built = {}  # follow-ups' route mask lists and optimum by their endpoint pairs
+    built = {}  # follow-ups' route mask lists, full routings and optimum by ends
     ratios = {}  # one ratio per (opt, alg_total)
     for r in pairs:
         corner = r.x if r.x in CORNERS else r.y
@@ -188,17 +195,18 @@ def exhaustive_verify_3x3():
         own = list(table.values())  # the same edge sets as routes(r.x, r.y)
         opts = {}  # optima with r, by follow-up ends
         for path, mask in table.items():
-            vs, case, ends = _served_case(g, r, path)
+            vs, case, ends = _served_case(r, path)
             entry = built.get(ends)
             if entry is None:
-                lists = [list(g.routes(q.x, q.y).values())
-                         for q in (Request(g, x, y) for x, y in ends)]
-                entry = built[ends] = lists, _routable_size(lists)
-            lists, fol = entry
+                lists = [list(g.routes(*((x, y) if x < y else (y, x))).values())
+                         for x, y in ends]
+                full = _routings(lists)
+                entry = built[ends] = lists, full, len(lists) if full else _routable_size(lists)
+            lists, full, fol = entry
             alg_total = 1 + _routable_size(lists, mask)
             opt = opts.get(ends)
             if opt is None:
-                opt = opts[ends] = _routable_size([own, *lists], 0, fol)
+                opt = opts[ends] = _served_opt(own, lists, full, fol)
             if case == "corner":
                 ok = alg_total == 1 and fol == 2 and opt >= 2 and opt >= 2 * alg_total
             else:

@@ -42,7 +42,8 @@ so far.  A caller that already knows a size some subset reaches passes it
 as the floor the best starts at, so the search only looks for a larger
 one; the floor only prunes, and the answer is the larger of the floor and
 the optimum.  A caller that reads only the optimum asks it, and no subset,
-routing or witness is built.
+routing or witness is built.  ``_routings`` folds the same lists into
+the edge mask of every way to route all the requests, none if they do not.
 
 The searches leave no cyclic garbage: each recursion is a module-level
 function that is handed all of its state, so nothing it builds refers
@@ -253,6 +254,16 @@ def _routable_size(lists, blocked=0, best=0):
     if len(lists) > GRID_CAP:
         raise InstanceTooLargeError(f"grid routing search capped at {GRID_CAP} requests")
     return _most(lists, len(lists), 0, blocked, 0, best)
+
+
+def _routings(lists):
+    """The edge masks of every way to route all the requests, where
+    ``lists[i]`` holds request i's route masks; empty if they do not all
+    route.  Routings over the same edges count once."""
+    found = {0}
+    for masks in lists:
+        found = {u | m for u in found for m in masks if not u & m}
+    return found
 
 
 def max_allocatable(graph, requests):

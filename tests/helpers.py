@@ -5,11 +5,11 @@ the walk-based reference geometry that the library's edge masks are
 checked against, the neighbour-scan case analysis of a served 3x3 route,
 the negated-key sort that reversed orders are checked against, the plain
 subset scans that the oracle's canonical witnesses are checked against,
-the depth-first route enumeration, walk check and subset-and-product
-routing scan that the grid's route table and oracle are checked against,
-and the round-by-round string-guessing game and pass-by-pass 4-star
-packing that the ranked game and the one-pass packing are checked
-against."""
+the depth-first route enumeration, walk check, subset-and-product
+routing scan and full-routing product that the grid's route table and
+oracle are checked against, and the round-by-round string-guessing game
+and pass-by-pass 4-star packing that the ranked game and the one-pass
+packing are checked against."""
 
 import heapq
 import itertools
@@ -322,6 +322,19 @@ def reference_max_allocatable(graph, requests, blocked=0):
             accepted = tuple(reqs[i] for i in picked)
             best = (len(picked), accepted, dict(zip(accepted, choices[0][0])))
     return best
+
+
+def reference_routings(graph, requests):
+    """Reference for ``oracle._routings``: the edge mask (bit i is
+    ``edge_list()[i]``) of each edge-disjoint choice in the product of the
+    requests' ``simple_paths``, built one request at a time and dropping
+    every partial choice that reuses an edge; empty when none routes all."""
+    bit = {frozenset(e): 1 << i for i, e in enumerate(graph.edge_list())}
+    choices = [frozenset()]
+    for r in requests:
+        paths = [frozenset(frozenset(e) for e in p) for p in simple_paths(graph, r.x, r.y)]
+        choices = [used | edges for used in choices for edges in paths if used.isdisjoint(edges)]
+    return {sum(bit[e] for e in used) for used in choices}
 
 
 def reference_pack_s4(tree):

@@ -76,13 +76,17 @@ def test_exhaustive_case_analysis_passes():
 
 
 def test_the_case_analysis_computes_each_optimum_once(monkeypatch):
-    calls, nodes, tables = [0], [0], [0]
+    calls, nodes, tables, folds = [0], [0], [0], [0]
     real_routable_size, real_most = grid._routable_size, oracle._most
-    real_routes = GridGraph.routes
+    real_routes, real_routings = GridGraph.routes, grid._routings
 
     def counted_routable_size(*args):
         calls[0] += 1
         return real_routable_size(*args)
+
+    def counted_routings(*args):
+        folds[0] += 1
+        return real_routings(*args)
 
     def counted_most(*args):
         nodes[0] += 1
@@ -97,13 +101,17 @@ def test_the_case_analysis_computes_each_optimum_once(monkeypatch):
     monkeypatch.setattr(grid, "_routable_size", counted_routable_size)
     monkeypatch.setattr(oracle, "_most", counted_most)
     monkeypatch.setattr(GridGraph, "routes", counted_routes)
+    monkeypatch.setattr(grid, "_routings", counted_routings)
     assert exhaustive_verify_3x3().passed
-    # one call per routing (80), per distinct follow-ups (12) and per
-    # distinct served request and follow-ups (40)
-    assert calls[0] == 132
-    # an optimum with the served request starts at its follow-ups'
-    # optimum, so its search never looks at a skip that cannot beat it
-    assert nodes[0] == 1207
+    # one search per routing (80), for the algorithm's continuation; every
+    # follow-up set routes in full, so its optimum (12) and the optimum
+    # with each served request (40) are read from its full routings
+    assert calls[0] == 80
+    # the continuation searches alone: the 40 served-optimum searches,
+    # 24 of them run to exhaustion, are gone
+    assert nodes[0] == 376
+    # one fold per distinct follow-up set
+    assert folds[0] == 12
     # one route table per served pair (8) and one per follow-up of each
     # distinct follow-up set (32): the searches read mask lists only
     assert tables[0] == 40
@@ -136,20 +144,58 @@ def test_every_grid_reads_one_route_table_filled_once_per_pair(monkeypatch):
     assert len(table) == 72
 
 
-def test_each_case_optimum_matches_the_witness_search():
+def _match_the_witness_search(cases):
     # max_allocatable and the subset reference start at no floor, so this
-    # checks the verify's floored size searches independently
+    # checks the verify's floored size searches, and its optima read from
+    # full routings, independently
     g = GridGraph()
-    for c in exhaustive_verify_3x3().cases:
+    for c in cases:
         route = tuple(zip(c.path, c.path[1:]))
         mask = g.routes(c.path[0], c.path[-1])[route]
-        _, case, ends = _served_case(g, c.request, route)
+        _, case, ends = _served_case(c.request, route)
         followups = tuple(Request(g, x, y) for x, y in ends)
         assert case == c.case
         assert c.alg_total == 1 + reference_max_allocatable(g, followups, mask)[0]
         assert c.followup_only == max_allocatable(g, followups).optimum
         assert c.opt == max_allocatable(g, (c.request, *followups)).optimum
         assert c.ratio == Fraction(c.opt, c.alg_total)
+
+
+def test_each_case_optimum_matches_the_witness_search():
+    _match_the_witness_search(exhaustive_verify_3x3().cases)
+
+
+def test_follow_ups_that_cannot_route_in_full_fall_back_to_the_size_search(monkeypatch):
+    # each center case answered by three follow-ups out of its corner u,
+    # which has two edges, so none of those sets routes in full
+    ends = {(u, t): ((u, CENTER), (u, antipode(u)), (u, t)) for u, t in grid._CENTER_ENDS}
+    monkeypatch.setattr(grid, "_CENTER_ENDS", ends)
+    rep = exhaustive_verify_3x3()
+    assert not rep.passed
+    assert {c.followup_only for c in rep.cases if c.case == "center"} == {2}
+    assert {c.opt for c in rep.cases if c.case == "center"} == {2, 3}
+    _match_the_witness_search(rep.cases)
+
+
+def test_the_served_optimum_rule_matches_the_subset_reference():
+    # the optimum with a served request, read from its follow-ups' full
+    # routings or searched when they do not route in full
+    g = GridGraph()
+    vs = g.vertices()
+    rng = random.Random(34)
+    seen = set()
+    for k in range(500):
+        served = Request(g, *rng.sample(vs, 2))
+        followups = [Request(g, *rng.sample(vs, 2)) for _ in range(k % 6)]
+        lists = [list(g.routes(q.x, q.y).values()) for q in followups]
+        full = oracle._routings(lists)
+        fol = reference_max_allocatable(g, followups)[0]
+        assert bool(full) == (fol == len(followups))
+        own = list(g.routes(served.x, served.y).values())
+        opt = grid._served_opt(own, lists, full, fol)
+        assert opt == reference_max_allocatable(g, (served, *followups))[0], (served, followups)
+        seen.add((bool(full), opt - fol))
+    assert seen == {(True, 0), (True, 1), (False, 0), (False, 1)}
 
 
 def test_every_routing_is_a_corner_or_center_case():
@@ -241,7 +287,7 @@ def test_a_served_route_walked_from_the_midpoint_reads_as_from_the_corner():
         for route in g.routes(corner, mid):
             back = _reverse(route)
             assert back in back_table and back[0][0] == mid
-            assert _served_case(g, r, back) == _served_case(g, r, route)
+            assert _served_case(r, back) == _served_case(r, route)
             played += 1
     assert played == 80
 
@@ -254,7 +300,7 @@ def test_served_cases_match_the_neighbour_scan_reference():
     for r in distance3_pairs(g):
         for route in simple_paths(g, r.x, r.y):
             for walk in (route, _reverse(route)):
-                assert _served_case(g, r, walk) == reference_served_case(r, walk)
+                assert _served_case(r, walk) == reference_served_case(r, walk)
                 walks += 1
     assert walks == 160
     assert (len(grid._CENTER_ENDS), len(grid._CORNER_ENDS)) == (8, 4)

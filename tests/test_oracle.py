@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import random
@@ -26,9 +27,10 @@ from priodpa import (
     validate_solution,
 )
 from priodpa.battery import battery
+from priodpa.grid import GridCase
 from priodpa.lwdpa import lwdpa_order
 from priodpa import graphs, oracle
-from priodpa.oracle import _components, _conflicts, _routable_size
+from priodpa.oracle import _components, _conflicts, _routable_size, _routings
 from priodpa.paths import right_end_order
 from priodpa.trees import cat_order
 
@@ -40,6 +42,7 @@ from helpers import (
     random_instance,
     random_tree,
     reference_max_allocatable,
+    reference_routings,
     scan_opt,
 )
 
@@ -316,9 +319,9 @@ def test_searches_and_route_fill_leave_no_cyclic_garbage(monkeypatch):
 
 
 def test_value_types_compare_and_hash_by_fields_and_are_not_frozen():
-    """``Solution`` and ``OracleResult`` are plain ``__slots__`` dataclasses:
-    equal and hash equal by fields, their fields can be assigned, and no
-    other attribute can be added."""
+    """``Solution``, ``OracleResult`` and ``GridCase`` are plain
+    ``__slots__`` dataclasses: equal and hash equal by fields, their fields
+    can be assigned, and no other attribute can be added."""
     g = PathGraph(4)
     a, b = Request(g, 0, 2), Request(g, 2, 4)
     sol, twin = Solution(g, (a, b)), Solution(PathGraph(4), (a, b))
@@ -328,13 +331,19 @@ def test_value_types_compare_and_hash_by_fields_and_are_not_frozen():
     assert res == res_twin and hash(res) == hash(res_twin) == hash((2, sol))
     assert res != OracleResult(1, sol)
     assert brute_force_opt(Instance(g, [a, b])) == res
-    for obj, field, value in ((sol, "accepted", (a,)), (res, "optimum", 1)):
+    case = exhaustive_verify_3x3().cases[0]
+    fields = tuple(getattr(case, f.name) for f in dataclasses.fields(GridCase))
+    case_twin = GridCase(*fields)
+    assert case == case_twin and hash(case) == hash(case_twin) == hash(fields)
+    assert case != dataclasses.replace(case, ok=not case.ok)
+    for obj, field, value in ((sol, "accepted", (a,)), (res, "optimum", 1), (case, "opt", 0)):
         setattr(obj, field, value)
         assert getattr(obj, field) == value
         with pytest.raises(AttributeError):
             obj.extra = 0
         assert not hasattr(obj, "__dict__")
     assert sol == Solution(g, (a,)) and res == OracleResult(1, sol)
+    assert case == dataclasses.replace(case_twin, opt=0) != case_twin
     # grid allocations are a dict, so a grid witness does not hash
     with pytest.raises(TypeError):
         hash(Solution(GridGraph(), (), {}))
@@ -472,3 +481,20 @@ def test_grid_oracle_matches_the_subset_and_product_reference():
             assert ref_count == 0
         routed.add(ref_count)
     assert routed >= set(range(7))
+
+
+def test_full_routings_match_the_product_of_simple_paths():
+    gg = GridGraph()
+    vs = gg.vertices()
+    rng = random.Random(34)
+    assert _routings([]) == {0}  # no request: one routing, of no edge
+    kinds = set()
+    for k in range(600):
+        reqs = [Request(gg, *rng.sample(vs, 2)) for _ in range(1 + k % 5)]
+        found = _routings(_mask_lists(gg, reqs))
+        assert found == reference_routings(gg, reqs), reqs
+        # a set routes in full exactly when its optimum is all of it
+        assert bool(found) == (reference_max_allocatable(gg, reqs)[0] == len(reqs)), reqs
+        kinds.add((len(reqs), min(len(found), 2)))
+    # at every length from 3 to 5: no, one and several full routings
+    assert kinds >= {(n, f) for n in range(3, 6) for f in range(3)}

@@ -331,6 +331,32 @@ def test_usage_and_input_errors_exit_2(capsys, tmp_path):
     assert _main(capsys, *encode, "--seed", "3") == (0, '{"bits": 12, "hex": "488"}\n', "")
 
 
+def test_a_host_of_the_wrong_kind_exits_2_and_verify_routes_a_grid(capsys, tmp_path):
+    # the fuzz test reaches these only when its random draws do, so they
+    # are played here on fixed inputs
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"graph": {"kind": "grid", "rows": 3, "cols": 3},
+                                "requests": [[[0, 0], [2, 1]], [[0, 1], [2, 2]]]}))
+    tape = tmp_path / "tape.json"
+    tape.write_text(json.dumps({"bits": 4, "hex": "a"}))
+    refused = {
+        "greedy-lwdpa runs on path hosts, not grid": [
+            "run", "--instance", str(grid), "--alg", "greedy-lwdpa", "--seed", "0"],
+        "no named algorithms for grid hosts": [
+            "run", "--instance", str(grid), "--alg", "greedy", "--seed", "0"],
+        "this codec works on tree hosts": [
+            "advice", "--problem", "cat", "--encode", "--instance", DEMO],
+    }
+    for line, argv in refused.items():
+        assert _main(capsys, *argv) == (2, "", f"error: {line}\n")
+    assert _main(capsys, "advice", "--problem", "cat", "--decode", "--instance", DEMO,
+                 "--tape", str(tape), "--seed", "0") == (2, "", "error: this codec works on tree hosts\n")
+    # verify asks the grid oracle, which routes both requests
+    rc, out, _ = _main(capsys, "verify", "--instance", str(grid))
+    assert rc == 0
+    assert out.splitlines() == ["optimum 2", "accept (0, 0)-(2, 1)", "accept (0, 1)-(2, 2)"]
+
+
 def test_a_missing_required_input_exits_2_with_one_line(capsys):
     pab = ["adversary", "--family", "pab", "--alg", "greedy"]
     missing = [
