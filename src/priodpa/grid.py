@@ -128,15 +128,12 @@ def _grid_answer(r, first):
 # --------------------------------------------------------------------------
 
 
-def _served_opt(own, lists, full, fol):
+def _served_opt(own, full, fol):
     """The optimum with a served request of route masks ``own`` beside
-    follow-ups of route mask lists ``lists``, optimum ``fol`` and full
-    routings ``full``.  If they route in full it is ``fol + 1`` exactly
-    when some route o misses some full routing, as otherwise at most
-    ``fol - 1`` follow-ups route beside any o; else it is searched."""
-    if full:
-        return fol + 1 if any(not o & u for o in own for u in full) else fol
-    return _routable_size([own, *lists], 0, fol)
+    ``fol`` follow-ups that route in full, in the routings ``full``: it is
+    ``fol + 1`` exactly when some route o misses some full routing, as
+    otherwise at most ``fol - 1`` follow-ups route beside any o."""
+    return fol + 1 if any(not o & u for o in own for u in full) else fol
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -174,11 +171,11 @@ def exhaustive_verify_3x3():
     (only the first verify in a process fills its 12 pairs), and
     ``oracle._routings`` folds them into its full routings, which give its
     optimum and, per served pair, the optimum with the served request
-    (``_served_opt``); a set that does not route in full is searched
-    instead.  The algorithm's continuation around each of the 80 routings
-    is searched by ``oracle._routable_size``, which builds no subset,
-    routing or witness.  One ratio is built per (optimum, algorithm total)
-    value.
+    (``_served_opt``); every set routes in full, and one that does not
+    raises ``PropertyViolation``.  The algorithm's continuation around
+    each of the 80 routings is searched by ``oracle._routable_size``,
+    which builds no subset, routing or witness.  One ratio is built per
+    (optimum, algorithm total) value.
     """
     g = GridGraph()
     pairs = distance3_pairs(g)
@@ -201,12 +198,14 @@ def exhaustive_verify_3x3():
                 lists = [list(g.routes(*((x, y) if x < y else (y, x))).values())
                          for x, y in ends]
                 full = _routings(lists)
-                entry = built[ends] = lists, full, len(lists) if full else _routable_size(lists)
+                if not full:
+                    raise PropertyViolation("a follow-up set must route in full")
+                entry = built[ends] = lists, full, len(lists)
             lists, full, fol = entry
             alg_total = 1 + _routable_size(lists, mask)
             opt = opts.get(ends)
             if opt is None:
-                opt = opts[ends] = _served_opt(own, lists, full, fol)
+                opt = opts[ends] = _served_opt(own, full, fol)
             if case == "corner":
                 ok = alg_total == 1 and fol == 2 and opt >= 2 and opt >= 2 * alg_total
             else:

@@ -151,12 +151,6 @@ MUTANTS = {
         "for o in own for u in full) else fol + 1\n",
         "tests/test_grid.py",
     ),
-    "served-opt-fallback-floor-off-by-one": (
-        "grid.py",
-        "_routable_size([own, *lists], 0, fol)\n",
-        "_routable_size([own, *lists], 0, fol + 1)\n",
-        "tests/test_grid.py",
-    ),
     "routings-keeps-overlaps": (
         "oracle.py",
         "        found = {u | m for u in found for m in masks if not u & m}\n",

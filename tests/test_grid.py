@@ -11,6 +11,7 @@ from priodpa import (
     Instance,
     PriorityAlgorithm,
     PriorityOrder,
+    PropertyViolation,
     Request,
     Session,
     gain,
@@ -144,12 +145,12 @@ def test_every_grid_reads_one_route_table_filled_once_per_pair(monkeypatch):
     assert len(table) == 72
 
 
-def _match_the_witness_search(cases):
+def test_each_case_optimum_matches_the_witness_search():
     # max_allocatable and the subset reference start at no floor, so this
     # checks the verify's floored size searches, and its optima read from
     # full routings, independently
     g = GridGraph()
-    for c in cases:
+    for c in exhaustive_verify_3x3().cases:
         route = tuple(zip(c.path, c.path[1:]))
         mask = g.routes(c.path[0], c.path[-1])[route]
         _, case, ends = _served_case(c.request, route)
@@ -161,25 +162,18 @@ def _match_the_witness_search(cases):
         assert c.ratio == Fraction(c.opt, c.alg_total)
 
 
-def test_each_case_optimum_matches_the_witness_search():
-    _match_the_witness_search(exhaustive_verify_3x3().cases)
-
-
-def test_follow_ups_that_cannot_route_in_full_fall_back_to_the_size_search(monkeypatch):
+def test_follow_ups_that_cannot_route_in_full_raise(monkeypatch):
     # each center case answered by three follow-ups out of its corner u,
     # which has two edges, so none of those sets routes in full
     ends = {(u, t): ((u, CENTER), (u, antipode(u)), (u, t)) for u, t in grid._CENTER_ENDS}
     monkeypatch.setattr(grid, "_CENTER_ENDS", ends)
-    rep = exhaustive_verify_3x3()
-    assert not rep.passed
-    assert {c.followup_only for c in rep.cases if c.case == "center"} == {2}
-    assert {c.opt for c in rep.cases if c.case == "center"} == {2, 3}
-    _match_the_witness_search(rep.cases)
+    with pytest.raises(PropertyViolation, match="a follow-up set must route in full"):
+        exhaustive_verify_3x3()
 
 
 def test_the_served_optimum_rule_matches_the_subset_reference():
-    # the optimum with a served request, read from its follow-ups' full
-    # routings or searched when they do not route in full
+    # the optimum with a served request, read from the full routings of
+    # follow-ups that route in full
     g = GridGraph()
     vs = g.vertices()
     rng = random.Random(34)
@@ -191,11 +185,13 @@ def test_the_served_optimum_rule_matches_the_subset_reference():
         full = oracle._routings(lists)
         fol = reference_max_allocatable(g, followups)[0]
         assert bool(full) == (fol == len(followups))
+        if not full:
+            continue
         own = list(g.routes(served.x, served.y).values())
-        opt = grid._served_opt(own, lists, full, fol)
+        opt = grid._served_opt(own, full, fol)
         assert opt == reference_max_allocatable(g, (served, *followups))[0], (served, followups)
-        seen.add((bool(full), opt - fol))
-    assert seen == {(True, 0), (True, 1), (False, 0), (False, 1)}
+        seen.add((len(followups), opt - fol))
+    assert {d for _, d in seen} == {0, 1} and {n for n, _ in seen} == set(range(6))
 
 
 def test_every_routing_is_a_corner_or_center_case():
