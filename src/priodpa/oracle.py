@@ -26,24 +26,20 @@ extremes combine into the overall one.  Two rules use the search:
   optimum which keeps each request, in presentation order, whenever the
   requests kept so far and it still extend to an optimum.
 
-On the 3x3 grid two searches run over the grid's route table.
-``max_allocatable`` finds witnesses: the smallest routable mask of the
-largest routable size, over the requests sorted by endpoints.  Subsets
-are tried from the largest size down, in increasing mask order within a
-size, and the first that routes is returned.  Every larger subset has
-failed by then, and so has every smaller mask of its size, so this is the
-witness an increasing scan of all masks keeps; and no subset is searched
-that such a scan would skip.  ``_routable_size`` finds sizes only, from
-lists of route masks (one list per request) that its caller reads from the
-route table once: one depth-first search starts with the mask of blocked
-edges as its used edges, routes or skips each request in turn, stops once
-every request is routed, and drops a skip that cannot beat the best size
-so far.  A caller that already knows a size some subset reaches passes it
-as the floor the best starts at, so the search only looks for a larger
-one; the floor only prunes, and the answer is the larger of the floor and
-the optimum.  A caller that reads only the optimum asks it, and no subset,
-routing or witness is built.  ``_routings`` folds the same lists into
-the edge mask of every way to route all the requests, none if they do not.
+On the 3x3 grid one search finds the optimum and one scan finds the
+witness, both over the grid's route table.  ``_routable_size`` finds
+sizes only, from lists of route masks (one list per request) that its
+caller reads from the route table once: one depth-first search starts
+with the mask of blocked edges as its used edges, routes or skips each
+request in turn, stops once every request is routed, and drops a skip
+that cannot beat the best size so far.  A caller that reads only the
+optimum asks it, and no subset, routing or witness is built.
+``max_allocatable`` asks it for the optimum of the requests sorted by
+endpoints, then scans the subsets of that size in increasing mask order
+and returns the first that routes: the smallest routable mask of the
+largest routable size, the witness an increasing scan of all masks
+keeps.  ``_routings`` folds the same lists into the edge mask of every
+way to route all the requests, none if they do not.
 
 The searches leave no cyclic garbage: each recursion is a module-level
 function that is handed all of its state, so nothing it builds refers
@@ -246,14 +242,14 @@ def _most(lists, n, i, used, got, best):
     return best
 
 
-def _routable_size(lists, blocked=0, best=0):
-    """The larger of ``best`` and the size of the largest subset of the
-    requests that routes on the grid's edges outside the mask ``blocked``,
-    where ``lists[i]`` holds request i's route masks: ``max_allocatable``'s
-    optimum, with no witness, when ``best`` is 0."""
+def _routable_size(lists, blocked=0):
+    """The size of the largest subset of the requests that routes on the
+    grid's edges outside the mask ``blocked``, where ``lists[i]`` holds
+    request i's route masks: ``max_allocatable``'s optimum, with no
+    witness, when nothing is blocked."""
     if len(lists) > GRID_CAP:
         raise InstanceTooLargeError(f"grid routing search capped at {GRID_CAP} requests")
-    return _most(lists, len(lists), 0, blocked, 0, best)
+    return _most(lists, len(lists), 0, blocked, 0, 0)
 
 
 def _routings(lists):
@@ -272,19 +268,17 @@ def max_allocatable(graph, requests):
     Returns an OracleResult, as ``brute_force_opt`` does, whose witness
     holds the routes.  Over endpoint-sorted requests (request i is bit i)
     it is the smallest routable mask of the largest routable size, routed
-    by the first routing the depth-first search meets.  Sizes are tried
-    from the number of requests down, and the masks of one size in
-    increasing order, so the first subset that routes is that witness.
+    by the first routing the depth-first search meets.  ``_routable_size``
+    gives that size, and its masks are tried in increasing order, so the
+    first subset that routes is that witness.
     """
     reqs = sorted(requests, key=lambda r: r.key)
-    if len(reqs) > GRID_CAP:
-        raise InstanceTooLargeError(f"grid routing search capped at {GRID_CAP} requests")
-    lists = [list(graph.routes(r.x, r.y).items()) for r in reqs]
-    for size in range(len(reqs), 0, -1):
-        # increasing masks: compare the highest bits first
-        for picked in sorted(combinations(range(len(reqs)), size), key=lambda c: c[::-1]):
-            alloc = []
-            if _route([lists[i] for i in picked], 0, 0, alloc):
-                accepted = tuple(reqs[i] for i in picked)
-                return OracleResult(size, Solution(graph, accepted, dict(zip(accepted, alloc))))
-    return OracleResult(0, Solution(graph, (), {}))
+    tables = [graph.routes(r.x, r.y) for r in reqs]
+    size = _routable_size([list(t.values()) for t in tables])
+    lists = [list(t.items()) for t in tables]
+    # increasing masks: compare the highest bits first
+    for picked in sorted(combinations(range(len(reqs)), size), key=lambda c: c[::-1]):
+        alloc = []
+        if _route([lists[i] for i in picked], 0, 0, alloc):
+            accepted = tuple(reqs[i] for i in picked)
+            return OracleResult(size, Solution(graph, accepted, dict(zip(accepted, alloc))))

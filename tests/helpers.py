@@ -1,6 +1,7 @@
 """Shared generators for the test suite: Prufer-coded random trees,
 canonical enumeration of small free trees, request sampling, the paths of
 the committed instance files, a key wrapper that counts its evaluations,
+a ``Request.__init__`` patch that counts the requests built,
 the walk-based reference geometry that the library's edge masks are
 checked against, the neighbour-scan case analysis of a served 3x3 route,
 the negated-key sort that reversed orders are checked against, the plain
@@ -161,6 +162,20 @@ def counting_key(base):
         return base(r)
 
     return key, evals
+
+
+def count_requests(monkeypatch):
+    """Patch ``Request.__init__`` through ``monkeypatch`` to count the
+    requests built from now on, and return the one-item list holding the
+    count."""
+    built, real_init = [0], Request.__init__
+
+    def counted_init(self, *args):
+        built[0] += 1
+        real_init(self, *args)
+
+    monkeypatch.setattr(Request, "__init__", counted_init)
+    return built
 
 
 def reference_sort(key, name, requests, negate):

@@ -8,19 +8,29 @@ Run from the repository root:
 A ``sys.settrace`` hook is installed before anything imports ``priodpa``, so
 module-level statements and ``def`` lines count as reached; then pytest
 runs in this process.  The hook records the lines executed in the package's
-files and traces no frame of other code.  Both trace functions are
+files and traces no frame of other code.  All three trace functions are
 module-level: a trace function that reached itself through a closure
 would put a reference cycle on every traced frame, and the suite's
 no-cyclic-garbage tests would fail.
+
+A line runs when either arm of a conditional expression on it runs, so
+arms are counted apart.  A frame whose code holds an instruction inside
+an arm also traces opcodes (``f_trace_opcodes``), and the offsets that
+run there are mapped through ``co_positions()`` to source spans: an arm
+is taken when some instruction inside its span runs.  ``co_positions``
+needs Python 3.11 or later, and so does this script.  Python 3.12.1
+sends no opcode events to a ``sys.settrace`` hook, so there every arm
+reads untaken and the run fails.
 
 Statements are read with ``ast``.  Docstrings, ``global`` and ``nonlocal``
 make no code and are not counted, and a decorated ``def`` or ``class``
 starts at its first decorator.  A statement is reached when any line of its
 head runs: the lines from its start to the line before its first nested
 statement, or to its end if it has none.  Each unreached statement is
-printed per module; those listed in ``tests/linecov_keep.txt`` are marked
-as kept.  The exit code is 0 when pytest passes and every unreached
-statement is kept, and 1 otherwise.  Pytest does not collect this script
+printed per module, and so is each untaken arm; those listed in
+``tests/linecov_keep.txt`` are marked as kept.  The exit code is 0 when
+pytest passes and every unreached statement and untaken arm is kept, and
+1 otherwise.  Pytest does not collect this script
 (its name does not start with ``test_``).
 """
 
@@ -28,6 +38,7 @@ import ast
 import re
 import sys
 from collections import defaultdict
+from functools import lru_cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,6 +50,8 @@ _ENTRY = re.compile(r"(?P<module>[\w.]+\.py):(?P<scope>[\w.<>]+): (?P<text>.+?) 
 
 _PREFIX = str(PACKAGE) + "/"
 _hits = defaultdict(set)  # file name -> the line numbers that ran
+_ran = defaultdict(set)  # code holding an arm -> the offsets that ran in it
+_holds_arm = {}  # code object -> whether an instruction of it is inside an arm
 
 
 def _trace_line(frame, event, arg):
@@ -47,10 +60,35 @@ def _trace_line(frame, event, arg):
     return _trace_line
 
 
+def _trace_arms(frame, event, arg):
+    if event == "opcode":
+        _ran[frame.f_code].add(frame.f_lasti)
+    elif event == "line":
+        _hits[frame.f_code.co_filename].add(frame.f_lineno)
+        # set here, not at the call event: Python 3.13 applies a flag set
+        # at the call event only from the code's next call on
+        frame.f_trace_opcodes = True
+    return _trace_arms
+
+
 def _trace_call(frame, event, arg):
-    if frame.f_code.co_filename.startswith(_PREFIX):
-        return _trace_line
-    return None
+    code = frame.f_code
+    if not code.co_filename.startswith(_PREFIX):
+        return None
+    holds = _holds_arm.get(code)
+    if holds is None:
+        spans = arms(Path(code.co_filename).name)
+        holds = _holds_arm[code] = any(_inside(pos, spans) for pos in code.co_positions())
+    return _trace_arms if holds else _trace_line
+
+
+def _inside(position, spans):
+    """The spans among ``spans`` that hold the instruction at
+    ``position``, a ``co_positions()`` entry."""
+    line, end_line, col, end_col = position
+    if line is None or col is None:
+        return []
+    return [s for s in spans if s[0] <= (line, col) and (end_line, end_col) <= s[1]]
 
 
 def _is_docstring(node):
@@ -88,6 +126,35 @@ def statements(module):
     return out
 
 
+def _collect_arms(node, scope, source, out):
+    if isinstance(node, ast.IfExp):
+        text = " ".join(ast.get_source_segment(source, node).split())
+        for which in ("body", "orelse"):
+            arm = getattr(node, which)
+            span = ((arm.lineno, arm.col_offset), (arm.end_lineno, arm.end_col_offset))
+            out[span] = (scope, f"{text} [{which}]")
+    inner = scope
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        inner = node.name if scope == "<module>" else f"{scope}.{node.name}"
+    for child in ast.iter_child_nodes(node):
+        # a def's decorators and defaults and a class's bases lie outside it
+        in_body = inner != scope and child in node.body
+        _collect_arms(child, inner if in_body else scope, source, out)
+
+
+@lru_cache(maxsize=None)
+def arms(module):
+    """The arms of the conditional expressions of ``src/priodpa/<module>``:
+    each arm's span, ``((line, column), (end line, end column))``, mapped
+    to ``(scope, text)``.  The scope is named as a statement's is, and the
+    text is the whole expression on one line followed by ``[body]`` for
+    the arm taken when its test holds or ``[orelse]`` for the other."""
+    source = (PACKAGE / module).read_text()
+    out = {}
+    _collect_arms(ast.parse(source), "<module>", source, out)
+    return out
+
+
 def keep_entries():
     """The entries of ``tests/linecov_keep.txt`` as ``(module, scope,
     text, reason)``; blank lines and ``#`` comments are skipped, and a line
@@ -105,8 +172,21 @@ def keep_entries():
 
 def kept_lines(module, scope, text):
     """The first lines of the statements of ``module`` in ``scope`` whose
-    first line reads ``text``."""
-    return [n for n, (s, t, _) in statements(module).items() if (s, t) == (scope, text)]
+    first line reads ``text``, and the spans of its arms in ``scope``
+    whose text is ``text``."""
+    lines = [n for n, (s, t, _) in statements(module).items() if (s, t) == (scope, text)]
+    return lines + [span for span, key in arms(module).items() if key == (scope, text)]
+
+
+def taken_arms():
+    """The spans of the arms that ran, by file name."""
+    taken = defaultdict(set)
+    for code, offsets in _ran.items():
+        spans = arms(Path(code.co_filename).name)
+        positions = list(code.co_positions())
+        for offset in offsets:
+            taken[code.co_filename].update(_inside(positions[offset // 2], spans))
+    return taken
 
 
 def main(args):
@@ -121,21 +201,29 @@ def main(args):
     for module, scope, text, reason in keep_entries():
         for n in kept_lines(module, scope, text):
             kept[module][n] = reason
-    total = missing = held = 0
+    taken = taken_arms()
+    total = total_arms = missing = held = 0
     for path in sorted(PACKAGE.glob("*.py")):
         hit = _hits[str(path)]
         stmts = statements(path.name)
-        unreached = [(n, text) for n, (_, text, head) in sorted(stmts.items())
+        unreached = [(n, n, text) for n, (_, text, head) in sorted(stmts.items())
                      if hit.isdisjoint(head)]
+        spans = arms(path.name)
+        untaken = [(span, span[0][0], text) for span, (_, text) in sorted(spans.items())
+                   if span not in taken[str(path)]]
         total += len(stmts)
+        total_arms += len(spans)
         if unreached:
             print(f"{path.name}: {len(unreached)} of {len(stmts)} statements unreached")
-        for n, text in unreached:
-            reason = kept[path.name].get(n)
+        if untaken:
+            print(f"{path.name}: {len(untaken)} of {len(spans)} arms untaken")
+        for key, n, text in unreached + untaken:
+            reason = kept[path.name].get(key)
             held += reason is not None
             missing += reason is None
             print(f"  {n:4} {'kept' if reason else 'MISSED':6} {text}")
-    print(f"{total} statements, {held + missing} unreached: {held} kept, {missing} missed")
+    print(f"{total} statements and {total_arms} arms, {held + missing} unreached or untaken:"
+          f" {held} kept, {missing} missed")
     if rc != 0:
         print(f"pytest exited {rc}")
     return 0 if rc == 0 and missing == 0 else 1

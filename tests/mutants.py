@@ -159,8 +159,14 @@ MUTANTS = {
     ),
     "routable-size-ignores-blocked": (
         "oracle.py",
-        "    return _most(lists, len(lists), 0, blocked, 0, best)\n",
-        "    return _most(lists, len(lists), 0, 0, 0, best)\n",
+        "    return _most(lists, len(lists), 0, blocked, 0, 0)\n",
+        "    return _most(lists, len(lists), 0, 0, 0, 0)\n",
+        "tests/test_oracle.py",
+    ),
+    "max-allocatable-scans-one-size-short": (
+        "oracle.py",
+        "    for picked in sorted(combinations(range(len(reqs)), size), key=lambda c: c[::-1]):\n",
+        "    for picked in sorted(combinations(range(len(reqs)), size - 1), key=lambda c: c[::-1]):\n",
         "tests/test_oracle.py",
     ),
     "served-case-drops-reverse": (

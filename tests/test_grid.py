@@ -146,9 +146,9 @@ def test_every_grid_reads_one_route_table_filled_once_per_pair(monkeypatch):
 
 
 def test_each_case_optimum_matches_the_witness_search():
-    # max_allocatable and the subset reference start at no floor, so this
-    # checks the verify's floored size searches, and its optima read from
-    # full routings, independently
+    # the verify reads its optima from full routings, which max_allocatable's
+    # size search does not use, and its continuations from that search,
+    # which the subset reference does not use
     g = GridGraph()
     for c in exhaustive_verify_3x3().cases:
         route = tuple(zip(c.path, c.path[1:]))

@@ -30,7 +30,7 @@ from priodpa.lwdpa import (
     lwdpa_order,
 )
 
-from helpers import DEMO, random_instance
+from helpers import DEMO, count_requests, random_instance
 
 
 def _demo():
@@ -96,13 +96,7 @@ def test_layer_geometry():
 
 def test_a_battery_on_one_params_builds_its_universe_once(monkeypatch):
     p = PabParams(3, 8)
-    built, real_init = [0], Request.__init__
-
-    def counted_init(self, *args):
-        built[0] += 1
-        real_init(self, *args)
-
-    monkeypatch.setattr(Request, "__init__", counted_init)
+    built = count_requests(monkeypatch)
     shared = [adversary_play_lwdpa(alg, p) for alg in battery("lwdpa")]
     # 15 longs and 178 units, once for all fifteen games
     assert built[0] == 193

@@ -465,6 +465,8 @@ def test_grid_oracle_matches_the_subset_and_product_reference():
         else:
             blocked = sum(1 << e for e in rng.sample(range(12), rng.randint(1, 6)))
         cases.append((reqs, blocked))
+    # 9 to 12 requests, up to the cap, with nothing blocked
+    cases += [(tuple(Request(gg, *rng.sample(vs, 2)) for _ in range(n)), 0) for n in range(9, 13) for _ in range(3)]
     routed = set()
     for reqs, blocked in cases:
         ref_count, ref_accepted, ref_alloc = reference_max_allocatable(gg, reqs, blocked)
@@ -472,11 +474,7 @@ def test_grid_oracle_matches_the_subset_and_product_reference():
             res = max_allocatable(gg, reqs)
             assert (res.optimum, res.witness.accepted) == (ref_count, ref_accepted), reqs
             assert list(res.witness.allocations.items()) == list(ref_alloc.items()), reqs
-        lists = _mask_lists(gg, reqs)
-        # the floor only prunes: every floor up to one past the request
-        # count gives the larger of the floor and the optimum
-        for floor in range(len(reqs) + 2):
-            assert _routable_size(lists, blocked, floor) == max(floor, ref_count), (reqs, blocked, floor)
+        assert _routable_size(_mask_lists(gg, reqs), blocked) == ref_count, (reqs, blocked)
         if blocked == every_edge:
             assert ref_count == 0
         routed.add(ref_count)

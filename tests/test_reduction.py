@@ -10,7 +10,6 @@ from priodpa import (
     InvalidTreeError,
     PriorityAlgorithm,
     PriorityOrder,
-    Request,
     TreeGraph,
 )
 from priodpa.battery import AdaptiveFlip, battery
@@ -28,7 +27,7 @@ from priodpa import reduction
 from priodpa.trees import greedy_cat_algorithm, pack_s4, sigma
 
 from helpers import (
-    counting_key, random_high_degree_tree, reference_run_guess, reference_run_tguess,
+    count_requests, counting_key, random_high_degree_tree, reference_run_guess, reference_run_tguess,
 )
 
 
@@ -157,21 +156,10 @@ def test_single_star_right_guess():
     assert (out.alg_gain, out.opt_gain) == (2, 2)
 
 
-def _count_requests(monkeypatch):
-    built, real_init = [0], Request.__init__
-
-    def counted_init(self, *args):
-        built[0] += 1
-        real_init(self, *args)
-
-    monkeypatch.setattr(Request, "__init__", counted_init)
-    return built
-
-
 def test_a_battery_on_one_bit_count_builds_its_gadget_once(monkeypatch):
     bits = "0110100111010010"
     run_guess(greedy_lwdpa_algorithm(), bits + "1")  # the last game had another bit count
-    built = _count_requests(monkeypatch)
+    built = count_requests(monkeypatch)
     shared = [run_guess(alg, bits) for alg in battery("lwdpa")]
     # four requests per block, once for all fifteen games
     assert built[0] == 4 * len(bits)
@@ -192,7 +180,7 @@ def test_a_battery_on_one_tree_packs_it_once(monkeypatch):
         return real_pack(t)
 
     monkeypatch.setattr(reduction, "pack_s4", counted_pack)
-    built = _count_requests(monkeypatch)
+    built = count_requests(monkeypatch)
     shared = [run_tguess(alg, tree, bits) for alg in battery("cat")]
     # the six leaf pairs of each of the twelve stars, once for all fifteen games
     assert (packed[0], built[0]) == (1, 6 * 12)
