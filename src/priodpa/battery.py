@@ -3,7 +3,9 @@
 Fifteen strategies per problem: canonical greedy, reversed-order greedy,
 reject-first, reject-all, an adaptive order-flipper, and ten seeded
 random-order greedies.  Random orders hash (seed, endpoints) through
-sha256 so they are stable across platforms and runs.  Each random-order
+sha256 so they are stable across platforms and runs.  The digest is
+``graphs.sha256``, from CPython's built-in module, so no process that
+imports the package loads OpenSSL.  Each random-order
 strategy keeps the keys it has computed in a dict of its own, from
 endpoint pair to the whole ``_hash_key`` tuple, for as long as the
 ``battery()`` tuple lives: a key depends on the seed and the endpoints
@@ -21,9 +23,7 @@ hidden bit is 1, so that block gains 1 edge instead of 2.
 
 from __future__ import annotations
 
-import hashlib
-
-from .graphs import InvalidParameterError
+from .graphs import InvalidParameterError, sha256
 from .engine import Decision, GreedyAlgorithm, PriorityOrder, RejectFirst
 from .paths import right_end_order
 from .lwdpa import lwdpa_order
@@ -37,7 +37,7 @@ _CANONICAL = {
 
 
 def _hash_key(seed, r):
-    digest = hashlib.sha256(f"{seed}:{r.x}:{r.y}".encode()).digest()
+    digest = sha256(f"{seed}:{r.x}:{r.y}".encode()).digest()
     return (int.from_bytes(digest, "big"), r.x, r.y)
 
 

@@ -35,7 +35,6 @@ whatever the route).  Every edge set is an int bitmask, built only here:
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -43,6 +42,18 @@ from fractions import Fraction
 from math import inf
 from operator import attrgetter
 from types import MappingProxyType
+
+# SHA-256 from CPython's built-in module, as ``random`` takes its sha512:
+# ``hashlib`` would map OpenSSL's libcrypto, several MB resident, for a few
+# short digests.  The module is ``_sha256`` up to Python 3.11 and ``_sha2``
+# from 3.12; ``hashlib`` is left for an interpreter built without either.
+try:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from _sha2 import sha256
+except ImportError:
+    from hashlib import sha256
 
 
 class PriodpaError(Exception):
@@ -581,4 +592,4 @@ def load_instance(path):
 def instance_hash(instance):
     """Stable 12-hex-digit digest of the canonical instance JSON."""
     blob = json.dumps(instance_to_json(instance), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+    return sha256(blob.encode()).hexdigest()[:12]

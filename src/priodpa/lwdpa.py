@@ -88,8 +88,9 @@ class PabParams:
 
     @cached_property
     def universe(self):
-        """Host path, the long requests p_1..p_{2b-1} and all unit requests,
-        built on first use and kept on this object."""
+        """Host path, the long requests p_1..p_{2b-1} and all unit requests
+        (``units[e]`` is edge e's), built on first use and kept on this
+        object."""
         g = PathGraph(self.l)
         longs = tuple(Request(g, *self.span_of(i)) for i in range(1, 2 * self.b))
         if longs[-1].y != self.l:
@@ -121,8 +122,7 @@ def _pab_answer(params, r_star, first):
         neighbours = [longs[i - 2], longs[i]]
         case = "middle" if i != params.b else "peak"
     shared = {e for nb in neighbours for e in range(nb.x, nb.y)}
-    frees = [u for u in units
-             if r_star.x <= u.x and u.y <= r_star.y and u.x not in shared]
+    frees = [units[e] for e in range(r_star.x, r_star.y) if e not in shared]
     followups = tuple(neighbours + frees)
     return case, followups, Solution(g, followups)
 

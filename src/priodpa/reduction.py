@@ -73,7 +73,7 @@ def entropy_lower_bound(epsilon, n=1):
     return (1 - binary_entropy(epsilon)) * n
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BlockRecord:
     block: int
     m: object

@@ -18,9 +18,12 @@ arms are counted apart.  A frame whose code holds an instruction inside
 an arm also traces opcodes (``f_trace_opcodes``), and the offsets that
 run there are mapped through ``co_positions()`` to source spans: an arm
 is taken when some instruction inside its span runs.  ``co_positions``
-needs Python 3.11 or later, and so does this script.  Python 3.12.1
-sends no opcode events to a ``sys.settrace`` hook, so there every arm
-reads untaken and the run fails.
+needs Python 3.11 or later, and so does this script.  Some interpreters
+send no opcode events to a ``sys.settrace`` hook (Python 3.12.1 sends
+none), and under them every arm would read untaken.  So before pytest
+runs, one call of a one-line probe is traced with the same hook; when no
+opcode event arrives, the script prints one line naming the interpreter
+and exits 2.
 
 Statements are read with ``ast``.  Docstrings, ``global`` and ``nonlocal``
 make no code and are not counted, and a decorated ``def`` or ``class``
@@ -29,8 +32,9 @@ head runs: the lines from its start to the line before its first nested
 statement, or to its end if it has none.  Each unreached statement is
 printed per module, and so is each untaken arm; those listed in
 ``tests/linecov_keep.txt`` are marked as kept.  The exit code is 0 when
-pytest passes and every unreached statement and untaken arm is kept, and
-1 otherwise.  Pytest does not collect this script
+pytest passes and every unreached statement and untaken arm is kept, 1
+otherwise, and 2 when the probe sees no opcode event.  Pytest does not
+collect this script
 (its name does not start with ``test_``).
 """
 
@@ -80,6 +84,28 @@ def _trace_call(frame, event, arg):
         spans = arms(Path(code.co_filename).name)
         holds = _holds_arm[code] = any(_inside(pos, spans) for pos in code.co_positions())
     return _trace_arms if holds else _trace_line
+
+
+def _probe():
+    return None
+
+
+def _trace_probe(frame, event, arg):
+    return _trace_arms if frame.f_code is _probe.__code__ else None
+
+
+def opcode_events():
+    """Whether this interpreter sends opcode events to ``_trace_arms``:
+    one call of the one-line ``_probe`` is traced with it, and the offsets
+    it ran are read and dropped.  The trace function in force before is
+    put back."""
+    previous = sys.gettrace()
+    sys.settrace(_trace_probe)
+    try:
+        _probe()
+    finally:
+        sys.settrace(previous)
+    return bool(_ran.pop(_probe.__code__, None))
 
 
 def _inside(position, spans):
@@ -190,6 +216,10 @@ def taken_arms():
 
 
 def main(args):
+    if not opcode_events():
+        print(f"Python {sys.version.split()[0]} ({sys.executable}) sends no opcode events"
+              " to a sys.settrace hook, so no arm can be counted under it")
+        return 2
     sys.settrace(_trace_call)
     try:
         import pytest

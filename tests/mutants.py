@@ -211,6 +211,12 @@ MUTANTS = {
         "        table = _GRID_ROUTES.get(x)\n",
         "tests/test_grid.py",
     ),
+    "sha256-from-hashlib": (
+        "graphs.py",
+        "        from _sha256 import sha256\n",
+        "        from hashlib import sha256\n",
+        "tests/test_golden.py",
+    ),
     "cli-parser-per-call": (
         "cli.py",
         "@cache\ndef build_parser():\n",

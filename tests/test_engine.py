@@ -604,6 +604,7 @@ def test_advice_tape_json_format():
 @pytest.mark.parametrize("obj", [
     {"bits": 12, "hex": "48"},  # fewer than ceil(bits / 4) hex digits
     {"bits": 10, "hex": "627"},  # a padding bit is set
+    [10, "624"],  # not a JSON object
 ])
 def test_advice_tape_json_is_exactly_the_declared_bits(obj):
     with pytest.raises(InvalidParameterError):

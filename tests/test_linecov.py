@@ -2,10 +2,14 @@
 
 ``python tests/linecov.py`` traces the whole suite, so it is not part of
 it.  This is the check of its keep-list that needs no tracing, so a
-refactor that moves or rewrites a kept line fails here first.
+refactor that moves or rewrites a kept line fails here first.  It also
+checks the script's opcode-event probe under the running interpreter.
 """
 
-from linecov import PACKAGE, arms, keep_entries, kept_lines
+import sys
+
+import linecov
+from linecov import PACKAGE, arms, keep_entries, kept_lines, opcode_events
 
 
 def test_each_kept_line_names_exactly_one_statement_of_its_module():
@@ -23,3 +27,16 @@ def test_each_conditional_expression_has_two_arms_named_by_its_text():
     (line, col), (end_line, end_col) = span
     assert line == end_line
     assert (PACKAGE / "oracle.py").read_text().splitlines()[line - 1][col:end_col] == "(0, 1)"
+
+
+def test_the_probe_sees_opcode_events_and_puts_the_trace_function_back():
+    before = sys.gettrace()
+    assert opcode_events()
+    assert sys.gettrace() is before
+
+
+def test_an_interpreter_without_opcode_events_exits_2_in_one_line(monkeypatch, capsys):
+    monkeypatch.setattr(linecov, "opcode_events", lambda: False)
+    assert linecov.main([]) == 2
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and f"Python {sys.version.split()[0]} " in out

@@ -21,13 +21,16 @@ from priodpa import (
     gain,
     greedy_cat,
     greedy_lwdpa,
+    greedy_lwdpa_algorithm,
     greedy_paths,
     greediest_opt,
     max_allocatable,
+    run_guess,
     validate_solution,
 )
 from priodpa.battery import battery
 from priodpa.grid import GridCase
+from priodpa.reduction import BlockRecord
 from priodpa.lwdpa import lwdpa_order
 from priodpa import graphs, oracle
 from priodpa.oracle import _components, _conflicts, _routable_size, _routings
@@ -319,8 +322,8 @@ def test_searches_and_route_fill_leave_no_cyclic_garbage(monkeypatch):
 
 
 def test_value_types_compare_and_hash_by_fields_and_are_not_frozen():
-    """``Solution``, ``OracleResult`` and ``GridCase`` are plain
-    ``__slots__`` dataclasses: equal and hash equal by fields, their fields
+    """``Solution``, ``OracleResult``, ``GridCase`` and ``BlockRecord`` are
+    plain ``__slots__`` dataclasses: equal and hash equal by fields, their fields
     can be assigned, and no other attribute can be added."""
     g = PathGraph(4)
     a, b = Request(g, 0, 2), Request(g, 2, 4)
@@ -336,7 +339,13 @@ def test_value_types_compare_and_hash_by_fields_and_are_not_frozen():
     case_twin = GridCase(*fields)
     assert case == case_twin and hash(case) == hash(case_twin) == hash(fields)
     assert case != dataclasses.replace(case, ok=not case.ok)
-    for obj, field, value in ((sol, "accepted", (a,)), (res, "optimum", 1), (case, "opt", 0)):
+    (rec,) = run_guess(greedy_lwdpa_algorithm(), "1").records
+    rec_fields = tuple(getattr(rec, f.name) for f in dataclasses.fields(BlockRecord))
+    rec_twin = BlockRecord(*rec_fields)
+    assert rec == rec_twin and hash(rec) == hash(rec_twin) == hash(rec_fields)
+    assert rec != dataclasses.replace(rec, alg_gain=2)
+    for obj, field, value in ((sol, "accepted", (a,)), (res, "optimum", 1), (case, "opt", 0),
+                              (rec, "alg_gain", 2)):
         setattr(obj, field, value)
         assert getattr(obj, field) == value
         with pytest.raises(AttributeError):
@@ -344,6 +353,7 @@ def test_value_types_compare_and_hash_by_fields_and_are_not_frozen():
         assert not hasattr(obj, "__dict__")
     assert sol == Solution(g, (a,)) and res == OracleResult(1, sol)
     assert case == dataclasses.replace(case_twin, opt=0) != case_twin
+    assert rec == dataclasses.replace(rec_twin, alg_gain=2) != rec_twin
     # grid allocations are a dict, so a grid witness does not hash
     with pytest.raises(TypeError):
         hash(Solution(GridGraph(), (), {}))
