@@ -19,7 +19,6 @@ fields it would read, and must accept the optimum it encodes (``encode_run``).
 from __future__ import annotations
 
 from copy import copy
-from dataclasses import dataclass
 from string import hexdigits
 from weakref import WeakKeyDictionary
 
@@ -29,7 +28,7 @@ from .graphs import (
     InvalidRequestError,
     PriodpaError,
     PropertyViolation,
-    Solution,
+    Value,
     gain,
     ratio,
     validate_solution,
@@ -179,11 +178,14 @@ class AdviceWriter:
 # --------------------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class Decision:
-    request: object
-    accept: bool
-    allocation: object = None  # grids only: tuple of directed edges
+class Decision(Value):
+    __slots__ = ("request", "accept", "allocation")
+    __hash__ = None
+
+    def __init__(self, request, accept, allocation=None):
+        self.request = request
+        self.accept = accept
+        self.allocation = allocation  # grids only: tuple of directed edges
 
 
 class PriorityAlgorithm:
@@ -241,11 +243,14 @@ class RejectFirst(PriorityAlgorithm):
         return self.inner.decide(request, state)
 
 
-@dataclass(slots=True)
-class RunResult:
-    solution: Solution
-    log: tuple
-    bits_consumed: int
+class RunResult(Value):
+    __slots__ = ("solution", "log", "bits_consumed")
+    __hash__ = None
+
+    def __init__(self, solution, log, bits_consumed):
+        self.solution = solution
+        self.log = log
+        self.bits_consumed = bits_consumed
 
 
 class Session:
@@ -374,20 +379,23 @@ def encode_run(encoder, instance, optimum):
     return encoder.writer.tape()
 
 
-@dataclass
-class AdversaryOutcome:
+class AdversaryOutcome(Value):
     """The outcome of every game.  A guessing game of ``reduction`` has no
     ``case`` or ``opt_witness``, and one BlockRecord per round.  ``passed``:
     no block gained over its ``opt_gain``, less one after a wrong guess; an
     adversary round has no records and raises PropertyViolation instead."""
 
-    instance: Instance
-    ratio: object  # Fraction, or math.inf
-    case: str
-    alg_gain: int
-    opt_gain: int
-    opt_witness: Solution
-    records: tuple = ()
+    __slots__ = ("instance", "ratio", "case", "alg_gain", "opt_gain", "opt_witness", "records")
+    __hash__ = None
+
+    def __init__(self, instance, ratio, case, alg_gain, opt_gain, opt_witness, records=()):
+        self.instance = instance
+        self.ratio = ratio  # Fraction, or math.inf
+        self.case = case
+        self.alg_gain = alg_gain
+        self.opt_gain = opt_gain
+        self.opt_witness = opt_witness
+        self.records = records
 
     @property
     def wrong(self):

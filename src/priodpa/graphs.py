@@ -36,7 +36,6 @@ whatever the route).  Every edge set is an int bitmask, built only here:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import inf
@@ -435,13 +434,50 @@ class Instance:
         return f"Instance({self.graph!r}, {len(self.requests)} requests)"
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Solution:
+class Value:
+    """Base of the package's value types: equality, hash and repr by fields.
+
+    A subclass names its fields in ``__slots__``; a slot whose name starts
+    with an underscore holds a memo, not a field.  Instances of one class
+    are equal when their fields are, and hash as the tuple of their fields;
+    a type that must not hash sets ``__hash__ = None``.  The repr is the
+    class name and each field as ``name=value``.  Copies and pickles are
+    built through the constructor, which takes the fields in order.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._field_names = tuple(name for name in cls.__slots__ if name[0] != "_")
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._field_names)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._field_names)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class Solution(Value):
     """An accepted subset; on grids, explicit edge-disjoint allocations."""
 
-    graph: object
-    accepted: tuple
-    allocations: object = None  # grid: {Request: (edge, ...)} in walk order
+    __slots__ = ("graph", "accepted", "allocations")
+
+    def __init__(self, graph, accepted, allocations=None):
+        self.graph = graph
+        self.accepted = accepted
+        self.allocations = allocations  # grid: {Request: (edge, ...)} in walk order
 
     def __len__(self):
         return len(self.accepted)

@@ -23,10 +23,7 @@ and checks the whole case analysis against the routing oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
-from .graphs import GridGraph, PropertyViolation, Request, ratio
+from .graphs import GridGraph, PropertyViolation, Request, Value, ratio
 from .engine import Decision, PriorityAlgorithm, PriorityOrder, RejectFirst, adversary_game
 from .oracle import _routable_size, _routings, max_allocatable
 
@@ -136,25 +133,30 @@ def _served_opt(own, full, fol):
     return fol + 1 if any(not o & u for o in own for u in full) else fol
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class GridCase:
-    request: object
-    path: tuple  # vertex sequence from the corner endpoint
-    case: str
-    alg_total: int
-    followup_only: int
-    opt: int
-    ratio: Fraction
-    ok: bool
+class GridCase(Value):
+    __slots__ = ("request", "path", "case", "alg_total", "followup_only", "opt", "ratio", "ok")
+
+    def __init__(self, request, path, case, alg_total, followup_only, opt, ratio, ok):
+        self.request = request
+        self.path = path  # vertex sequence from the corner endpoint
+        self.case = case
+        self.alg_total = alg_total
+        self.followup_only = followup_only
+        self.opt = opt
+        self.ratio = ratio  # Fraction
+        self.ok = ok
 
 
-@dataclass
-class Grid3x3Report:
-    cases: tuple
-    pair_count: int
-    corner_cases: int
-    center_cases: int
-    passed: bool
+class Grid3x3Report(Value):
+    __slots__ = ("cases", "pair_count", "corner_cases", "center_cases", "passed")
+    __hash__ = None
+
+    def __init__(self, cases, pair_count, corner_cases, center_cases, passed):
+        self.cases = cases
+        self.pair_count = pair_count
+        self.corner_cases = corner_cases
+        self.center_cases = center_cases
+        self.passed = passed
 
 
 def exhaustive_verify_3x3():

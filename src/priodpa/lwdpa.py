@@ -14,8 +14,7 @@ Three pieces live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 from .graphs import (
     InvalidParameterError,
@@ -23,6 +22,7 @@ from .graphs import (
     PathGraph,
     PropertyViolation,
     Solution,
+    Value,
 )
 from .engine import (
     AdviceWriter,
@@ -55,22 +55,29 @@ def greedy_lwdpa(instance):
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PabParams:
+class PabParams(Value):
     """Layer structure: 2b-1 long requests overlapping in single edges.
 
     Lengths ramp a, 2a, ..., ba, ..., 2a, a; consecutive longs share exactly
-    one edge, so the host path has l = a*b*b - 2b + 2 edges.
+    one edge, so the host path has l = a*b*b - 2b + 2 edges.  The parameters
+    are immutable: every attribute assignment raises AttributeError.
     """
 
-    a: int
-    b: int
+    __slots__ = ("a", "b", "_universe")
 
-    def __post_init__(self):
-        if self.a < 3:
+    def __init__(self, a, b):
+        if a < 3:
             raise InvalidParameterError("need a >= 3")
-        if self.b < 2:
+        if b < 2:
             raise InvalidParameterError("need b >= 2")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def l(self):
@@ -86,17 +93,22 @@ class PabParams:
             start += self.length_of(j) - 1
         return (start, start + self.length_of(i))
 
-    @cached_property
+    @property
     def universe(self):
         """Host path, the long requests p_1..p_{2b-1} and all unit requests
         (``units[e]`` is edge e's), built on first use and kept on this
         object."""
+        try:
+            return self._universe
+        except AttributeError:
+            pass
         g = PathGraph(self.l)
         longs = tuple(Request(g, *self.span_of(i)) for i in range(1, 2 * self.b))
         if longs[-1].y != self.l:
             raise PropertyViolation("the layer structure must end exactly at l")
         units = tuple(Request(g, e, e + 1) for e in range(self.l))
-        return g, longs, units
+        object.__setattr__(self, "_universe", (g, longs, units))
+        return self._universe
 
 
 def adversary_play_lwdpa(algorithm, params):

@@ -52,13 +52,13 @@ route fills and a 3x3 verify finds nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .graphs import (
     InvalidParameterError,
     PriodpaError,
     Solution,
+    Value,
 )
 
 
@@ -72,10 +72,12 @@ CAP = 22
 GRID_CAP = 12
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class OracleResult:
-    optimum: int
-    witness: Solution
+class OracleResult(Value):
+    __slots__ = ("optimum", "witness")
+
+    def __init__(self, optimum, witness):
+        self.optimum = optimum
+        self.witness = witness
 
 
 def _conflicts(masks):

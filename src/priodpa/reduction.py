@@ -35,7 +35,6 @@ its own requests would sit on the cycle tree -> requests -> tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import log2
 
@@ -46,6 +45,7 @@ from .graphs import (
     PathGraph,
     Request,
     TreeGraph,
+    Value,
     gain,
     ratio,
 )
@@ -73,15 +73,17 @@ def entropy_lower_bound(epsilon, n=1):
     return (1 - binary_entropy(epsilon)) * n
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class BlockRecord:
-    block: int
-    m: object
-    guess: int
-    hidden: int
-    correct: bool
-    alg_gain: int
-    opt_gain: int
+class BlockRecord(Value):
+    __slots__ = ("block", "m", "guess", "hidden", "correct", "alg_gain", "opt_gain")
+
+    def __init__(self, block, m, guess, hidden, correct, alg_gain, opt_gain):
+        self.block = block
+        self.m = m
+        self.guess = guess
+        self.hidden = hidden
+        self.correct = correct
+        self.alg_gain = alg_gain
+        self.opt_gain = opt_gain
 
 
 def _parse_bits(bits):

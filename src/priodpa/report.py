@@ -13,24 +13,38 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, fields
 from math import inf
 
-from .graphs import InvalidParameterError, ratio
+from .graphs import InvalidParameterError, Value, ratio
 
 CSV_COLUMNS = ("graph", "algorithm", "instance_hash", "gain_alg", "gain_opt",
                "ratio", "advice_bits", "ms")
 
 
-@dataclass(frozen=True)
-class RatioReport:
-    graph: str
-    algorithm: str
-    instance_hash: str
-    gain_alg: int
-    gain_opt: object  # int, or None when the oracle was skipped
-    advice_bits: int = 0
-    ms: int = 0
+class RatioReport(Value):
+    """The row of one algorithm-on-instance run.  It is immutable: every
+    attribute assignment raises AttributeError."""
+
+    __slots__ = ("graph", "algorithm", "instance_hash", "gain_alg", "gain_opt", "advice_bits", "ms")
+
+    def __init__(self, graph, algorithm, instance_hash, gain_alg, gain_opt, advice_bits=0, ms=0):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "algorithm", algorithm)
+        object.__setattr__(self, "instance_hash", instance_hash)
+        object.__setattr__(self, "gain_alg", gain_alg)
+        object.__setattr__(self, "gain_opt", gain_opt)  # int, or None when the oracle was skipped
+        object.__setattr__(self, "advice_bits", advice_bits)
+        object.__setattr__(self, "ms", ms)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _row(self):
+        """The fields by name."""
+        return {name: getattr(self, name) for name in self._field_names}
 
     @property
     def ratio(self):
@@ -44,12 +58,12 @@ class RatioReport:
     def to_json(self):
         r = self.ratio
         exact = None if r is None or r == inf else f"{r.numerator}/{r.denominator}"
-        return {**vars(self), "ratio": None if exact is None else float(r),
+        return {**self._row(), "ratio": None if exact is None else float(r),
                 "infinite": r == inf, "ratio_exact": exact}
 
     @classmethod
     def from_json(cls, obj):
-        return cls(**{f.name: obj[f.name] for f in fields(cls)})
+        return cls(**{name: obj[name] for name in cls._field_names})
 
 
 def format_ratio(r):
@@ -62,7 +76,7 @@ def render_csv(reports):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for rep in reports:
-        cells = {**vars(rep), "ratio": rep.ratio_text()}
+        cells = {**rep._row(), "ratio": rep.ratio_text()}
         writer.writerow(["" if cells[c] is None else cells[c] for c in CSV_COLUMNS])
     return buf.getvalue()
 

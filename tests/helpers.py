@@ -2,6 +2,7 @@
 canonical enumeration of small free trees, request sampling, the paths of
 the committed instance files, a key wrapper that counts its evaluations,
 a ``Request.__init__`` patch that counts the requests built,
+the field names of a value type and a copy of a value with changed fields,
 the walk-based reference geometry that the library's edge masks are
 checked against, the neighbour-scan case analysis of a served 3x3 route,
 the negated-key sort that reversed orders are checked against, the plain
@@ -176,6 +177,23 @@ def count_requests(monkeypatch):
 
     monkeypatch.setattr(Request, "__init__", counted_init)
     return built
+
+
+def value_fields(value):
+    """The field names of ``value``, one of the package's value types, in
+    order: its class's ``__slots__``, less the memo slots, whose names start
+    with an underscore."""
+    return tuple(name for name in type(value).__slots__ if not name.startswith("_"))
+
+
+def replaced(value, **changes):
+    """A copy of ``value`` built by its own constructor, with ``changes``
+    to its fields; a name that is not a field raises TypeError."""
+    names = value_fields(value)
+    unknown = set(changes).difference(names)
+    if unknown:
+        raise TypeError(f"{type(value).__name__} has no field {', '.join(sorted(unknown))}")
+    return type(value)(**{name: changes.get(name, getattr(value, name)) for name in names})
 
 
 def reference_sort(key, name, requests, negate):

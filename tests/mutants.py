@@ -217,6 +217,26 @@ MUTANTS = {
         "        from hashlib import sha256\n",
         "tests/test_golden.py",
     ),
+    "value-type-from-dataclass": (
+        "oracle.py",
+        "class OracleResult(Value):\n"
+        "    __slots__ = (\"optimum\", \"witness\")\n\n"
+        "    def __init__(self, optimum, witness):\n"
+        "        self.optimum = optimum\n"
+        "        self.witness = witness\n",
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass(slots=True, unsafe_hash=True)\n"
+        "class OracleResult:\n"
+        "    optimum: int\n"
+        "    witness: Solution\n",
+        "tests/test_golden.py",
+    ),
+    "value-eq-skips-last-field": (
+        "graphs.py",
+        "        return self._values() == other._values()\n",
+        "        return self._values()[:-1] == other._values()[:-1]\n",
+        "tests/test_oracle.py",
+    ),
     "cli-parser-per-call": (
         "cli.py",
         "@cache\ndef build_parser():\n",

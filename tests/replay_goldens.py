@@ -11,11 +11,12 @@ code, an empty stderr and stdout byte for byte; ``tests/test_golden.py``
 runs each case through the same ``replay``.
 It imports the package from this checkout's ``src/`` and needs only the
 standard library, so it runs where pytest is not installed.  After the
-cases it also checks that nothing loaded OpenSSL's ``_hashlib``: the
-package takes SHA-256 from CPython's built-in module, and this process
-imports nothing else that would load it.  The exit code is 0 when every
-case matches and ``_hashlib`` is not loaded, 1 otherwise, and 2 for an
-unknown case name.
+cases it also checks that nothing loaded OpenSSL's ``_hashlib``, nor
+``dataclasses`` or the ``inspect`` module that it imports: the package
+takes SHA-256 from CPython's built-in module, writes its value types as
+plain classes, and this process imports nothing else that would load
+them.  The exit code is 0 when every case matches and none of those
+modules is loaded, 1 otherwise, and 2 for an unknown case name.
 """
 
 import io
@@ -70,9 +71,12 @@ def main(names):
     openssl = "_hashlib" in sys.modules
     if openssl:
         print("FAILED: OpenSSL's _hashlib is loaded")
+    classgen = [name for name in ("dataclasses", "inspect") if name in sys.modules]
+    if classgen:
+        print(f"FAILED: {', '.join(classgen)} loaded")
     version = ".".join(map(str, sys.version_info[:3]))
     print(f"{len(cases) - failed} of {len(cases)} golden cases match under Python {version}")
-    return 1 if failed or openssl else 0
+    return 1 if failed or openssl or classgen else 0
 
 
 if __name__ == "__main__":

@@ -108,7 +108,7 @@ def test_requests_are_immutable():
     with pytest.raises(AttributeError):
         del r.x
     assert (r.graph, r.x, r.y, r.mask) == (g, 1, 3, 0b110)
-    # copies are built through the constructor, as for the frozen dataclass
+    # copies and pickles are built through the constructor (Request.__reduce__)
     for twin in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
         assert twin == r and twin.mask == r.mask
 

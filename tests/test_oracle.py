@@ -1,18 +1,22 @@
-import dataclasses
+import copy
 import gc
 import itertools
+import pickle
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from priodpa import (
+    Decision,
     GridGraph,
     Instance,
     InstanceTooLargeError,
     InvalidParameterError,
     OracleResult,
+    PabParams,
     PathGraph,
+    RatioReport,
     Request,
     Solution,
     TreeGraph,
@@ -25,6 +29,7 @@ from priodpa import (
     greedy_paths,
     greediest_opt,
     max_allocatable,
+    run,
     run_guess,
     validate_solution,
 )
@@ -46,7 +51,9 @@ from helpers import (
     random_tree,
     reference_max_allocatable,
     reference_routings,
+    replaced,
     scan_opt,
+    value_fields,
 )
 
 
@@ -323,8 +330,8 @@ def test_searches_and_route_fill_leave_no_cyclic_garbage(monkeypatch):
 
 def test_value_types_compare_and_hash_by_fields_and_are_not_frozen():
     """``Solution``, ``OracleResult``, ``GridCase`` and ``BlockRecord`` are
-    plain ``__slots__`` dataclasses: equal and hash equal by fields, their fields
-    can be assigned, and no other attribute can be added."""
+    plain ``__slots__`` value types: equal and hash equal by fields, their
+    fields can be assigned, and no other attribute can be added."""
     g = PathGraph(4)
     a, b = Request(g, 0, 2), Request(g, 2, 4)
     sol, twin = Solution(g, (a, b)), Solution(PathGraph(4), (a, b))
@@ -335,15 +342,15 @@ def test_value_types_compare_and_hash_by_fields_and_are_not_frozen():
     assert res != OracleResult(1, sol)
     assert brute_force_opt(Instance(g, [a, b])) == res
     case = exhaustive_verify_3x3().cases[0]
-    fields = tuple(getattr(case, f.name) for f in dataclasses.fields(GridCase))
+    fields = tuple(getattr(case, name) for name in value_fields(case))
     case_twin = GridCase(*fields)
     assert case == case_twin and hash(case) == hash(case_twin) == hash(fields)
-    assert case != dataclasses.replace(case, ok=not case.ok)
+    assert case != replaced(case, ok=not case.ok)
     (rec,) = run_guess(greedy_lwdpa_algorithm(), "1").records
-    rec_fields = tuple(getattr(rec, f.name) for f in dataclasses.fields(BlockRecord))
+    rec_fields = tuple(getattr(rec, name) for name in value_fields(rec))
     rec_twin = BlockRecord(*rec_fields)
     assert rec == rec_twin and hash(rec) == hash(rec_twin) == hash(rec_fields)
-    assert rec != dataclasses.replace(rec, alg_gain=2)
+    assert rec != replaced(rec, alg_gain=2)
     for obj, field, value in ((sol, "accepted", (a,)), (res, "optimum", 1), (case, "opt", 0),
                               (rec, "alg_gain", 2)):
         setattr(obj, field, value)
@@ -352,11 +359,66 @@ def test_value_types_compare_and_hash_by_fields_and_are_not_frozen():
             obj.extra = 0
         assert not hasattr(obj, "__dict__")
     assert sol == Solution(g, (a,)) and res == OracleResult(1, sol)
-    assert case == dataclasses.replace(case_twin, opt=0) != case_twin
-    assert rec == dataclasses.replace(rec_twin, alg_gain=2) != rec_twin
+    assert case == replaced(case_twin, opt=0) != case_twin
+    assert rec == replaced(rec_twin, alg_gain=2) != rec_twin
     # grid allocations are a dict, so a grid witness does not hash
     with pytest.raises(TypeError):
         hash(Solution(GridGraph(), (), {}))
+
+
+# the value types that are unhashable, and those that refuse assignment
+UNHASHABLE = {"Decision", "RunResult", "AdversaryOutcome", "Grid3x3Report"}
+FROZEN = {"PabParams", "RatioReport"}
+
+
+def test_every_value_type_compares_hashes_and_prints_by_its_fields():
+    """The ten value types share ``graphs.Value``.  A copy through the
+    constructor is equal, and a change to any one field makes it unequal;
+    an object of another class compares as NotImplemented.  A hashable type
+    hashes as the tuple of its fields, and four types do not hash.  Two
+    types refuse assignment and deletion, no type takes another attribute,
+    copies and pickles are equal, and each prints as
+    ``Name(field=value, ...)``."""
+    g = PathGraph(4)
+    a, b = Request(g, 0, 2), Request(g, 2, 4)
+    inst = Instance(g, [a, b])
+    guess, grid = run_guess(greedy_lwdpa_algorithm(), "1"), exhaustive_verify_3x3()
+    params = PabParams(3, 3)
+    params.universe  # the memo is no field: copies without it stay equal
+    samples = (Solution(g, (a, b)), Decision(a, True), run(greedy_lwdpa_algorithm(), inst),
+               guess, grid, grid.cases[0], params, brute_force_opt(inst), guess.records[0],
+               RatioReport("path:4", "greedy", "ab12", 1, 2, advice_bits=3, ms=4))
+    assert sorted(type(v).__name__ for v in samples) == sorted(
+        UNHASHABLE | FROZEN | {"Solution", "GridCase", "OracleResult", "BlockRecord"})
+    for v in samples:
+        names = value_fields(v)
+        values = tuple(getattr(v, name) for name in names)
+        twin = replaced(v)
+        assert twin == v and not twin != v
+        assert copy.copy(v) == pickle.loads(pickle.dumps(v)) == v
+        for name, value in zip(names, values):
+            other = value + 1 if type(value) is int else object()
+            assert replaced(v, **{name: other}) != v, name
+        assert v.__eq__(values) is NotImplemented and v != values
+        assert all(w != v for w in samples if w is not v)
+        if type(v).__name__ in UNHASHABLE:
+            with pytest.raises(TypeError):
+                hash(v)
+        else:
+            assert hash(v) == hash(twin) == hash(values)
+        if type(v).__name__ in FROZEN:
+            for name in names:
+                with pytest.raises(AttributeError):
+                    setattr(v, name, getattr(v, name))
+                with pytest.raises(AttributeError):
+                    delattr(v, name)
+        with pytest.raises(AttributeError):
+            v.extra = 0
+        assert not hasattr(v, "__dict__")
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+        assert repr(v) == f"{type(v).__name__}({fields})"
+    assert repr(samples[1]) == "Decision(request=Request(0, 2), accept=True, allocation=None)"
+    assert repr(params) == "PabParams(a=3, b=3)" and params.universe is params.universe
 
 
 def test_greediest_keeps_the_highest_priority_optimum():

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -28,6 +27,7 @@ from priodpa.trees import greedy_cat_algorithm, pack_s4, sigma
 
 from helpers import (
     count_requests, counting_key, random_high_degree_tree, reference_run_guess, reference_run_tguess,
+    replaced,
 )
 
 
@@ -139,14 +139,14 @@ def test_a_block_over_its_cap_fails_the_outcome_and_wrong_follows_the_records():
     assert out.passed and out.wrong == 2
 
     def with_first(**changes):
-        return replace(out, records=(replace(out.records[0], **changes), *out.records[1:]))
+        return replaced(out, records=(replaced(out.records[0], **changes), *out.records[1:]))
 
     # a wrong guess may gain opt_gain - 1 = 2, a right one opt_gain = 3
     assert not with_first(alg_gain=3).passed
     assert with_first(correct=True, alg_gain=3).passed
     assert not with_first(correct=True, alg_gain=4).passed
     assert (with_first(correct=True).wrong, with_first(alg_gain=0).wrong) == (1, 2)
-    assert replace(out, records=()).passed and replace(out, records=()).wrong == 0
+    assert replaced(out, records=()).passed and replaced(out, records=()).wrong == 0
 
 
 def test_single_star_right_guess():

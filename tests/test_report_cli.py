@@ -2,7 +2,6 @@ import argparse
 import ast
 import json
 import math
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +12,7 @@ from priodpa import Solution, cli, lwdpa, trees
 from priodpa.graphs import InvalidParameterError
 from priodpa.report import RatioReport, render, render_csv, render_json_lines
 
-from helpers import CATERPILLAR, DATA, DEMO
+from helpers import CATERPILLAR, DATA, DEMO, replaced
 
 
 def _row(**kw):
@@ -216,8 +215,8 @@ def test_reduce_exits_1_when_a_block_beats_its_cap(capsys, monkeypatch):
     def beaten(alg, bits):
         # block 1's guess is wrong, so it may gain at most opt_gain - 1 = 2
         outcome = real(alg, bits)
-        first = replace(outcome.records[0], alg_gain=3)
-        return replace(outcome, records=(first, *outcome.records[1:]))
+        first = replaced(outcome.records[0], alg_gain=3)
+        return replaced(outcome, records=(first, *outcome.records[1:]))
 
     monkeypatch.setattr(cli, "run_guess", beaten)
     rc, out, err = _main(capsys, "reduce", "--problem", "lwdpa", "--alg", "greedy",
@@ -253,7 +252,7 @@ def test_verify_grid_table(capsys):
 
 def test_verify_grid_exits_1_when_the_case_analysis_fails(capsys, monkeypatch):
     real = cli.exhaustive_verify_3x3
-    monkeypatch.setattr(cli, "exhaustive_verify_3x3", lambda: replace(real(), passed=False))
+    monkeypatch.setattr(cli, "exhaustive_verify_3x3", lambda: replaced(real(), passed=False))
     rc, out, err = _main(capsys, "verify", "--grid-3x3")
     assert (rc, err) == (1, "")
     lines = out.splitlines()
