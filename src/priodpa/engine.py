@@ -116,7 +116,7 @@ class AdviceTape:
     """Read-only bit tape; tracks how many bits were consumed."""
 
     def __init__(self, bits=""):
-        if any(b not in "01" for b in bits):
+        if not isinstance(bits, str) or bits.strip("01"):
             raise InvalidParameterError("advice bits must be a string over {0,1}")
         self.bits = bits
         self.consumed = 0

@@ -12,14 +12,19 @@ A request is an unordered pair of distinct vertices, normalized so that the
 smaller endpoint comes first.  Each host owns the edges an acceptance
 allocates: ``path_mask(x, y)`` is the mask of the unique x-y path, stored
 once per request as ``Request.mask`` (``None`` on the grid, where the
-algorithm picks the route), and ``route_mask(request, route)`` is the mask
+algorithm picks the route).  It is also the one check that both endpoints
+are host vertices: it raises InvalidRequestError naming them otherwise, so
+a request costs one host call.  ``route_mask(request, route)`` is the mask
 of accepting along ``route`` (the request's own mask on a path or tree,
 whatever the route).  Every edge set is an int bitmask, built only here:
 
 * paths: bit i is the edge {i, i+1};
 * trees: bit v is the edge from vertex v to its parent.  ``up[v]`` is the
   mask of the path from v to the root, so ``up[x] & up[y]`` is the root path
-  of the endpoints' LCA and ``up[x] ^ up[y]`` is the x-y path itself;
+  of the endpoints' LCA and ``up[x] ^ up[y]`` is the x-y path itself.  A
+  tree builds only its edges, ``depth`` and ``up`` (and the LCA table of
+  ``up`` masks); ``adj``, ``degree``, ``parent`` and ``children`` are built
+  on first read, since no greedy run or oracle call reads them;
 * the grid: bit i is ``edge_list()[i]``, in either direction.  Its route
   table is the one place a grid route is enumerated, validated and masked:
   ``routes(x, y)`` maps each simple x-y route to its mask, and
@@ -80,6 +85,22 @@ class PropertyViolation(PriodpaError, RuntimeError):
 # --------------------------------------------------------------------------
 
 
+def _not_vertices(graph, x, y):
+    """The error ``path_mask`` raises when an endpoint is no host vertex."""
+    return InvalidRequestError(f"({x}, {y}) are not vertices of {graph.descriptor()}")
+
+
+def _adjacency(edges, n):
+    """Each vertex's neighbours as a list indexed by vertex: in sorted edge
+    order each vertex meets its smaller neighbours first, then its larger
+    ones, each in increasing order."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
 class _CycleFreeHost:
     """Paths and trees: a request's one route is its path, so ``route_mask``
     ignores the route and a solution carries no routes."""
@@ -107,11 +128,10 @@ class PathGraph(_CycleFreeHost):
             raise InvalidParameterError("path length must be a positive integer")
         self.length = length
 
-    def has_vertex(self, v):
-        return type(v) is int and 0 <= v <= self.length
-
     def path_mask(self, x, y):
-        return ((1 << y) - 1) ^ ((1 << x) - 1)
+        if type(x) is int and type(y) is int and 0 <= x <= self.length and 0 <= y <= self.length:
+            return ((1 << y) - 1) ^ ((1 << x) - 1)
+        raise _not_vertices(self, x, y)
 
     def descriptor(self):
         return f"path:{self.length}"
@@ -131,6 +151,12 @@ class TreeGraph(_CycleFreeHost):
 
     Rooting at a leaf means the root never has degree >= 4, which the
     advice codec relies on: every high-degree vertex has a parent edge.
+
+    Construction validates the edges and runs one breadth-first search
+    from the root, which records ``depth`` and the root-path masks ``up``.
+    The dicts ``adj``, ``degree``, ``parent`` and ``children`` are built
+    on first read and then kept: ``parent[v]`` is the vertex whose root
+    path is ``up[v]`` less v's own bit (None at the root).
     """
 
     kind = "tree"
@@ -153,48 +179,64 @@ class TreeGraph(_CycleFreeHost):
         self.n = n
         self.edges = edges = tuple(sorted(seen))
         self._hash = hash(("tree", edges))
-        # in sorted edge order each vertex meets its smaller neighbours
-        # first, then its larger ones, each in increasing order
-        adj = [[] for _ in range(n)]
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        self.adj = {v: tuple(nb) for v, nb in enumerate(adj)}
-        self.degree = {v: len(nb) for v, nb in enumerate(adj)}
+        adj = _adjacency(edges, n)
         root = next((v for v, nb in enumerate(adj) if len(nb) == 1), None)
         if root is None:
             raise InvalidTreeError("edge list contains a cycle")
         self.root = root
         # BFS from the root; a tree must reach every vertex exactly once.
-        parent = {root: None}
         depth = {root: 0}
         up = [0] * n
         order = [root]
         for v in order:
+            below, mask = depth[v] + 1, up[v]
             for w in adj[v]:
-                if w not in parent:
-                    parent[w] = v
-                    depth[w] = depth[v] + 1
-                    up[w] = up[v] | 1 << w
+                if w not in depth:
+                    depth[w] = below
+                    up[w] = mask | 1 << w
                     order.append(w)
         if len(order) != n:
             raise InvalidTreeError("edge list is not connected")
-        self.parent = parent
         self.depth = depth
         self.up = up
         self._vertex_of_up = {mask: v for v, mask in enumerate(up)}
 
     @cached_property
-    def children(self):
-        """Each vertex's children, in increasing order."""
-        parent = self.parent
-        return {v: tuple(w for w in nb if parent[w] == v) for v, nb in self.adj.items()}
+    def adj(self):
+        """Each vertex's neighbours, in increasing order."""
+        return {v: tuple(nb) for v, nb in enumerate(_adjacency(self.edges, self.n))}
 
-    def has_vertex(self, v):
-        return type(v) is int and 0 <= v < self.n
+    @cached_property
+    def degree(self):
+        """Each vertex's neighbour count: its children, and its parent
+        unless it is the root."""
+        root = self.root
+        return {v: len(kids) + (v != root) for v, kids in self.children.items()}
+
+    @cached_property
+    def parent(self):
+        """Each vertex's parent, or None at the root, in BFS order: the
+        parent's root path is the vertex's own less the vertex's bit."""
+        up, vertex_of_up = self.up, self._vertex_of_up
+        return {v: vertex_of_up.get(up[v] ^ 1 << v) for v in self.depth}
+
+    @cached_property
+    def children(self):
+        """Each vertex's children, in increasing order: of an edge's two
+        ends, the deeper one is the child, and in sorted edge order a
+        vertex meets its children in increasing order too."""
+        depth, kids = self.depth, [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            if depth[u] < depth[v]:
+                kids[u].append(v)
+            else:
+                kids[v].append(u)
+        return {v: tuple(c) for v, c in enumerate(kids)}
 
     def path_mask(self, x, y):
-        return self.up[x] ^ self.up[y]
+        if type(x) is int and type(y) is int and 0 <= x < self.n and 0 <= y < self.n:
+            return self.up[x] ^ self.up[y]
+        raise _not_vertices(self, x, y)
 
     def lca(self, x, y):
         return self._vertex_of_up[self.up[x] & self.up[y]]
@@ -220,6 +262,12 @@ _GRID_NEIGHBORS = {
 }
 _GRID_EDGES = tuple((v, w) for v, nbs in _GRID_NEIGHBORS.items() for w in nbs if v < w)
 _GRID_VERTEX_BIT = {v: 1 << i for i, v in enumerate(_GRID_NEIGHBORS)}
+
+
+def _is_grid_vertex(v):
+    # a bool is no int here, and a list is no vertex (nor hashable)
+    return (isinstance(v, tuple) and len(v) == 2 and type(v[0]) is int
+            and type(v[1]) is int and v in _GRID_NEIGHBORS)
 
 
 def _grid_steps():
@@ -267,12 +315,10 @@ class GridGraph:
     def vertices(self):
         return tuple((r, c) for r in range(3) for c in range(3))
 
-    def has_vertex(self, v):
-        return (isinstance(v, tuple) and len(v) == 2 and type(v[0]) is int
-                and type(v[1]) is int and v in _GRID_NEIGHBORS)
-
     def path_mask(self, x, y):
-        return None  # a grid request's route is the algorithm's choice
+        if _is_grid_vertex(x) and _is_grid_vertex(y):
+            return None  # a grid request's route is the algorithm's choice
+        raise _not_vertices(self, x, y)
 
     def neighbors(self, v):
         return _GRID_NEIGHBORS[v]
@@ -340,15 +386,16 @@ class Request:
     """An unordered pair of distinct host vertices, stored as x < y.
 
     ``mask`` is the host's ``path_mask(x, y)``, built here once: the edge
-    mask of the request's path, or None on the grid.  A request is
+    mask of the request's path, or None on the grid.  That one call also
+    checks that both endpoints are host vertices, so a non-vertex is named
+    before equal endpoints are.  A request is
     immutable: every attribute assignment raises AttributeError.
     """
 
     __slots__ = ("graph", "x", "y", "mask")
 
     def __init__(self, graph, x, y):
-        if not (graph.has_vertex(x) and graph.has_vertex(y)):
-            raise InvalidRequestError(f"({x}, {y}) are not vertices of {graph.descriptor()}")
+        mask = graph.path_mask(x, y)  # raises unless both are host vertices
         if x == y:
             raise InvalidRequestError("request endpoints must be distinct")
         if y < x:
@@ -356,7 +403,7 @@ class Request:
         _set_graph(self, graph)
         _set_x(self, x)
         _set_y(self, y)
-        _set_mask(self, graph.path_mask(x, y))
+        _set_mask(self, mask)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -46,8 +46,11 @@ def greedy_lwdpa_algorithm():
     return GreedyAlgorithm(lwdpa_order, "greedy-lwdpa", mode="length")
 
 
+_GREEDY_LWDPA = greedy_lwdpa_algorithm()  # stateless, so shared by every run
+
+
 def greedy_lwdpa(instance):
-    return run(greedy_lwdpa_algorithm(), instance).solution
+    return run(_GREEDY_LWDPA, instance).solution
 
 
 # --------------------------------------------------------------------------

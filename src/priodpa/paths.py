@@ -18,6 +18,9 @@ def greedy_path_algorithm():
     return GreedyAlgorithm(right_end_order, "greedy-path", mode="count")
 
 
+_GREEDY_PATH = greedy_path_algorithm()  # stateless, so shared by every run
+
+
 def greedy_paths(instance):
     """Run the right-endpoint greedy; returns its Solution."""
-    return run(greedy_path_algorithm(), instance).solution
+    return run(_GREEDY_PATH, instance).solution

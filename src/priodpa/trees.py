@@ -57,8 +57,11 @@ def greedy_cat_algorithm():
     return GreedyAlgorithm(cat_order, "greedy-cat", mode="count")
 
 
+_GREEDY_CAT = greedy_cat_algorithm()  # stateless, so shared by every run
+
+
 def greedy_cat(instance):
-    return run(greedy_cat_algorithm(), instance).solution
+    return run(_GREEDY_CAT, instance).solution
 
 
 # --------------------------------------------------------------------------

@@ -7,6 +7,8 @@ the walk-based reference geometry that the library's edge masks are
 checked against, the neighbour-scan case analysis of a served 3x3 route,
 the negated-key sort that reversed orders are checked against, the plain
 subset scans that the oracle's canonical witnesses are checked against,
+the breadth-first search that a tree's derived attributes are checked
+against, the prefix reruns that show an algorithm never looks ahead,
 the depth-first route enumeration, walk check, subset-and-product
 routing scan and full-routing product that the grid's route table and
 oracle are checked against, and the round-by-round string-guessing game
@@ -19,7 +21,9 @@ from functools import lru_cache
 from pathlib import Path
 from types import SimpleNamespace
 
-from priodpa import Instance, InvalidOrderError, PropertyViolation, Request, Session, TreeGraph
+from priodpa import (
+    AdviceTape, Instance, InvalidOrderError, PropertyViolation, Request, Session, TreeGraph, run,
+)
 from priodpa.graphs import PathGraph, gain, ratio
 from priodpa.reduction import BlockRecord, _parse_bits
 from priodpa.trees import sigma
@@ -110,6 +114,8 @@ def canonical_trees(n):
 def vertex_ids(graph):
     if graph.kind == "path":
         return range(graph.length + 1)
+    if graph.kind == "grid":
+        return graph.vertices()
     return range(graph.n)
 
 
@@ -122,11 +128,41 @@ def all_pairs(graph):
     ]
 
 
+@lru_cache(maxsize=None)
+def reference_tree(edges):
+    """Reference for ``TreeGraph``'s derived attributes, from its edge
+    pairs alone: ``adj``, ``degree``, ``parent``, ``children`` and
+    ``depth`` as dicts keyed by vertex, found by a breadth-first search
+    from the smallest-id leaf.  Neighbours and children are sorted tuples,
+    and the root's parent is None."""
+    n = len(edges) + 1
+    nbrs = {v: set() for v in range(n)}
+    for a, b in edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    root = min(v for v in range(n) if len(nbrs[v]) == 1)
+    parent, depth, queue = {root: None}, {root: 0}, [root]
+    while queue:
+        v = queue.pop(0)
+        for w in sorted(nbrs[v] - set(parent)):
+            parent[w], depth[w] = v, depth[v] + 1
+            queue.append(w)
+    return SimpleNamespace(
+        adj={v: tuple(sorted(nbrs[v])) for v in range(n)},
+        degree={v: len(nbrs[v]) for v in range(n)},
+        parent=parent,
+        children={v: tuple(sorted(w for w in nbrs[v] if parent[w] == v)) for v in range(n)},
+        depth=depth,
+    )
+
+
 def root_walk(tree, v):
-    """Vertices from v up to the root, following ``parent`` only."""
+    """Vertices from v up to the root, following the parents of
+    ``reference_tree``, so the walk never reads the tree's own masks."""
+    parent = reference_tree(tree.edges).parent
     walk = [v]
-    while tree.parent[walk[-1]] is not None:
-        walk.append(tree.parent[walk[-1]])
+    while parent[walk[-1]] is not None:
+        walk.append(parent[walk[-1]])
     return walk
 
 
@@ -392,6 +428,28 @@ def reference_pack_s4(tree):
     if len(copies) < sigma(tree):
         raise PropertyViolation(f"{len(copies)} stars fall short of sigma = {sigma(tree)}")
     return tuple(copies)
+
+
+def _presented_triples(algorithm, instance, bits):
+    log = run(algorithm, instance, AdviceTape(bits)).log
+    return [(d.request, d.accept, d.allocation) for d in log]
+
+
+def first_lookahead(algorithm, instance, bits=""):
+    """The no-lookahead check.  Run ``algorithm`` on ``instance`` with the
+    advice tape ``bits`` and record its presented (request, accept,
+    allocation) triples.  Then, for each k from 1 up to the whole
+    instance, rerun the same algorithm object on the instance cut to its
+    first k presented requests, with the same tape.  An algorithm that
+    decides each request before it sees a later one, and carries nothing
+    from one run to the next, gives the first k triples every time.
+    Return the first k whose rerun differs, or None."""
+    full = _presented_triples(algorithm, instance, bits)
+    presented = [r for r, _, _ in full]
+    for k in range(1, len(full) + 1):
+        if _presented_triples(algorithm, Instance(instance.graph, presented[:k]), bits) != full[:k]:
+            return k
+    return None
 
 
 def _reference_drain_and_pick(session, upcoming, queue, served):

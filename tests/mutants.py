@@ -55,6 +55,12 @@ MUTANTS = {
         "        if False:\n            # the sort is stable",
         "tests/test_engine.py",
     ),
+    "drain-ranking-follows-item-count": (
+        "engine.py",
+        "        seq, k = order.rank(items), 0\n",
+        "        seq, k = order.rank(items)[::-1 if len(items) % 2 else 1], 0\n",
+        "tests/test_no_lookahead.py",
+    ),
     "drain-resumes-past-a-live-request": (
         "engine.py",
         "            seen[order] = (seq, k)\n",
@@ -79,6 +85,18 @@ MUTANTS = {
         "return self.up[x] | self.up[y]",
         "tests/test_trees.py",
     ),
+    "tree-parent-is-the-vertex-itself": (
+        "graphs.py",
+        "vertex_of_up.get(up[v] ^ 1 << v)",
+        "vertex_of_up.get(up[v])",
+        "tests/test_graphs.py",
+    ),
+    "tree-degree-gives-the-root-a-parent": (
+        "graphs.py",
+        "len(kids) + (v != root)",
+        "len(kids) + 1",
+        "tests/test_graphs.py",
+    ),
     "instance-dedupes-by-left-endpoint": (
         "graphs.py",
         "if len(set(map(_endpoints, requests))) != len(requests):",
@@ -93,8 +111,8 @@ MUTANTS = {
     ),
     "tree-up-bit-of-parent": (
         "graphs.py",
-        "up[w] = up[v] | 1 << w",
-        "up[w] = up[v] | 1 << v",
+        "up[w] = mask | 1 << w",
+        "up[w] = mask | 1 << v",
         "tests/test_trees.py",
     ),
     "sides-larger-first": (

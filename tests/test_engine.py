@@ -595,6 +595,13 @@ def test_advice_tape_rejects_non_binary():
         AdviceTape("10x")
 
 
+@pytest.mark.parametrize("bits", ["10x", " 01", ["0", "1"], ("1",), b"01", 101, None])
+def test_advice_tape_rejects_anything_but_a_binary_string_in_one_line(bits):
+    with pytest.raises(InvalidParameterError) as exc:
+        AdviceTape(bits)
+    assert str(exc.value) == "advice bits must be a string over {0,1}"
+
+
 def test_advice_tape_json_format():
     tape = AdviceTape("0110001001")
     assert tape.to_json() == {"bits": 10, "hex": "624"}

@@ -20,7 +20,9 @@ from priodpa import (
     Session,
     Solution,
     TreeGraph,
+    brute_force_opt,
     gain,
+    greedy_cat,
     instance_from_json,
     instance_hash,
     instance_to_json,
@@ -31,7 +33,8 @@ from priodpa.graphs import graph_from_json, graph_to_json
 from priodpa.grid import GridRouter
 
 from helpers import (
-    NESTED_EDGES, all_pairs, canonical_trees, edge_set, path_edges, random_tree, simple_paths,
+    NESTED_EDGES, all_pairs, canonical_trees, edge_set, path_edges, random_tree, reference_tree,
+    simple_paths,
 )
 
 
@@ -53,12 +56,44 @@ def test_request_rejects_unknown_vertex():
         Request(g, 0, 6)
 
 
+_TREE4 = TreeGraph([(0, 1), (1, 2), (1, 3)])
+
+
+@pytest.mark.parametrize("graph, x, y, message", [
+    (PathGraph(5), True, 1, "(True, 1) are not vertices of path:5"),
+    (PathGraph(5), 2, -1, "(2, -1) are not vertices of path:5"),
+    (PathGraph(5), 0, 6, "(0, 6) are not vertices of path:5"),
+    (PathGraph(5), 2.0, 3, "(2.0, 3) are not vertices of path:5"),
+    (PathGraph(5), 6, 6, "(6, 6) are not vertices of path:5"),
+    (PathGraph(5), 3, 3, "request endpoints must be distinct"),
+    (_TREE4, False, 2, "(False, 2) are not vertices of tree:4"),
+    (_TREE4, -1, 2, "(-1, 2) are not vertices of tree:4"),
+    (_TREE4, 0, 4, "(0, 4) are not vertices of tree:4"),
+    (_TREE4, "1", 2, "(1, 2) are not vertices of tree:4"),
+    (_TREE4, 4, 4, "(4, 4) are not vertices of tree:4"),
+    (_TREE4, 2, 2, "request endpoints must be distinct"),
+    (GridGraph(), (0, 0), [1, 1], "((0, 0), [1, 1]) are not vertices of grid:3x3"),
+    (GridGraph(), (True, 0), (1, 1), "((True, 0), (1, 1)) are not vertices of grid:3x3"),
+    (GridGraph(), (0, 3), (1, 1), "((0, 3), (1, 1)) are not vertices of grid:3x3"),
+    (GridGraph(), (0, 0, 0), (1, 1), "((0, 0, 0), (1, 1)) are not vertices of grid:3x3"),
+    (GridGraph(), 4, (1, 1), "(4, (1, 1)) are not vertices of grid:3x3"),
+    (GridGraph(), (3, 3), (3, 3), "((3, 3), (3, 3)) are not vertices of grid:3x3"),
+    (GridGraph(), (1, 1), (1, 1), "request endpoints must be distinct"),
+])
+def test_request_errors_name_the_first_fault_exactly(graph, x, y, message):
+    # a non-vertex is named before equal endpoints, on every host
+    with pytest.raises(InvalidRequestError) as exc:
+        Request(graph, x, y)
+    assert str(exc.value) == message
+
+
 def _walk_mask(graph, req):
     """The request's edge mask from the parent walk: bit i is the path edge
     {i, i+1}, bit v the tree edge from v to its parent."""
     if graph.kind == "path":
         return sum(1 << min(e) for e in edge_set(graph, req))
-    return sum(1 << (a if graph.parent[a] == b else b) for a, b in edge_set(graph, req))
+    parent = reference_tree(graph.edges).parent
+    return sum(1 << (a if parent[a] == b else b) for a, b in edge_set(graph, req))
 
 
 def test_stored_mask_matches_the_walk_on_every_small_host():
@@ -387,6 +422,35 @@ def test_tree_children_follow_the_parents():
         assert t.adj == {v: tuple(sorted(w for e in t.edges if v in e for w in e if w != v))
                          for v in range(t.n)}
         assert all(type(a) is dict for a in (t.adj, t.degree, t.parent, t.depth))
+
+
+def test_a_tree_builds_its_derived_attributes_on_first_read():
+    t = TreeGraph(NESTED_EDGES)
+    lazy = {"adj", "degree", "parent", "children"}
+    assert lazy.isdisjoint(vars(t))
+    # no request, greedy run or oracle call reads them
+    inst = Instance(t, [Request(t, 3, 12), Request(t, 9, 10), Request(t, 6, 13)])
+    greedy_cat(inst)
+    brute_force_opt(inst, "count")
+    assert lazy.isdisjoint(vars(t))
+    assert t.parent[7] == 2 and lazy & set(vars(t)) == {"parent"}
+    # the tree codec reads degrees and children, and never builds adj
+    assert t.degree[2] == 5 and lazy & set(vars(t)) == {"parent", "children", "degree"}
+    assert t.children[2] == (5, 6, 7, 8) and t.adj[2] == (1, 5, 6, 7, 8)
+    assert lazy <= set(vars(t))
+
+
+def test_tree_attributes_match_a_breadth_first_search():
+    rng = random.Random(12)
+    for _ in range(60):
+        t = random_tree(rng.randint(2, 40), rng)
+        ref = reference_tree(t.edges)
+        for name in ("adj", "degree", "parent", "children", "depth"):
+            assert type(getattr(t, name)) is dict
+            assert getattr(t, name) == getattr(ref, name), name
+        # parents and depths in breadth-first order
+        assert list(t.parent) == list(t.depth) == list(ref.parent)
+        assert ref.parent[t.root] is None
 
 
 def test_grid_graph_shape():
